@@ -53,7 +53,8 @@ from .cnf import Encoder
 from .errors import (CapExceeded, DctForgeError, PathExplosion,
                      UnknownOutput)
 from .sat import check_sat
-from .solve import DEFAULT_VALUE_CAP, SolverLimits, all_values, min_value
+from .solve import (DEFAULT_VALUE_CAP, SolverLimits, _raise_if_out,
+                    all_values, min_value)
 
 __all__ = ["Mode", "Kind", "FIXPOINT", "ExploreConfig", "SymState",
            "Behavior", "Metadata", "reset_state", "symbolic_state",
@@ -264,8 +265,8 @@ def _sat_with_env(pc: tuple, limits: SolverLimits,
     formula = enc.to_formula()
     if limits.dumper is not None:
         limits.dumper.dump(formula, "step-feasibility")
-    outcome = check_sat(formula, limits.conflict_limit)
-    if not outcome.is_sat:
+    outcome = _raise_if_out(check_sat(formula, limits.conflict_limit))
+    if outcome.is_unsat:
         return False, None
     env = {}
     for conj in conjuncts:

@@ -4,7 +4,8 @@ One node type serves both circuit logic (Ref leaves) and symbolic values
 (Var leaves).  Structurally identical nodes are interned to a single
 object, so equality is identity and sub-DAGs are shared across the whole
 process.  Nodes are immutable and safe to share between threads; the
-intern table is lock-protected.
+intern table is lock-protected.  The one mutable slot, `simp`, memoises
+simplify(); every thread that fills it writes the same node.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ class Expr:
     """A node in the interned expression DAG.  Do not construct directly;
     use the module-level constructor functions."""
 
-    __slots__ = ("op", "width", "args", "aux", "eid")
+    __slots__ = ("op", "width", "args", "aux", "eid", "simp")
 
     op: str
     width: int
     args: tuple["Expr", ...]
     aux: tuple
+    simp: "Expr | None"  # simplify(self) once computed, else None
 
     def __repr__(self) -> str:
         return f"<{pp(self)}:{self.width}>"
@@ -65,6 +67,7 @@ def _mk(op: str, width: int, args: tuple[Expr, ...], aux: tuple = ()) -> Expr:
             node.args = args
             node.aux = aux
             node.eid = _next_eid
+            node.simp = None
             _next_eid += 1
             _intern_table[key] = node
         return node
@@ -443,15 +446,32 @@ def _simp_node(op: str, width: int, args: tuple[Expr, ...], aux: tuple) -> Expr:
 
 def simplify(e: Expr) -> Expr:
     """Semantics-preserving rewrite: constant folding, identity and
-    annihilator rules, case-on-constant resolution.  Idempotent."""
-    out: dict[Expr, Expr] = {}
-    for node in postorder([e]):
-        if not node.args:
-            out[node] = node
+    annihilator rules, case-on-constant resolution.  Idempotent.
+
+    Memoised on the interned node: each node keeps its result in its
+    `simp` slot, each result is marked as its own fixed point, and the
+    walk stops at nodes already simplified."""
+    if e.simp is not None:
+        return e.simp
+    stack: list[tuple[Expr, bool]] = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node.simp is not None:
+            continue
+        if not expanded:
+            stack.append((node, True))
+            for a in reversed(node.args):
+                if a.simp is None:
+                    stack.append((a, False))
+            continue
+        if node.args:
+            result = _simp_node(node.op, node.width,
+                                tuple(a.simp for a in node.args), node.aux)
         else:
-            out[node] = _simp_node(node.op, node.width,
-                                   tuple(out[a] for a in node.args), node.aux)
-    return out[e]
+            result = node
+        result.simp = result
+        node.simp = result
+    return e.simp
 
 
 _PREC_MUX = 0

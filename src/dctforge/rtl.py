@@ -15,6 +15,9 @@ concatenation, `zext(e,w)`, `redor(e)`, `redand(e)`, sized constants
 `<width>'d<value>` (value decimal, 0b... or 0x...), parentheses, and
 signal names.  `#` starts a comment.  Declarations may appear in any
 order; references are resolved after all declarations are known.
+Ternary else-chains and unary prefixes are parsed iteratively, so they
+may be arbitrarily long; brackets and ternary then-branches may nest at
+most MAX_NESTING levels deep, and deeper input is a ParseError.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from . import expr as ex
 from .circuit import Circuit, Register, validation_errors
 from .errors import DuplicateName, ParseError, UnknownSignal
 
-__all__ = ["parse_rtl"]
+__all__ = ["parse_rtl", "MAX_NESTING"]
+
+MAX_NESTING = 100
 
 _KEYWORDS = {"circuit", "input", "output", "reg", "net", "reset", "next",
              "case", "default", "zext", "redor", "redand"}
@@ -60,6 +65,7 @@ class _ExprParser:
         self.lineno = lineno
         self.widths = widths
         self.i = 0
+        self.depth = -1  # the top-level expression is not nested
 
     def error(self, expected: str):
         col = self.tokens[self.i][2] if self.i < len(self.tokens) else (
@@ -103,14 +109,21 @@ class _ExprParser:
         return ex.const(int(w_text), int(v_text, 0))
 
     def expr(self) -> ex.Expr:
-        cond = self.bits()
-        if self.at("?"):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"expression nested more than {MAX_NESTING} levels deep")
+        branches = []  # (cond, then) of a right-associative ternary chain
+        e = self.bits()
+        while self.at("?"):
             self.take()
             then = self.expr()
             self.expect(":")
-            els = self.expr()
-            return ex.mux(cond, then, els)
-        return cond
+            branches.append((e, then))
+            e = self.bits()
+        for cond, then in reversed(branches):
+            e = ex.mux(cond, then, e)
+        self.depth -= 1
+        return e
 
     def bits(self) -> ex.Expr:
         lhs = self.cmp()
@@ -137,13 +150,13 @@ class _ExprParser:
         return lhs
 
     def unary(self) -> ex.Expr:
-        if self.at("~"):
-            self.take()
-            return ex.not_(self.unary())
-        if self.at("-"):
-            self.take()
-            return ex.neg(self.unary())
-        return self.postfix()
+        prefixes = []
+        while self.at("~") or self.at("-"):
+            prefixes.append(self.take()[1])
+        e = self.postfix()
+        for op in reversed(prefixes):
+            e = ex.not_(e) if op == "~" else ex.neg(e)
+        return e
 
     def postfix(self) -> ex.Expr:
         e = self.primary()

@@ -1,19 +1,33 @@
-"""Deterministic CDCL SAT solver.
+"""Deterministic incremental CDCL SAT solver.
 
 Two-watched-literal propagation, first-UIP clause learning, decaying
 activity scores with ties broken by lowest variable index, phase saving
 (initial phase false), and Luby-sequence restarts.  Identical input
-always produces the identical outcome and model.  Search stops with
-ResourceOut once the conflict budget is exhausted.
+always produces the identical outcome and model.
+
+A Solver is incremental in the style of MiniSat (Een & Sorensson, "An
+Extensible SAT-solver", SAT 2003): clauses may be added between calls to
+solve(), and solve(assumptions) decides the assumption literals first,
+one per decision level.  An assumption found false means Unsat under
+those assumptions only; a conflict at decision level 0 means the clauses
+themselves are unsatisfiable, and every later solve() says so at once.
+Learnt clauses follow from the clauses alone, never from assumptions, so
+they stay valid across calls.  The conflict budget applies to each
+solve() call; search stops with ResourceOut once it is exhausted.  Every
+Sat model is checked against every clause the solver was given and
+against every assumption before it is returned.
+
+check_sat is the one-shot form: one Solver per formula, no assumptions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .cnf import CnfFormula
 
-__all__ = ["SatOutcome", "check_sat", "DEFAULT_CONFLICT_LIMIT"]
+__all__ = ["SatOutcome", "Solver", "check_sat", "DEFAULT_CONFLICT_LIMIT"]
 
 DEFAULT_CONFLICT_LIMIT = 10 ** 6
 _RESTART_BASE = 64
@@ -40,68 +54,107 @@ class SatOutcome:
         return value if lit > 0 else not value
 
 
+_UNSAT = SatOutcome("unsat")
+_RESOURCE_OUT = SatOutcome("resource-out", limit_name="conflict-budget")
+
+
 def _luby(i: int) -> int:
     """i-th element (1-based) of the Luby restart sequence."""
-    k = 1
-    while (1 << (k + 1)) - 1 <= i:
-        k += 1
-    if i == (1 << k) - 1:
-        return 1 << (k - 1)
-    return _luby(i - (1 << (k - 1)) + 1)
+    while True:
+        k = 1
+        while (1 << k) - 1 < i:  # smallest k with 2^k - 1 >= i
+            k += 1
+        if i == (1 << k) - 1:
+            return 1 << (k - 1)
+        i -= (1 << (k - 1)) - 1
 
 
-class _Solver:
-    def __init__(self, formula: CnfFormula, conflict_limit: int):
-        self.nv = formula.num_vars
+class Solver:
+    """One CDCL instance over variables 1..num_vars.
+
+    The truth values live in a per-literal array: assign[lit] is 1 (true),
+    -1 (false) or 0 (unassigned) for lit and -lit alike, because a
+    negative index counts from the end of the 2*num_vars+1 slots.  The
+    watch lists use the same indexing.
+    """
+
+    def __init__(self, num_vars: int,
+                 conflict_limit: int = DEFAULT_CONFLICT_LIMIT):
+        self.nv = num_vars
         self.conflict_limit = conflict_limit
+        self.given: list[list[int]] = []  # every clause as passed in
         self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[int]] = {}
-        self.assign = [0] * (self.nv + 1)   # 0 unknown, 1 true, -1 false
-        self.level = [0] * (self.nv + 1)
-        self.reason: list[int | None] = [None] * (self.nv + 1)
-        self.activity = [0.0] * (self.nv + 1)
-        self.phase = [False] * (self.nv + 1)
+        self.watches: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
+        self.assign = [0] * (2 * num_vars + 1)
+        self.level = [0] * (num_vars + 1)
+        self.reason: list[int | None] = [None] * (num_vars + 1)
+        self.activity = [0.0] * (num_vars + 1)
+        self.phase = [False] * (num_vars + 1)
+        self._seen = [False] * (num_vars + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.var_inc = 1.0
         self.ok = True
-        for cl in formula.clauses:
-            self._add_clause(cl)
 
-    def _value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
+    def add_clause(self, lits: list[int]) -> None:
+        """Add a clause over variables 1..num_vars; call between solves,
+        never during one.  The list is kept for the model check, so the
+        caller must not change it.
 
-    def _add_clause(self, lits: list[int]) -> None:
+        Before the first propagation the clause is stored as given, which
+        keeps one-shot solving identical to loading the whole formula up
+        front.  After it, the clause is first reduced by the level-0
+        assignment so that the watch invariant holds without revisiting
+        literals already propagated."""
+        self.given.append(lits)
         if not self.ok:
             return
-        uniq: list[int] = []
+        seen = set(lits)
+        if len(seen) != len(lits):
+            lits = list(dict.fromkeys(lits))
         for l in lits:
-            if -l in uniq:
+            if -l in seen:
                 return  # tautology
-            if l not in uniq:
-                uniq.append(l)
-        if not uniq:
+        if self.qhead:
+            lits = self._reduce_at_level0(lits)
+            if lits is None:
+                return
+        if len(lits) > 1:
+            ci = len(self.clauses)
+            self.clauses.append(lits[:])
+            self.watches[lits[0]].append(ci)
+            self.watches[lits[1]].append(ci)
+        elif not lits or not self._enqueue(lits[0], None):
             self.ok = False
-            return
-        if len(uniq) == 1:
-            if not self._enqueue(uniq[0], None):
+
+    def _reduce_at_level0(self, lits: list[int]) -> list[int] | None:
+        """lits without its level-0 false literals, or None when the
+        clause needs no storing: satisfied, or a unit now propagated."""
+        assign = self.assign
+        live = []
+        for l in lits:
+            v = assign[l]
+            if v == 1:
+                return None
+            if v == 0:
+                live.append(l)
+        if len(live) == 1:
+            self._enqueue(live[0], None)
+            if self._propagate() is not None:
                 self.ok = False
-            return
-        ci = len(self.clauses)
-        self.clauses.append(uniq)
-        self.watches.setdefault(uniq[0], []).append(ci)
-        self.watches.setdefault(uniq[1], []).append(ci)
+            return None
+        return live
 
     def _enqueue(self, lit: int, reason_ci: int | None) -> bool:
-        val = self._value(lit)
+        val = self.assign[lit]
         if val == 1:
             return True
         if val == -1:
             return False
+        self.assign[lit] = 1
+        self.assign[-lit] = -1
         v = abs(lit)
-        self.assign[v] = 1 if lit > 0 else -1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason_ci
         self.trail.append(lit)
@@ -109,36 +162,54 @@ class _Solver:
 
     def _propagate(self) -> int | None:
         """Returns a conflicting clause index, or None."""
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = -p
-            ws = self.watches.get(falsified)
+        assign = self.assign
+        clauses = self.clauses
+        watches = self.watches
+        trail = self.trail
+        level = self.level
+        reason = self.reason
+        cur_level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            ws = watches[falsified]
             if not ws:
                 continue
-            self.watches[falsified] = []
-            keep = self.watches[falsified]
+            keep: list[int] = []
+            watches[falsified] = keep
             for idx, ci in enumerate(ws):
-                cl = self.clauses[ci]
-                if cl[0] == falsified:
-                    cl[0], cl[1] = cl[1], cl[0]
+                cl = clauses[ci]
+                first = cl[0]
+                if first == falsified:
+                    first = cl[1]
+                    cl[0] = first
+                    cl[1] = falsified
                 # cl[1] is the falsified watch now.
-                if self._value(cl[0]) == 1:
+                first_val = assign[first]
+                if first_val == 1:
                     keep.append(ci)
                     continue
-                moved = False
                 for k in range(2, len(cl)):
-                    if self._value(cl[k]) != -1:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        self.watches.setdefault(cl[1], []).append(ci)
-                        moved = True
+                    lk = cl[k]
+                    if assign[lk] != -1:
+                        cl[1] = lk
+                        cl[k] = falsified
+                        watches[lk].append(ci)
                         break
-                if moved:
-                    continue
-                keep.append(ci)
-                if not self._enqueue(cl[0], ci):
-                    keep.extend(ws[idx + 1:])
-                    return ci
+                else:
+                    keep.append(ci)
+                    if first_val == -1:
+                        keep.extend(ws[idx + 1:])
+                        self.qhead = qhead
+                        return ci
+                    assign[first] = 1
+                    assign[-first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = cur_level
+                    reason[v] = ci
+                    trail.append(first)
+        self.qhead = qhead
         return None
 
     def _bump(self, v: int) -> None:
@@ -150,28 +221,29 @@ class _Solver:
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
         learnt: list[int] = [0]
-        seen = [False] * (self.nv + 1)
+        seen = self._seen
+        level = self.level
+        trail = self.trail
         counter = 0
         p = None
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         cur_level = len(self.trail_lim)
         ci = confl
         while True:
-            cl = self.clauses[ci]
-            for q in cl:
+            for q in self.clauses[ci]:
                 if q == p:
                     continue  # the literal this reason clause asserted
                 v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
                     self._bump(v)
-                    if self.level[v] >= cur_level:
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             seen[abs(p)] = False
             idx -= 1
             counter -= 1
@@ -179,32 +251,38 @@ class _Solver:
                 break
             ci = self.reason[abs(p)]
         learnt[0] = -p
+        for q in learnt[1:]:
+            seen[abs(q)] = False
         if len(learnt) == 1:
             bt_level = 0
         else:
-            bt_level = max(self.level[abs(q)] for q in learnt[1:])
+            bt_level = max(level[abs(q)] for q in learnt[1:])
         return learnt, bt_level
 
     def _backtrack(self, target_level: int) -> None:
         if len(self.trail_lim) <= target_level:
             return
         split = self.trail_lim[target_level]
+        assign = self.assign
         for lit in self.trail[split:]:
             v = abs(lit)
             self.phase[v] = lit > 0
-            self.assign[v] = 0
+            assign[lit] = 0
+            assign[-lit] = 0
             self.reason[v] = None
         del self.trail[split:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
 
     def _decide(self) -> int | None:
+        assign = self.assign
+        activity = self.activity
         best = None
         best_act = -1.0
         for v in range(1, self.nv + 1):
-            if self.assign[v] == 0 and self.activity[v] > best_act:
+            if assign[v] == 0 and activity[v] > best_act:
                 best = v
-                best_act = self.activity[v]
+                best_act = activity[v]
         if best is None:
             return None
         return best if self.phase[best] else -best
@@ -219,13 +297,29 @@ class _Solver:
         learnt[1], learnt[watch2] = learnt[watch2], learnt[1]
         ci = len(self.clauses)
         self.clauses.append(learnt)
-        self.watches.setdefault(learnt[0], []).append(ci)
-        self.watches.setdefault(learnt[1], []).append(ci)
+        self.watches[learnt[0]].append(ci)
+        self.watches[learnt[1]].append(ci)
         self._enqueue(learnt[0], ci)
 
-    def solve(self) -> SatOutcome:
+    def _check_model(self, assumptions: Sequence[int]) -> None:
+        assign = self.assign
+        for cl in self.given:
+            for l in cl:
+                if assign[l] == 1:
+                    break
+            else:
+                raise AssertionError("solver produced a model violating a clause")
+        for a in assumptions:
+            if assign[a] != 1:
+                raise AssertionError(
+                    "solver produced a model violating an assumption")
+
+    def solve(self, assumptions: Sequence[int] = ()) -> SatOutcome:
+        """Sat with a model satisfying every clause and assumption, Unsat,
+        or ResourceOut.  Returns at decision level 0."""
         if not self.ok:
-            return SatOutcome("unsat")
+            return _UNSAT
+        n_assumed = len(assumptions)
         conflicts = 0
         restart_idx = 1
         conflicts_since_restart = 0
@@ -236,10 +330,11 @@ class _Solver:
                 conflicts += 1
                 conflicts_since_restart += 1
                 if len(self.trail_lim) == 0:
-                    return SatOutcome("unsat")
+                    self.ok = False
+                    return _UNSAT
                 if conflicts >= self.conflict_limit:
-                    return SatOutcome("resource-out",
-                                      limit_name="conflict-budget")
+                    self._backtrack(0)
+                    return _RESOURCE_OUT
                 learnt, bt_level = self._analyze(confl)
                 self._backtrack(bt_level)
                 self._learn(learnt)
@@ -251,20 +346,34 @@ class _Solver:
                 restart_limit = _RESTART_BASE * _luby(restart_idx)
                 self._backtrack(0)
                 continue
-            decision = self._decide()
+            decision = None
+            while len(self.trail_lim) < n_assumed:
+                lit = assumptions[len(self.trail_lim)]
+                value = self.assign[lit]
+                if value == 1:
+                    self.trail_lim.append(len(self.trail))  # empty level
+                elif value == -1:
+                    self._backtrack(0)
+                    return _UNSAT
+                else:
+                    decision = lit
+                    break
             if decision is None:
-                model = tuple(self.assign[v] == 1 for v in range(self.nv + 1))
-                return SatOutcome("sat", model=model)
+                decision = self._decide()
+                if decision is None:
+                    self._check_model(assumptions)
+                    model = tuple(self.assign[v] == 1
+                                  for v in range(self.nv + 1))
+                    self._backtrack(0)
+                    return SatOutcome("sat", model=model)
             self.trail_lim.append(len(self.trail))
             self._enqueue(decision, None)
 
 
 def check_sat(formula: CnfFormula,
               conflict_limit: int = DEFAULT_CONFLICT_LIMIT) -> SatOutcome:
-    """Solve a CNF formula; Sat models are asserted against every clause."""
-    outcome = _Solver(formula, conflict_limit).solve()
-    if outcome.is_sat:
-        for cl in formula.clauses:
-            assert any(outcome.lit_value(l) for l in cl), \
-                "solver produced a model violating a clause"
-    return outcome
+    """Solve a CNF formula; Sat models are checked against every clause."""
+    solver = Solver(formula.num_vars, conflict_limit)
+    for cl in formula.clauses:
+        solver.add_clause(cl)
+    return solver.solve()

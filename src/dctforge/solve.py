@@ -2,11 +2,15 @@
 
 A path constraint is a tuple of width-1 expressions understood as a
 conjunction.  all_values enumerates every feasible value of an expression
-under a path constraint by iterative solving with blocking clauses;
+under a path constraint: it encodes the query once, builds one solver,
+and after each model adds a clause blocking that value to the same
+solver, so learnt clauses carry over from one value to the next.
 min_value finds the lexicographically smallest feasible value by pinning
-bits from the most significant end down.  Results depend only on the
-query structure, never on CNF variable numbering, so reports built from
-them are reproducible across runs and worker counts.
+bits from the most significant end down, each pin an assumption on one
+solver.  A conflict budget running out raises ResourceOut from every
+query; it is never read as infeasible.  Results depend only on the query
+structure, never on CNF variable numbering, so reports built from them
+are reproducible across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from typing import Iterable, Mapping
 
 from . import expr as ex
 from .cnf import DEFAULT_CLAUSE_CAP, Encoder
-from .errors import CapExceeded, WidthMismatch
-from .sat import DEFAULT_CONFLICT_LIMIT, check_sat
+from .errors import CapExceeded, ResourceOut, WidthMismatch
+from .sat import DEFAULT_CONFLICT_LIMIT, SatOutcome, Solver, check_sat
 
 log = logging.getLogger("dctforge.solve")
 
@@ -86,6 +90,13 @@ def _symbolic_conjuncts(pc: Iterable[ex.Expr]) -> list[ex.Expr] | None:
     return out
 
 
+def _raise_if_out(outcome: SatOutcome) -> SatOutcome:
+    """outcome itself, unless the solver ran out of budget."""
+    if not outcome.is_sat and not outcome.is_unsat:
+        raise ResourceOut(outcome.limit_name)
+    return outcome
+
+
 def _solve(enc: Encoder, limits: SolverLimits, label: str):
     formula = enc.to_formula()
     if limits.dumper is not None:
@@ -96,7 +107,17 @@ def _solve(enc: Encoder, limits: SolverLimits, label: str):
                               "vars": formula.num_vars,
                               "clauses": len(formula.clauses),
                               "status": outcome.status}, sort_keys=True))
-    return outcome
+    return _raise_if_out(outcome)
+
+
+def _query_solver(enc: Encoder, limits: SolverLimits):
+    """The encoded query as a formula (for dumps) and one solver loaded
+    with it."""
+    formula = enc.to_formula()
+    solver = Solver(formula.num_vars, limits.conflict_limit)
+    for cl in formula.clauses:
+        solver.add_clause(cl)
+    return formula, solver
 
 
 def pc_sat(pc: Iterable[ex.Expr], limits: SolverLimits = _DEFAULT_LIMITS,
@@ -137,7 +158,7 @@ def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
     for c in conjuncts:
         enc.assert_lit(enc.bits(c)[0])
     bits = enc.bits(e)
-    formula = enc.to_formula()
+    formula, solver = _query_solver(enc, limits)
 
     found: set[int] = set()
 
@@ -151,6 +172,7 @@ def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
         if not clause:
             return False
         formula.clauses.append(clause)
+        solver.add_clause(clause)
         return True
 
     if hint_env is not None and _try_env(conjuncts, hint_env):
@@ -166,12 +188,9 @@ def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
     while True:
         if limits.dumper is not None:
             limits.dumper.dump(formula, "all-values")
-        outcome = check_sat(formula, limits.conflict_limit)
+        outcome = _raise_if_out(solver.solve())
         if outcome.is_unsat:
             return found
-        if not outcome.is_sat:
-            from .errors import ResourceOut
-            raise ResourceOut(outcome.limit_name)
         value = 0
         for i, lit in enumerate(bits):
             if outcome.lit_value(lit):
@@ -188,7 +207,9 @@ def min_value(e: ex.Expr, pc: Iterable[ex.Expr],
     """Smallest feasible value of e under pc (None when pc is unsat).
 
     Deterministic regardless of solver internals: bits are pinned to zero
-    from the most significant position whenever still satisfiable.
+    from the most significant position whenever still satisfiable.  The
+    pins are assumptions on one solver.  The last model satisfies every
+    pin so far, so a bit it already has at zero needs no solve.
     """
     conjuncts = _symbolic_conjuncts(pc)
     if conjuncts is None:
@@ -198,13 +219,15 @@ def min_value(e: ex.Expr, pc: Iterable[ex.Expr],
     for c in conjuncts:
         enc.assert_lit(enc.bits(c)[0])
     bits = enc.bits(e)
-    formula = enc.to_formula()
+    formula, solver = _query_solver(enc, limits)
 
     if limits.dumper is not None:
         limits.dumper.dump(formula, "min-value")
-    if not check_sat(formula, limits.conflict_limit).is_sat:
+    outcome = _raise_if_out(solver.solve())
+    if outcome.is_unsat:
         return None
     value = 0
+    pins: list[int] = []
     for i in reversed(range(len(bits))):
         lit = bits[i]
         if lit == 1:
@@ -212,10 +235,14 @@ def min_value(e: ex.Expr, pc: Iterable[ex.Expr],
             continue
         if lit == -1:
             continue
-        formula.clauses.append([-lit])
-        if check_sat(formula, limits.conflict_limit).is_sat:
+        if not outcome.lit_value(lit):
+            pins.append(-lit)
             continue
-        formula.clauses.pop()
-        formula.clauses.append([lit])
-        value |= 1 << i
+        trial = _raise_if_out(solver.solve(pins + [-lit]))
+        if trial.is_sat:
+            outcome = trial
+            pins.append(-lit)
+        else:
+            pins.append(lit)
+            value |= 1 << i
     return value

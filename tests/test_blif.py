@@ -113,3 +113,22 @@ def test_continuation_lines():
     c = parse_blif(".model m\n.inputs a b \\\nc\n.outputs y\n"
                    ".names a b c y\n111 1\n.end\n")
     assert len(c.inputs) == 3
+
+
+def test_deep_input_raises_typed_errors_not_recursion():
+    n = 3000
+    parens = "(" * n
+    with pytest.raises(ParseError):
+        parse_blif(f".model m\n.inputs a\n.outputs y\n.names a y\n{parens} 1\n.end\n")
+    with pytest.raises(UndrivenSignal):
+        parse_blif(f".model m\n.inputs a\n.outputs y\n.names {parens}a y\n1 1\n.end\n")
+
+
+def test_deep_net_chain_parses():
+    n = 3000
+    lines = [".model chain", ".inputs a", ".outputs y", ".names a n0", "1 1"]
+    for i in range(1, n + 1):
+        lines += [f".names n{i - 1} n{i}", "0 1"]
+    lines += [f".names n{n} y", "1 1", ".end"]
+    c = parse_blif("\n".join(lines) + "\n")
+    assert len(c.nets) == n + 2

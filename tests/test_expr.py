@@ -156,3 +156,43 @@ def test_pp_stable_and_readable():
                ex.const(1, 1), ex.const(1, 0))
     assert ex.pp(e) == "s == 3'd5 ? 1'd1 : 1'd0"
     assert ex.pp(ex.var("pcmSq", 3, -1)) == "$pcmSq.init"
+
+
+def _simplify_without_memo(e: ex.Expr) -> ex.Expr:
+    """simplify as a plain bottom-up walk that never reads the memo."""
+    out: dict[ex.Expr, ex.Expr] = {}
+    for node in ex.postorder([e]):
+        if not node.args:
+            out[node] = node
+        else:
+            out[node] = ex._simp_node(node.op, node.width,
+                                      tuple(out[a] for a in node.args),
+                                      node.aux)
+    return out[e]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_simplify_memo_matches_recompute(seed, depth):
+    rng = random.Random(seed)
+    gen = ExprGen(rng, n_vars=3, var_width=3)
+    roots = [gen.gen(depth) for _ in range(3)]
+    # Simplify a sub-DAG first and the concatenation last, so later walks
+    # stop at memoised nodes.
+    nodes = ex.postorder([roots[0]])
+    ex.simplify(nodes[len(nodes) // 2])
+    for e in roots + [ex.concat(*roots)]:
+        s = ex.simplify(e)
+        assert s is _simplify_without_memo(e)
+        assert ex.simplify(s) is s
+        assert s.simp is s and e.simp is s
+
+
+def test_simplify_memo_stops_at_simplified_nodes():
+    x = ex.var("x", 4, 0)
+    zero = ex.const(4, 0)
+    inner = ex.add(ex.and_(x, zero), x)
+    assert ex.simplify(inner) is x
+    outer = ex.xor(inner, ex.const(4, 3))
+    assert ex.simplify(outer) is ex.xor(x, ex.const(4, 3))
+    assert inner.simp is x and x.simp is x

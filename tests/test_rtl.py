@@ -9,7 +9,7 @@ from dctforge import expr as ex
 from dctforge.circuit import print_rtl
 from dctforge.errors import (CombinationalCycle, DuplicateName, ParseError,
                              UnknownSignal, WidthMismatch)
-from dctforge.rtl import parse_rtl
+from dctforge.rtl import MAX_NESTING, parse_rtl
 
 IDENTITY = """\
 circuit id
@@ -186,3 +186,36 @@ def test_reg_requires_reset_and_next():
         parse_rtl("circuit c\nreg r:1 next 1'd0\n")
     with pytest.raises(ParseError):
         parse_rtl("circuit c\nreg r:1 reset 0\n")
+
+
+@pytest.mark.parametrize("open_, close", [
+    ("(", ")"), ("{a, ", "}"), ("redor(", ")"), ("zext(", ", 1)"),
+    ("a ? ", " : a"), ("case(a){ 1'd1: ", "; default: a }"),
+])
+def test_deep_nesting_is_a_parse_error(open_, close):
+    src = f"circuit c\ninput a:1\noutput y:1 = {open_ * 3000}a{close * 3000}\n"
+    with pytest.raises(ParseError) as info:
+        parse_rtl(src)
+    assert info.value.line == 3
+    assert "nested" in info.value.expected
+
+
+def test_nesting_limit_is_inclusive():
+    n = MAX_NESTING
+    c = parse_rtl(f"circuit c\ninput a:1\noutput y:1 = {'(' * n}a{')' * n}\n")
+    assert c.outputs[0][2] is ex.ref("a", 1)
+    with pytest.raises(ParseError):
+        parse_rtl(f"circuit c\ninput a:1\n"
+                  f"output y:1 = {'(' * (n + 1)}a{')' * (n + 1)}\n")
+
+
+def test_long_ternary_and_unary_chains_parse():
+    n = 3000
+    c = parse_rtl("circuit c\ninput a:1\ninput b:1\n"
+                  f"output y:1 = {'a ? b : ' * n}a\n"
+                  f"output z:1 = {'~-' * n}b\n")
+    y, z = c.outputs[0][2], c.outputs[1][2]
+    a, b = ex.ref("a", 1), ex.ref("b", 1)
+    assert y.op == "mux" and y.args[:2] == (a, b)
+    assert ex.evaluate(y, {("ref", "a"): 0, ("ref", "b"): 1}) == 0
+    assert ex.evaluate(z, {("ref", "b"): 1}) == 1

@@ -1,0 +1,192 @@
+"""Query layer: incremental all_values/min_value against a rebuild-per-call
+reference and the bit-plane oracle, and conflict budgets raising
+ResourceOut from every query."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dctforge import corpus
+from dctforge import expr as ex
+from dctforge import solve
+from dctforge.cli import main
+from dctforge.cnf import Encoder
+from dctforge.engine import _sat_with_env
+from dctforge.errors import ResourceOut
+from dctforge.sat import SatOutcome, Solver, check_sat
+from dctforge.solve import SolverLimits, all_values, min_value, pc_sat
+
+from bruteforce import BitPlanes, ExprGen, support_leaves
+
+
+def _encoded(e: ex.Expr, pc):
+    """(formula, bits of e) with every simplified conjunct of pc asserted,
+    or None when a conjunct simplifies to false."""
+    enc = Encoder()
+    for c in pc:
+        s = ex.simplify(c)
+        if s.op == "const":
+            if s.aux[0] == 0:
+                return None
+            continue
+        enc.assert_lit(enc.bits(s)[0])
+    bits = enc.bits(ex.simplify(e))
+    return enc.to_formula(), bits
+
+
+def _value(outcome, bits) -> int:
+    return sum(1 << i for i, lit in enumerate(bits) if outcome.lit_value(lit))
+
+
+def ref_all_values(e: ex.Expr, pc) -> set[int]:
+    """Blocking-clause enumeration with a fresh check_sat per value."""
+    encoded = _encoded(e, pc)
+    if encoded is None:
+        return set()
+    formula, bits = encoded
+    found: set[int] = set()
+    while True:
+        outcome = check_sat(formula)
+        if outcome.is_unsat:
+            return found
+        value = _value(outcome, bits)
+        found.add(value)
+        clause = [-lit if (value >> i) & 1 else lit
+                  for i, lit in enumerate(bits) if abs(lit) != 1]
+        if not clause:
+            return found
+        formula.clauses.append(clause)
+
+
+def ref_min_value(e: ex.Expr, pc) -> int | None:
+    """Bit pinning with unit clauses and a fresh check_sat per bit."""
+    encoded = _encoded(e, pc)
+    if encoded is None:
+        return None
+    formula, bits = encoded
+    if not check_sat(formula).is_sat:
+        return None
+    value = 0
+    for i in reversed(range(len(bits))):
+        lit = bits[i]
+        if lit == 1:
+            value |= 1 << i
+            continue
+        if lit == -1:
+            continue
+        formula.clauses.append([-lit])
+        if check_sat(formula).is_sat:
+            continue
+        formula.clauses[-1] = [lit]
+        value |= 1 << i
+    return value
+
+
+def _query(seed: int):
+    rng = random.Random(seed)
+    gen = ExprGen(rng, n_vars=3, var_width=3)
+    e = gen.gen(rng.randrange(1, 4))
+    pc = tuple(gen.gen(rng.randrange(1, 4), 1)
+               for _ in range(rng.randrange(0, 4)))
+    return e, pc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_all_values_equals_rebuild_reference(seed):
+    e, pc = _query(seed)
+    got = all_values(e, pc, cap=1 << e.width)
+    assert got == ref_all_values(e, pc)
+    planes = BitPlanes(support_leaves(e, *pc))
+    assert got == planes.value_set(e, pc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_min_value_equals_rebuild_reference(seed):
+    e, pc = _query(seed)
+    got = min_value(e, pc)
+    assert got == ref_min_value(e, pc)
+    values = BitPlanes(support_leaves(e, *pc)).value_set(e, pc)
+    assert got == (min(values) if values else None)
+
+
+def _hard_sat_conjuncts(seed: int = 7, nv: int = 60, ratio: float = 4.0):
+    """A random 3-SAT instance as width-1 conjuncts: satisfiable, but
+    not without conflicts."""
+    rng = random.Random(seed)
+    xs = [ex.var(f"x{i}", 1, 0) for i in range(nv)]
+    pc = []
+    for _ in range(int(ratio * nv)):
+        lits = [x if rng.random() < 0.5 else ex.not_(x)
+                for x in rng.sample(xs, 3)]
+        pc.append(ex.or_(ex.or_(lits[0], lits[1]), lits[2]))
+    return xs, tuple(pc)
+
+
+TINY = SolverLimits(conflict_limit=1)
+
+
+def test_hard_formula_is_satisfiable_with_default_budget():
+    xs, pc = _hard_sat_conjuncts()
+    assert pc_sat(pc)
+    assert min_value(ex.concat(*xs[:8]), pc) is not None
+
+
+def test_pc_sat_raises_resource_out():
+    _, pc = _hard_sat_conjuncts()
+    with pytest.raises(ResourceOut):
+        pc_sat(pc, limits=TINY)
+
+
+def test_all_values_raises_resource_out():
+    xs, pc = _hard_sat_conjuncts()
+    with pytest.raises(ResourceOut):
+        all_values(ex.concat(*xs[:4]), pc, cap=16, limits=TINY)
+
+
+def test_min_value_raises_resource_out():
+    xs, pc = _hard_sat_conjuncts()
+    with pytest.raises(ResourceOut):
+        min_value(ex.concat(*xs[:4]), pc, limits=TINY)
+
+
+def test_step_feasibility_raises_resource_out():
+    _, pc = _hard_sat_conjuncts()
+    with pytest.raises(ResourceOut):
+        _sat_with_env(pc, TINY, [])
+
+
+class _OutOfBudgetUnderAssumptions(Solver):
+    """Solves plainly, but runs out of budget whenever assumptions are
+    given, as a hard bit pin would."""
+
+    def solve(self, assumptions=()):
+        if assumptions:
+            return SatOutcome("resource-out", limit_name="conflict-budget")
+        return super().solve(assumptions)
+
+
+def test_min_value_pinning_raises_resource_out(monkeypatch):
+    v = ex.var("v", 3, 0)
+    pc = (ex.ne(v, ex.const(3, 0)),)
+    assert min_value(v, pc) == 1
+    monkeypatch.setattr(solve, "Solver", _OutOfBudgetUnderAssumptions)
+    with pytest.raises(ResourceOut):
+        min_value(v, pc)
+
+
+def test_cli_tiny_conflict_limit_exits_one_without_report(tmp_path, capsys):
+    path = str(corpus.corpus_path("ima.snl"))
+    for command in ("analyze", "trojan"):
+        out = tmp_path / f"{command}.json"
+        code = main([command, "--circuit", path, "--state", "pcmSq",
+                     "--conflict-limit", "1", "--out", str(out)])
+        assert code == 1
+        assert "resource limit exceeded: conflict-budget" in \
+            capsys.readouterr().err
+        assert not out.exists()
