@@ -6,12 +6,11 @@ and BFS+pruning schedulers) and one for Trojan detection on the injected
 variants.  Everything is exact set-level computation; times are
 wall-clock on this machine.
 
-Usage: python scripts/run_benchmarks.py [--jobs N]
+Usage: python scripts/run_benchmarks.py
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -36,14 +35,14 @@ def depth_for(name: str) -> int:
     return 8 if name == "counter.snl" else 7
 
 
-def config(circuit, name: str, mode: Mode, jobs: int) -> ExploreConfig:
+def config(circuit, name: str, mode: Mode) -> ExploreConfig:
     return ExploreConfig(
         state_spec=make_state_spec(circuit, state_regs_for(name)),
         depth=depth_for(name), mode=mode,
-        monitored_outputs=tuple(n for n, _, _ in circuit.outputs), jobs=jobs)
+        monitored_outputs=tuple(n for n, _, _ in circuit.outputs))
 
 
-def dct_table(jobs: int) -> None:
+def dct_table() -> None:
     bases = [n for n in corpus.corpus_names() if "trojan" not in n]
     print(f"{'circuit':<16} {'mode':<10} {'d':>2} {'|RS|':>4} {'|DCT|':>5} "
           f"{'|Dest|':>6} {'paths':>6} {'pruned':>6} {'ms':>8}")
@@ -51,14 +50,14 @@ def dct_table(jobs: int) -> None:
         c = corpus.load(name)
         for mode in (Mode.BFS, Mode.BFS_PRUNE):
             t0 = time.perf_counter()
-            rep = compute_dct(c, config(c, name, mode, jobs))
+            rep = compute_dct(c, config(c, name, mode))
             ms = (time.perf_counter() - t0) * 1000
             print(f"{name:<16} {mode.value:<10} {depth_for(name):>2} "
                   f"{len(rep.rs):>4} {len(rep.dct):>5} {len(rep.dest):>6} "
                   f"{rep.paths_explored:>6} {rep.paths_pruned:>6} {ms:>8.1f}")
 
 
-def trojan_table(jobs: int) -> None:
+def trojan_table() -> None:
     names = ["ima_trojan.snl"] + [f"ima_trojan_{n:02d}.snl"
                                   for n in range(1, 13)]
     print(f"{'benchmark':<20} {'verdict':<16} {'|DCT|':>5} {'|DBS|':>5} "
@@ -66,7 +65,7 @@ def trojan_table(jobs: int) -> None:
     for name in names:
         c = corpus.load(name)
         t0 = time.perf_counter()
-        tr = detect_trojan(c, config(c, name, Mode.BFS_PRUNE, jobs))
+        tr = detect_trojan(c, config(c, name, Mode.BFS_PRUNE))
         ms = (time.perf_counter() - t0) * 1000
         print(f"{name:<20} {tr.verdict.value:<16} {len(tr.dct.dct):>5} "
               f"{len(tr.dbs):>5} {ms:>8.1f}")
@@ -74,14 +73,11 @@ def trojan_table(jobs: int) -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args()
     print("== don't-care transition detection ==")
-    dct_table(args.jobs)
+    dct_table()
     print()
     print("== Trojan detection on injected variants ==")
-    trojan_table(args.jobs)
+    trojan_table()
 
 
 if __name__ == "__main__":

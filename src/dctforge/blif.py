@@ -39,8 +39,9 @@ def _logical_lines(text: str):
         tokens = merged.split()
         if tokens:
             yield start, tokens
-    if pending:
-        yield start, pending[0].split()
+    tokens = " ".join(pending).split()  # a file ending in a continuation
+    if tokens:
+        yield start, tokens
 
 
 def _cover_expr(input_names: list[str],

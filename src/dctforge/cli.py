@@ -13,9 +13,8 @@ Subcommands:
   inject    add a trigger/payload pair to a circuit and write the result.
 
 Reports are JSON with a top-level schema version; apart from timing_ms
-they are byte-identical across repeated runs with the same configuration,
-including different --jobs counts.  DCTFORGE_LOG=error|info|debug selects
-the diagnostic level on stderr.
+they are byte-identical across repeated runs with the same configuration.
+DCTFORGE_LOG=error|info|debug selects the diagnostic level on stderr.
 """
 
 from __future__ import annotations
@@ -111,8 +110,7 @@ def _explore_config(args, c: Circuit) -> ExploreConfig:
     return ExploreConfig(
         state_spec=spec, depth=_parse_depth(args.depth),
         mode=Mode(args.mode), monitored_outputs=monitored, assumes=assumes,
-        value_cap=args.value_cap, path_cap=args.path_cap, jobs=args.jobs,
-        limits=limits)
+        value_cap=args.value_cap, path_cap=args.path_cap, limits=limits)
 
 
 def _edge_key(edge: tuple[int, int]) -> str:
@@ -343,7 +341,6 @@ def _add_common(sp, need_state=True):
     sp.add_argument("--assume", action="append",
                     help="1-bit expression conjoined after every cycle")
     sp.add_argument("--out", default=None, help="report/output file path")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--value-cap", type=int, default=64)
     sp.add_argument("--path-cap", type=int, default=4096)

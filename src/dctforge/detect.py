@@ -149,8 +149,7 @@ def _build_dct_report(c: Circuit, cfg: ExploreConfig, stage1: Metadata,
             if project(st, spec, s2cfg) != {b}:
                 continue
             pinned = st.pc + (ex.eq(src_expr, ex.const(spec.total_width, a)),)
-            if not pc_sat(pinned, cfg.limits,
-                          [st.witness_env] if st.witness_env else ()):
+            if not pc_sat(pinned, cfg.limits):
                 continue
             witnesses[edge] = _extract_witness(c, spec, st, a, cfg)
             dumps[edge] = "\n".join(ex.pp(conj) for conj in st.pc)

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
 from typing import Mapping
@@ -49,12 +48,10 @@ from typing import Mapping
 from . import expr as ex
 from .circuit import (Circuit, StateSpec, decode_state, net_topo_order,
                       state_concat_expr)
-from .cnf import Encoder
 from .errors import (CapExceeded, DctForgeError, PathExplosion,
                      UnknownOutput)
-from .sat import check_sat
-from .solve import (DEFAULT_VALUE_CAP, SolverLimits, _raise_if_out,
-                    all_values, min_value)
+from .solve import (DEFAULT_VALUE_CAP, SolverLimits, all_values, min_value,
+                    pc_model)
 
 __all__ = ["Mode", "Kind", "FIXPOINT", "ExploreConfig", "SymState",
            "Behavior", "Metadata", "reset_state", "symbolic_state",
@@ -86,7 +83,6 @@ class ExploreConfig:
     assumes: tuple[ex.Expr, ...] = ()
     value_cap: int = DEFAULT_VALUE_CAP
     path_cap: int = DEFAULT_PATH_CAP
-    jobs: int = 1
     limits: SolverLimits = field(default_factory=SolverLimits)
 
     def __post_init__(self):
@@ -97,8 +93,10 @@ class ExploreConfig:
 @dataclass(frozen=True, eq=False)
 class SymState:
     """One symbolic execution path: register valuation, path constraint,
-    elapsed cycles.  witness_env caches a satisfying assignment of the
-    path constraint and is used only to short-circuit solver calls."""
+    elapsed cycles.  Invariant: pc is satisfiable, and witness_env, when
+    not None, is an assignment under which every conjunct of pc evaluates
+    to 1.  witness_env only spares solver calls; results never depend on
+    it."""
     regs: Mapping[str, ex.Expr]
     pc: tuple[ex.Expr, ...]
     num_steps: int
@@ -162,8 +160,7 @@ def project(s: SymState, spec: StateSpec, cfg: ExploreConfig) -> set[int]:
         if (1 << concat.width) > cfg.value_cap:
             raise CapExceeded(cfg.value_cap)
         return set(range(1 << concat.width))
-    return all_values(concat, s.pc, cap=cfg.value_cap, limits=cfg.limits,
-                      hint_env=s.witness_env)
+    return all_values(concat, s.pc, cap=cfg.value_cap, limits=cfg.limits)
 
 
 @dataclass
@@ -210,14 +207,17 @@ def _alternatives(node: ex.Expr, mode: Mode) -> list[tuple[ex.Expr, ex.Expr]]:
     return pairs
 
 
-def _guard_extensions(guard: ex.Expr, base_env: Mapping) -> list[dict]:
-    """Candidate environments extending base_env over the guard's unbound
-    variables; tried before falling back to the SAT solver."""
-    unbound = [n for n in ex.support(guard)
-               if n.op == "var" and ("var",) + n.aux not in base_env]
-    if not unbound:
-        return [dict(base_env)]
+def _guard_extensions(guard: ex.Expr, free: list[ex.Expr],
+                      base_env: Mapping) -> list[dict]:
+    """Candidate environments for guard, whose variables are free, tried
+    before the SAT solver.  Each is base_env with guard variables set: the
+    ones base_env leaves unbound, or all of them when it binds every one
+    (base_env itself is then the first candidate)."""
+    unbound = [v for v in free if ("var",) + v.aux not in base_env]
     candidates = []
+    if not unbound:
+        candidates.append(dict(base_env))
+        unbound = free
     # Structural shot: eq(x, const) where x is a Var or a Var concatenation.
     if guard.op == "eq":
         a, b = guard.args
@@ -231,57 +231,35 @@ def _guard_extensions(guard: ex.Expr, base_env: Mapping) -> list[dict]:
             for v in unbound:
                 env.setdefault(("var",) + v.aux, 0)
             candidates.append(env)
-    for fill in (0, None, 1):  # None = per-variable all-ones
+    for all_ones in (False, True):
         env = dict(base_env)
         for v in unbound:
-            env[("var",) + v.aux] = ex.mask(v.width) if fill is None else fill
+            env[("var",) + v.aux] = ex.mask(v.width) if all_ones else 0
         candidates.append(env)
     return candidates
 
 
-def _sat_with_env(pc: tuple, limits: SolverLimits,
-                  candidates: list[Mapping]) -> tuple[bool, dict | None]:
-    """Satisfiability of pc plus a satisfying assignment when available."""
-    conjuncts = []
-    for c in pc:
-        s = ex.simplify(c)
-        if s.op == "const":
-            if s.aux[0] == 0:
-                return False, None
-            continue
-        conjuncts.append(s)
-    if not conjuncts:
-        return True, dict(candidates[0]) if candidates else {}
-    for env in candidates:
+def _extend_model(pc: tuple, new: tuple, model: Mapping | None,
+                  limits: SolverLimits) -> dict | None:
+    """A satisfying assignment of pc + new, or None when there is none.
+    model, a satisfying assignment of pc if known, is varied on the
+    variables of new and tried before the solver; a candidate that keeps
+    every value model had needs only new evaluated."""
+    old = [ex.simplify(c) for c in pc]
+    new = [ex.simplify(c) for c in new]
+    guard = ex.and_all(new)
+    free = [v for v in ex.support(guard) if v.op == "var"]
+    keys = [("var",) + v.aux for v in free]
+    for env in _guard_extensions(guard, free, model or {}):
+        kept = model is not None and all(
+            env[k] == model[k] for k in keys if k in model)
         try:
-            if all(ex.evaluate(c, env) == 1 for c in conjuncts):
-                return True, dict(env)
+            if all(ex.evaluate(c, env) == 1 for c in
+                   (new if kept else old + new)):
+                return env
         except KeyError:
             continue
-    enc = Encoder(limits.clause_cap)
-    lits = [enc.bits(c)[0] for c in conjuncts]
-    for lit in lits:
-        enc.assert_lit(lit)
-    formula = enc.to_formula()
-    if limits.dumper is not None:
-        limits.dumper.dump(formula, "step-feasibility")
-    outcome = _raise_if_out(check_sat(formula, limits.conflict_limit))
-    if outcome.is_unsat:
-        return False, None
-    env = {}
-    for conj in conjuncts:
-        for leaf in ex.support(conj):
-            if leaf.op != "var":
-                continue
-            key = ("var",) + leaf.aux
-            if key in env:
-                continue
-            value = 0
-            for i in range(leaf.width):
-                if outcome.lit_value(formula.bit_map[(leaf, i)]):
-                    value |= 1 << i
-            env[key] = value
-    return True, env
+    return pc_model(old + new, limits, "step-feasibility")
 
 
 def _step(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[_StepResult]:
@@ -298,42 +276,40 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[_StepResult]:
     outs = {}
     for name in cfg.monitored_outputs:
         if name not in out_all:
-            from .errors import UnknownOutput
             raise UnknownOutput(name)
         outs[name] = ex.simplify(ex.substitute(out_all[name], env))
 
-    base_pc = s.pc
+    # s.pc is satisfiable and every guard is checked as it is added, so
+    # only the assumptions need a feasibility check of their own.
+    base_pc, base_env = s.pc, s.witness_env
     if cfg.assumes:
         post_env: dict[str, ex.Expr] = dict(inputs_env)
         post_env.update(next_exprs)
         for name, _, e in net_topo_order(c):
             post_env[name] = ex.simplify(ex.substitute(e, post_env))
-        base_pc = base_pc + tuple(
-            ex.simplify(ex.substitute(a, post_env)) for a in cfg.assumes)
+        assumed = tuple(ex.simplify(ex.substitute(a, post_env))
+                        for a in cfg.assumes)
+        base_env = _extend_model(s.pc, assumed, s.witness_env, cfg.limits)
+        if base_env is None:
+            return []
+        base_pc = s.pc + assumed
 
-    base_env = s.witness_env if s.witness_env is not None else {}
     src_expr = ex.simplify(state_concat_expr(spec, dict(s.regs)))
 
     # Resolve Case/Mux controls of the spec registers' next-state logic.
-    worklist = [(next_exprs, outs, base_pc, s.witness_env)]
+    worklist = [(next_exprs, outs, base_pc, base_env)]
     resolved = []
     while worklist:
         nx, oo, pc, wenv = worklist.pop(0)
         node = _first_split_node([nx[r] for r in spec.registers])
         if node is None:
-            feasible, env2 = _sat_with_env(
-                pc, cfg.limits, [wenv] if wenv is not None else
-                _guard_extensions(ex.const(1, 1), base_env))
-            if feasible:
-                resolved.append((nx, oo, pc, env2))
+            resolved.append((nx, oo, pc, wenv))
             continue
         for guard, replacement in _alternatives(node, cfg.mode):
             guard_s = ex.simplify(guard)
             pc2 = pc + (guard_s,)
-            seed = wenv if wenv is not None else base_env
-            feasible, env2 = _sat_with_env(
-                pc2, cfg.limits, _guard_extensions(guard_s, seed))
-            if not feasible:
+            env2 = _extend_model(pc, (guard_s,), wenv, cfg.limits)
+            if env2 is None:
                 continue
             nx2 = {r: ex.simplify(ex.replace_node(e, node, replacement))
                    for r, e in nx.items()}
@@ -357,7 +333,7 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[_StepResult]:
             pinned = False
         else:
             values = sorted(all_values(concat, pc, cap=cfg.value_cap,
-                                       limits=cfg.limits, hint_env=wenv))
+                                       limits=cfg.limits))
             pinned = False
         for v in values:
             if pinned:
@@ -388,8 +364,10 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[_StepResult]:
 
 
 def step_cycle(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[SymState]:
-    """Advance one clock cycle; every returned successor has a satisfiable
-    path constraint."""
+    """Advance one clock cycle from s, whose path constraint must be
+    satisfiable.  Every returned successor keeps the SymState invariant:
+    its pc is satisfiable, and its witness_env, when set, evaluates every
+    conjunct of that pc to 1."""
     return [r.state for r in _step(c, s, cfg)]
 
 
@@ -430,7 +408,7 @@ def _record_sources(res: _StepResult, cfg: ExploreConfig) -> list[int]:
     if src.op == "const":
         return [src.aux[0]]
     return sorted(all_values(src, succ.pc, cap=cfg.value_cap,
-                             limits=cfg.limits, hint_env=succ.witness_env))
+                             limits=cfg.limits))
 
 
 def _record_behaviors(res: _StepResult, src_vals: list[int], dst: int,
@@ -448,8 +426,7 @@ def _record_behaviors(res: _StepResult, src_vals: list[int], dst: int,
             if oe.op == "const":
                 vals = {oe.aux[0]}
             else:
-                vals = all_values(oe, pc, cap=cfg.value_cap, limits=cfg.limits,
-                                  hint_env=succ.witness_env)
+                vals = all_values(oe, pc, cap=cfg.value_cap, limits=cfg.limits)
             for v in sorted(vals):
                 rbs.add(Behavior(s1, dst, out, v))
 
@@ -478,12 +455,7 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
         if cfg.depth is not None and layer >= cfg.depth:
             break
         layer += 1
-        if cfg.jobs > 1 and len(frontier) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                step_results = list(pool.map(
-                    lambda st: _step(c, st, cfg), frontier))
-        else:
-            step_results = [_step(c, st, cfg) for st in frontier]
+        step_results = [_step(c, st, cfg) for st in frontier]
         meta.paths_explored += len(frontier)
 
         new_frontier: list[SymState] = []

@@ -3,14 +3,12 @@
 One node type serves both circuit logic (Ref leaves) and symbolic values
 (Var leaves).  Structurally identical nodes are interned to a single
 object, so equality is identity and sub-DAGs are shared across the whole
-process.  Nodes are immutable and safe to share between threads; the
-intern table is lock-protected.  The one mutable slot, `simp`, memoises
-simplify(); every thread that fills it writes the same node.
+process.  Nodes are immutable apart from one slot, `simp`, which
+memoises simplify().
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Mapping
 
 from .errors import WidthMismatch
@@ -50,7 +48,6 @@ class Expr:
     __hash__ = object.__hash__
 
 
-_intern_lock = threading.Lock()
 _intern_table: dict[tuple, Expr] = {}
 _next_eid = 0
 
@@ -58,19 +55,18 @@ _next_eid = 0
 def _mk(op: str, width: int, args: tuple[Expr, ...], aux: tuple = ()) -> Expr:
     global _next_eid
     key = (op, width, aux, tuple(a.eid for a in args))
-    with _intern_lock:
-        node = _intern_table.get(key)
-        if node is None:
-            node = Expr.__new__(Expr)
-            node.op = op
-            node.width = width
-            node.args = args
-            node.aux = aux
-            node.eid = _next_eid
-            node.simp = None
-            _next_eid += 1
-            _intern_table[key] = node
-        return node
+    node = _intern_table.get(key)
+    if node is None:
+        node = Expr.__new__(Expr)
+        node.op = op
+        node.width = width
+        node.args = args
+        node.aux = aux
+        node.eid = _next_eid
+        node.simp = None
+        _next_eid += 1
+        _intern_table[key] = node
+    return node
 
 
 def _need(cond: bool, detail: str):

@@ -12,9 +12,10 @@ Expression grammar, lowest precedence first: ternary `c ? a : b`; the
 bitwise tier `| & ^`; comparisons `== != <`; additive `+ - <<`; unary
 `~ -`; postfix slice `[hi:lo]`; primaries `case(...){...}`, `{a,b}`
 concatenation, `zext(e,w)`, `redor(e)`, `redand(e)`, sized constants
-`<width>'d<value>` (value decimal, 0b... or 0x...), parentheses, and
-signal names.  `#` starts a comment.  Declarations may appear in any
-order; references are resolved after all declarations are known.
+`<width>'d<value>` (value decimal, as in Verilog even with leading
+zeros, or 0b... or 0x...), parentheses, and signal names.  Widths run
+from 1 to MAX_WIDTH.  `#` starts a comment.  Declarations may appear in
+any order; references are resolved after all declarations are known.
 Ternary else-chains and unary prefixes are parsed iteratively, so they
 may be arbitrarily long; brackets and ternary then-branches may nest at
 most MAX_NESTING levels deep, and deeper input is a ParseError.
@@ -28,9 +29,10 @@ from . import expr as ex
 from .circuit import Circuit, Register, validation_errors
 from .errors import DuplicateName, ParseError, UnknownSignal
 
-__all__ = ["parse_rtl", "MAX_NESTING"]
+__all__ = ["parse_rtl", "MAX_NESTING", "MAX_WIDTH"]
 
 MAX_NESTING = 100
+MAX_WIDTH = 1 << 16
 
 _KEYWORDS = {"circuit", "input", "output", "reg", "net", "reset", "next",
              "case", "default", "zext", "redor", "redand"}
@@ -95,18 +97,34 @@ class _ExprParser:
         tok = self.peek()
         return tok is not None and tok[1] == text
 
+    def _int(self, text: str, base: int = 10) -> int:
+        try:
+            return int(text, base)
+        except ValueError:  # more digits than int() accepts
+            self.error(f"number too long: {text[:16]}...")
+
+    def _width(self, w: int) -> int:
+        if not 1 <= w <= MAX_WIDTH:
+            self.error(f"width must be between 1 and {MAX_WIDTH}, got {w}")
+        return w
+
     def number(self) -> int:
         kind, text = self.take()
         if kind != "NUMBER":
             self.error("expected a number")
-        return int(text)
+        return self._int(text)
+
+    def width(self) -> int:
+        return self._width(self.number())
 
     def const_token(self) -> ex.Expr:
         kind, text = self.take()
         if kind != "CONST":
             self.error("expected a sized constant like 3'd5")
         w_text, v_text = text.split("'d", 1)
-        return ex.const(int(w_text), int(v_text, 0))
+        base = {"0x": 16, "0b": 2}.get(v_text[:2], 10)
+        return ex.const(self._width(self._int(w_text)),
+                        self._int(v_text, base))
 
     def expr(self) -> ex.Expr:
         self.depth += 1
@@ -196,7 +214,7 @@ class _ExprParser:
             self.expect("(")
             e = self.expr()
             self.expect(",")
-            w = self.number()
+            w = self.width()
             self.expect(")")
             return ex.zext(e, w)
         if text in ("redor", "redand"):
@@ -277,9 +295,7 @@ def parse_rtl(text: str) -> Circuit:
         if k != "IDENT" or ident in _KEYWORDS:
             p.error("expected a signal name")
         p.expect(":")
-        width = p.number()
-        if width < 1:
-            raise ParseError(lineno, tokens[0][2], "width must be >= 1")
+        width = p.width()
         if word == "output":
             if ident in out_names:
                 raise DuplicateName(ident)

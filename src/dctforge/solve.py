@@ -7,10 +7,13 @@ and after each model adds a clause blocking that value to the same
 solver, so learnt clauses carry over from one value to the next.
 min_value finds the lexicographically smallest feasible value by pinning
 bits from the most significant end down, each pin an assumption on one
-solver.  A conflict budget running out raises ResourceOut from every
+solver.  pc_model returns a satisfying assignment of a path constraint
+(pc_sat is its boolean form).  Every solver call writes its formula to
+the dumper, if any, and logs a solver_stats debug event under the same
+label.  A conflict budget running out raises ResourceOut from every
 query; it is never read as infeasible.  Results depend only on the query
 structure, never on CNF variable numbering, so reports built from them
-are reproducible across runs and worker counts.
+are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -18,18 +21,17 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 from . import expr as ex
-from .cnf import DEFAULT_CLAUSE_CAP, Encoder
+from .cnf import DEFAULT_CLAUSE_CAP, CnfFormula, Encoder
 from .errors import CapExceeded, ResourceOut, WidthMismatch
 from .sat import DEFAULT_CONFLICT_LIMIT, SatOutcome, Solver, check_sat
 
 log = logging.getLogger("dctforge.solve")
 
-__all__ = ["PathConstraint", "SolverLimits", "CnfDumper", "pc_sat",
-           "all_values", "min_value", "DEFAULT_VALUE_CAP"]
+__all__ = ["PathConstraint", "SolverLimits", "CnfDumper", "pc_model",
+           "pc_sat", "all_values", "min_value", "DEFAULT_VALUE_CAP"]
 
 PathConstraint = tuple  # of width-1 Expr conjuncts
 
@@ -54,24 +56,14 @@ class CnfDumper:
 
     def __init__(self, directory: str):
         self.directory = directory
-        self._lock = threading.Lock()
         self._counter = 0
         os.makedirs(directory, exist_ok=True)
 
     def dump(self, formula, label: str) -> None:
-        with self._lock:
-            self._counter += 1
-            n = self._counter
-        path = os.path.join(self.directory, f"query{n:05d}.cnf")
+        self._counter += 1
+        path = os.path.join(self.directory, f"query{self._counter:05d}.cnf")
         with open(path, "w", encoding="utf-8") as f:
             f.write(formula.to_dimacs(comment=label))
-
-
-def _try_env(conjuncts: Iterable[ex.Expr], env: Mapping) -> bool:
-    try:
-        return all(ex.evaluate(c, env) == 1 for c in conjuncts)
-    except KeyError:
-        return False
 
 
 def _symbolic_conjuncts(pc: Iterable[ex.Expr]) -> list[ex.Expr] | None:
@@ -97,17 +89,36 @@ def _raise_if_out(outcome: SatOutcome) -> SatOutcome:
     return outcome
 
 
-def _solve(enc: Encoder, limits: SolverLimits, label: str):
-    formula = enc.to_formula()
+def _solve(formula: CnfFormula, limits: SolverLimits, label: str,
+           solver: Solver | None = None, assumptions: Sequence[int] = ()):
+    """One solver call: the formula alone through check_sat, or solver
+    under assumptions.  The query goes to the dumper (assumptions as unit
+    clauses) and to a solver_stats debug event, both under label."""
     if limits.dumper is not None:
-        limits.dumper.dump(formula, label)
-    outcome = check_sat(formula, limits.conflict_limit)
+        dumped = formula
+        if assumptions:
+            dumped = CnfFormula(formula.num_vars, formula.clauses
+                                + [[lit] for lit in assumptions])
+        limits.dumper.dump(dumped, label)
+    if solver is None:
+        outcome = check_sat(formula, limits.conflict_limit)
+    else:
+        outcome = solver.solve(assumptions)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(json.dumps({"event": "solver_stats", "label": label,
                               "vars": formula.num_vars,
                               "clauses": len(formula.clauses),
+                              "assumptions": len(assumptions),
                               "status": outcome.status}, sort_keys=True))
     return _raise_if_out(outcome)
+
+
+def _encoder(conjuncts: list[ex.Expr], limits: SolverLimits) -> Encoder:
+    """An encoder with every conjunct asserted."""
+    enc = Encoder(limits.clause_cap)
+    for c in conjuncts:
+        enc.assert_lit(enc.bits(c)[0])
+    return enc
 
 
 def _query_solver(enc: Encoder, limits: SolverLimits):
@@ -120,27 +131,38 @@ def _query_solver(enc: Encoder, limits: SolverLimits):
     return formula, solver
 
 
-def pc_sat(pc: Iterable[ex.Expr], limits: SolverLimits = _DEFAULT_LIMITS,
-           hint_envs: Iterable[Mapping] = ()) -> bool:
-    """Is the conjunction of pc satisfiable?  Candidate assignments in
-    hint_envs are tried by concrete evaluation before falling back to SAT."""
+def pc_model(pc: Iterable[ex.Expr], limits: SolverLimits = _DEFAULT_LIMITS,
+             label: str = "pc-sat") -> dict | None:
+    """A satisfying assignment of the conjunction of pc, or None when it
+    is unsatisfiable.  The assignment maps ("var", name, step) to a value
+    for every variable of pc's non-constant conjuncts."""
     conjuncts = _symbolic_conjuncts(pc)
     if conjuncts is None:
-        return False
+        return None
     if not conjuncts:
-        return True
-    for env in hint_envs:
-        if _try_env(conjuncts, env):
-            return True
-    enc = Encoder(limits.clause_cap)
-    for c in conjuncts:
-        enc.assert_lit(enc.bits(c)[0])
-    return _solve(enc, limits, "pc-sat").is_sat
+        return {}
+    formula = _encoder(conjuncts, limits).to_formula()
+    outcome = _solve(formula, limits, label)
+    if outcome.is_unsat:
+        return None
+    env = {}
+    for leaf in ex.postorder(conjuncts):
+        if leaf.op != "var":
+            continue
+        env[("var",) + leaf.aux] = sum(
+            1 << i for i in range(leaf.width)
+            if outcome.lit_value(formula.bit_map[(leaf, i)]))
+    return env
+
+
+def pc_sat(pc: Iterable[ex.Expr],
+           limits: SolverLimits = _DEFAULT_LIMITS) -> bool:
+    """Is the conjunction of pc satisfiable?"""
+    return pc_model(pc, limits) is not None
 
 
 def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
-               limits: SolverLimits = _DEFAULT_LIMITS,
-               hint_env: Mapping | None = None) -> set[int]:
+               limits: SolverLimits = _DEFAULT_LIMITS) -> set[int]:
     """Exactly { v : pc and (e = v) is satisfiable }, via blocking clauses.
 
     Raises CapExceeded once more than cap distinct values are found.
@@ -154,9 +176,7 @@ def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
     if conjuncts is None:
         return set()
     e = ex.simplify(e)
-    enc = Encoder(limits.clause_cap)
-    for c in conjuncts:
-        enc.assert_lit(enc.bits(c)[0])
+    enc = _encoder(conjuncts, limits)
     bits = enc.bits(e)
     formula, solver = _query_solver(enc, limits)
 
@@ -175,20 +195,8 @@ def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
         solver.add_clause(clause)
         return True
 
-    if hint_env is not None and _try_env(conjuncts, hint_env):
-        try:
-            value = ex.evaluate(e, hint_env)
-        except KeyError:
-            value = None
-        if value is not None:
-            found.add(value)
-            if not block(value):
-                return found
-
     while True:
-        if limits.dumper is not None:
-            limits.dumper.dump(formula, "all-values")
-        outcome = _raise_if_out(solver.solve())
+        outcome = _solve(formula, limits, "all-values", solver)
         if outcome.is_unsat:
             return found
         value = 0
@@ -215,15 +223,11 @@ def min_value(e: ex.Expr, pc: Iterable[ex.Expr],
     if conjuncts is None:
         return None
     e = ex.simplify(e)
-    enc = Encoder(limits.clause_cap)
-    for c in conjuncts:
-        enc.assert_lit(enc.bits(c)[0])
+    enc = _encoder(conjuncts, limits)
     bits = enc.bits(e)
     formula, solver = _query_solver(enc, limits)
 
-    if limits.dumper is not None:
-        limits.dumper.dump(formula, "min-value")
-    outcome = _raise_if_out(solver.solve())
+    outcome = _solve(formula, limits, "min-value", solver)
     if outcome.is_unsat:
         return None
     value = 0
@@ -238,7 +242,7 @@ def min_value(e: ex.Expr, pc: Iterable[ex.Expr],
         if not outcome.lit_value(lit):
             pins.append(-lit)
             continue
-        trial = _raise_if_out(solver.solve(pins + [-lit]))
+        trial = _solve(formula, limits, "min-value", solver, pins + [-lit])
         if trial.is_sat:
             outcome = trial
             pins.append(-lit)

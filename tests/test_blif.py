@@ -132,3 +132,11 @@ def test_deep_net_chain_parses():
     lines += [f".names n{n} y", "1 1", ".end"]
     c = parse_blif("\n".join(lines) + "\n")
     assert len(c.nets) == n + 2
+
+
+def test_trailing_continuation_at_end_of_file():
+    with pytest.raises(ParseError):
+        parse_blif(".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n\\")
+    c = parse_blif(".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n"
+                   ".end \\")
+    assert c.name == "m"

@@ -15,6 +15,7 @@ from dctforge.engine import (FIXPOINT, ExploreConfig, Kind, Mode, explore,
                              project, reset_state, step_cycle, symbolic_state)
 from dctforge.errors import PathExplosion
 from dctforge.rtl import parse_rtl
+from dctforge.solve import pc_sat
 from dctforge.trojanlab import gen_random_fsm
 
 from conftest import config_for
@@ -195,15 +196,49 @@ output y:2 = r
     assert meta.rs == {0, 1}
 
 
-def test_determinism_across_worker_counts(ima_trojan):
-    cfg1 = config_for(ima_trojan, ["pcmSq"], jobs=1)
-    cfg4 = config_for(ima_trojan, ["pcmSq"], jobs=4)
-    m1 = explore(ima_trojan, [reset_state(ima_trojan)], cfg1, Kind.REACH)
-    m4 = explore(ima_trojan, [reset_state(ima_trojan)], cfg4, Kind.REACH)
-    assert m1.rs == m4.rs
-    assert behavior_tuples(m1) == behavior_tuples(m4)
-    assert m1.paths_explored == m4.paths_explored
-    assert m1.paths_pruned == m4.paths_pruned
+def _random_fsms(count=12, seed=5151):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield gen_random_fsm(rng.randrange(1 << 30),
+                             state_bits=rng.randrange(2, 5),
+                             input_bits=rng.randrange(1, 4),
+                             reachable_fraction=rng.choice([0.4, 0.6, 0.8]),
+                             dct_count=rng.randrange(0, 2))
+
+
+@pytest.mark.parametrize("assumed", [False, True])
+def test_successors_keep_pc_invariant(assumed):
+    """Every successor's pc is satisfiable and its witness_env, when set,
+    satisfies every conjunct, for three cycles from reset and from the
+    fully symbolic state."""
+    witnessed = 0
+    for c in _random_fsms():
+        w = c.register_map()["st"].width
+        assumes = (ex.ne(ex.ref("st", w), ex.const(w, 1)),) if assumed else ()
+        cfg = config_for(c, ["st"], depth=1, assumes=assumes)
+        frontier = [reset_state(c), symbolic_state(c, cfg.state_spec)]
+        for _ in range(3):
+            succs = [t for s in frontier for t in step_cycle(c, s, cfg)]
+            for t in succs:
+                assert pc_sat(t.pc)
+                if t.witness_env is not None:
+                    witnessed += 1
+                    assert all(ex.evaluate(conj, t.witness_env) == 1
+                               for conj in t.pc)
+                if assumed:
+                    assert 1 not in project(t, cfg.state_spec, cfg)
+            frontier = succs[:8]
+    assert witnessed
+
+
+def test_always_false_assume_gives_no_successors():
+    for c in _random_fsms():
+        st = ex.ref("st", c.register_map()["st"].width)
+        never = ex.and_(ex.ult(st, ex.const(st.width, 1)),
+                        ex.ne(st, ex.const(st.width, 0)))
+        cfg = config_for(c, ["st"], depth=1, assumes=(never,))
+        for s in (reset_state(c), symbolic_state(c, cfg.state_spec)):
+            assert step_cycle(c, s, cfg) == []
 
 
 def test_engine_matches_oracle_on_random_fsms():

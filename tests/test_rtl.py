@@ -219,3 +219,28 @@ def test_long_ternary_and_unary_chains_parse():
     assert y.op == "mux" and y.args[:2] == (a, b)
     assert ex.evaluate(y, {("ref", "a"): 0, ("ref", "b"): 1}) == 0
     assert ex.evaluate(z, {("ref", "b"): 1}) == 1
+
+
+@pytest.mark.parametrize("text,value", [
+    ("3'd04", 4), ("2'd01", 1), ("4'd007", 7), ("3'd00", 0), ("8'd010", 10),
+    ("8'd0x10", 16), ("8'd0b10", 2)])
+def test_sized_constant_digits_are_decimal(text, value):
+    c = parse_rtl(f"circuit c\noutput y:{text.split(chr(39))[0]} = {text}\n")
+    assert c.outputs[0][2] is ex.const(c.outputs[0][1], value)
+
+
+def test_leading_zero_constant_in_expression():
+    c = parse_rtl("circuit c\ninput a:2\noutput y:2 = a + 2'd01\n")
+    assert c.outputs[0][2] is ex.add(ex.ref("a", 2), ex.const(2, 1))
+
+
+@pytest.mark.parametrize("src", [
+    "circuit c\ninput a:0\n",
+    "circuit c\ninput a:100000000000\n",
+    "circuit c\ninput a:1\noutput y:1 = zext(a, 99999999999)[0:0]\n",
+    "circuit c\noutput y:1 = 99999999999'd0 == 99999999999'd0\n",
+    "circuit c\nreg r:8 reset " + "1" * 5000 + " next r\n",
+])
+def test_widths_and_numbers_out_of_range_are_parse_errors(src):
+    with pytest.raises(ParseError):
+        parse_rtl(src)

@@ -1,9 +1,11 @@
 """Query layer: incremental all_values/min_value against a rebuild-per-call
-reference and the bit-plane oracle, and conflict budgets raising
-ResourceOut from every query."""
+reference and the bit-plane oracle, conflict budgets raising ResourceOut
+from every query, and one solver_stats event per dumped query."""
 
 from __future__ import annotations
 
+import json
+import logging
 import random
 
 import pytest
@@ -15,12 +17,16 @@ from dctforge import expr as ex
 from dctforge import solve
 from dctforge.cli import main
 from dctforge.cnf import Encoder
-from dctforge.engine import _sat_with_env
+from dctforge.detect import compute_dct
+from dctforge.engine import SymState, step_cycle
 from dctforge.errors import ResourceOut
 from dctforge.sat import SatOutcome, Solver, check_sat
-from dctforge.solve import SolverLimits, all_values, min_value, pc_sat
+from dctforge.rtl import parse_rtl
+from dctforge.solve import (SolverLimits, all_values, min_value, pc_model,
+                            pc_sat)
 
 from bruteforce import BitPlanes, ExprGen, support_leaves
+from conftest import config_for
 
 
 def _encoded(e: ex.Expr, pc):
@@ -155,10 +161,38 @@ def test_min_value_raises_resource_out():
         min_value(ex.concat(*xs[:4]), pc, limits=TINY)
 
 
-def test_step_feasibility_raises_resource_out():
+def test_pc_model_satisfies_every_conjunct():
     _, pc = _hard_sat_conjuncts()
+    env = pc_model(pc)
+    assert all(ex.evaluate(c, env) == 1 for c in pc)
+    assert pc_model(pc + (ex.const(1, 0),)) is None
+    assert pc_model((ex.const(1, 1),)) == {}
+
+
+class _Labels:
+    """A CnfDumper stand-in that records query labels."""
+
+    def __init__(self):
+        self.labels = []
+
+    def dump(self, formula, label):
+        self.labels.append(label)
+
+
+def test_step_feasibility_raises_resource_out():
+    """A split guard that no extension of the known model satisfies goes
+    to the solver; its budget running out raises instead of pruning."""
+    _, pc = _hard_sat_conjuncts()
+    c = parse_rtl("circuit t\ninput d:1\n"
+                  "reg r:2 reset 0 next d ? 2'd1 : 2'd2\noutput y:2 = r\n")
+    labels = _Labels()
+    cfg = config_for(c, ["r"], depth=1, limits=SolverLimits(dumper=labels))
+    s = SymState({"r": ex.const(2, 0)}, pc, 0, 0, witness_env=None)
+    assert len(step_cycle(c, s, cfg)) == 2
+    assert labels.labels[0] == "step-feasibility"
+    tiny = config_for(c, ["r"], depth=1, limits=TINY)
     with pytest.raises(ResourceOut):
-        _sat_with_env(pc, TINY, [])
+        step_cycle(c, s, tiny)
 
 
 class _OutOfBudgetUnderAssumptions(Solver):
@@ -190,3 +224,18 @@ def test_cli_tiny_conflict_limit_exits_one_without_report(tmp_path, capsys):
         assert "resource limit exceeded: conflict-budget" in \
             capsys.readouterr().err
         assert not out.exists()
+
+
+def test_solver_stats_event_per_dumped_query(ima, caplog):
+    """Every solver call, incremental ones included, logs one solver_stats
+    event under the label its dump carries."""
+    labels = _Labels()
+    cfg = config_for(ima, ["pcmSq"], depth=3,
+                     limits=SolverLimits(dumper=labels))
+    with caplog.at_level(logging.DEBUG, logger="dctforge.solve"):
+        compute_dct(ima, cfg)
+    events = [json.loads(r.getMessage()) for r in caplog.records
+              if r.name == "dctforge.solve"]
+    events = [e for e in events if e["event"] == "solver_stats"]
+    assert {"all-values", "min-value"} <= set(labels.labels)
+    assert [e["label"] for e in events] == labels.labels
