@@ -67,8 +67,11 @@ def make_state_spec(c: Circuit, names: list[str] | tuple[str, ...]) -> StateSpec
         if n not in regs:
             raise UnknownSignal(n)
         widths.append(regs[n].width)
-    if len(set(names)) != len(names):
-        raise DuplicateName(",".join(names))
+    seen: set[str] = set()
+    for n in names:
+        if n in seen:
+            raise DuplicateName(n)
+        seen.add(n)
     total = sum(widths)
     if not names:
         raise DctForgeError("state spec needs at least one register")

@@ -14,7 +14,8 @@ Subcommands:
 
 Reports are JSON with a top-level schema version; apart from timing_ms
 they are byte-identical across repeated runs with the same configuration.
-DCTFORGE_LOG=error|info|debug selects the diagnostic level on stderr.
+DCTFORGE_LOG=error|warning|info|debug selects the diagnostic level on
+stderr (default warning).
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(
-        os.environ.get("DCTFORGE_LOG", "error").lower(), logging.ERROR)
+    level = {"error": logging.ERROR, "warning": logging.WARNING,
+             "info": logging.INFO, "debug": logging.DEBUG}.get(
+        os.environ.get("DCTFORGE_LOG", "warning").lower(), logging.WARNING)
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s %(message)s")
 

@@ -457,6 +457,10 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
         layer += 1
         step_results = [_step(c, st, cfg) for st in frontier]
         meta.paths_explored += len(frontier)
+        if layer == 1 and cfg.assumes and not any(step_results):
+            log.warning("the assumptions cut every successor of the "
+                        "initial states: %s",
+                        "; ".join(ex.pp(a) for a in cfg.assumes))
 
         new_frontier: list[SymState] = []
         layer_added = False

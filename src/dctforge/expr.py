@@ -3,8 +3,8 @@
 One node type serves both circuit logic (Ref leaves) and symbolic values
 (Var leaves).  Structurally identical nodes are interned to a single
 object, so equality is identity and sub-DAGs are shared across the whole
-process.  Nodes are immutable apart from one slot, `simp`, which
-memoises simplify().
+process.  Nodes are immutable apart from two memo slots: `simp` holds
+simplify()'s result and `leaves` leaf_set()'s.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ __all__ = [
     "and_", "or_", "xor", "add", "sub", "eq", "ne", "ult", "shl",
     "mux", "case", "slice_", "concat", "zext",
     "mask", "postorder", "evaluate", "substitute", "replace_node",
-    "simplify", "support", "pp", "and_all", "or_all",
+    "simplify", "support", "leaf_set", "pp", "and_all", "or_all",
 ]
 
 _BINARY = frozenset(["and", "or", "xor", "add", "sub"])
@@ -33,13 +33,14 @@ class Expr:
     """A node in the interned expression DAG.  Do not construct directly;
     use the module-level constructor functions."""
 
-    __slots__ = ("op", "width", "args", "aux", "eid", "simp")
+    __slots__ = ("op", "width", "args", "aux", "eid", "simp", "leaves")
 
     op: str
     width: int
     args: tuple["Expr", ...]
     aux: tuple
     simp: "Expr | None"  # simplify(self) once computed, else None
+    leaves: "frozenset[Expr] | None"  # leaf_set(self) once computed
 
     def __repr__(self) -> str:
         return f"<{pp(self)}:{self.width}>"
@@ -64,6 +65,7 @@ def _mk(op: str, width: int, args: tuple[Expr, ...], aux: tuple = ()) -> Expr:
         node.aux = aux
         node.eid = _next_eid
         node.simp = None
+        node.leaves = None
         _next_eid += 1
         _intern_table[key] = node
     return node
@@ -345,6 +347,14 @@ def support(e: Expr) -> list[Expr]:
     return sorted(leaves, key=lambda n: (n.op, n.aux))
 
 
+def leaf_set(e: Expr) -> frozenset[Expr]:
+    """Ref and Var leaves of e, memoised on e's `leaves` slot."""
+    if e.leaves is None:
+        e.leaves = frozenset(n for n in postorder([e])
+                             if n.op in ("ref", "var"))
+    return e.leaves
+
+
 def _is_const(e: Expr, value: int | None = None) -> bool:
     return e.op == "const" and (value is None or e.aux[0] == value)
 
@@ -366,6 +376,10 @@ def _simp_node(op: str, width: int, args: tuple[Expr, ...], aux: tuple) -> Expr:
         arms = args[1:-1]
         if all(a is args[-1] for a in arms):
             return args[-1]
+        # Hold logic: every arm k yields k and the default the scrutinee.
+        if args[-1] is scrut and all(
+                a is scrut or _is_const(a, k) for k, a in zip(aux, arms)):
+            return scrut
         return _mk(op, width, args, aux)
     if op == "mux":
         c, t, e = args
@@ -375,6 +389,11 @@ def _simp_node(op: str, width: int, args: tuple[Expr, ...], aux: tuple) -> Expr:
             return t
         if width == 1 and _is_const(t, 1) and _is_const(e, 0):
             return c
+        # A branch that tests c again can only take c's side of it.
+        if t.op == "mux" and t.args[0] is c:
+            return _simp_node(op, width, (c, t.args[1], e), aux)
+        if e.op == "mux" and e.args[0] is c:
+            return _simp_node(op, width, (c, t, e.args[2]), aux)
         return _mk(op, width, args, aux)
     if all(_is_const(a) for a in args):
         return const(width, _fold(op, width, [a.aux[0] for a in args], aux,
@@ -443,6 +462,12 @@ def _simp_node(op: str, width: int, args: tuple[Expr, ...], aux: tuple) -> Expr:
 def simplify(e: Expr) -> Expr:
     """Semantics-preserving rewrite: constant folding, identity and
     annihilator rules, case-on-constant resolution.  Idempotent.
+
+    Two rules keep hold logic from nesting cycle after cycle:
+    case(x){k: k, ...; default: x} is x, and a mux branch that tests the
+    mux's own condition again is replaced by the side that condition
+    selects (mux(c, t, mux(c, _, e)) is mux(c, t, e), and likewise in
+    the then-branch).
 
     Memoised on the interned node: each node keeps its result in its
     `simp` slot, each result is marked as its own fixed point, and the

@@ -8,12 +8,26 @@ solver, so learnt clauses carry over from one value to the next.
 min_value finds the lexicographically smallest feasible value by pinning
 bits from the most significant end down, each pin an assumption on one
 solver.  pc_model returns a satisfying assignment of a path constraint
-(pc_sat is its boolean form).  Every solver call writes its formula to
-the dumper, if any, and logs a solver_stats debug event under the same
-label.  A conflict budget running out raises ResourceOut from every
-query; it is never read as infeasible.  Results depend only on the query
-structure, never on CNF variable numbering, so reports built from them
-are reproducible across runs.
+(pc_sat is its boolean form).
+
+Every query is sliced by constraint independence, as in KLEE: a
+union-find over their leaves splits the simplified conjuncts into groups
+that share no variable.  all_values and min_value encode only the groups
+that share variables with the queried expression; every other group
+merely has to be satisfiable.  pc_model solves group by group and returns
+the union of the group models.  One model per group, or None when the
+group is unsatisfiable, is memoised on the SolverLimits object, which
+lives as long as one analysis; a call given no limits gets a fresh one,
+so no memo outlives its caller.
+
+Every solver call writes its formula to the dumper, if any, and logs a
+solver_stats debug event under the same label: the label of the query
+that needed the solve.  A conflict budget running out raises ResourceOut
+from every query; it is never read as infeasible, and never memoised, so
+the next query solves that group again.  Results depend only on the
+query structure, never on CNF variable numbering or on which model a
+group's memo holds, so reports built from them are reproducible across
+runs.
 """
 
 from __future__ import annotations
@@ -40,15 +54,18 @@ ALL_VALUES_WIDTH_CAP = 24
 
 
 class SolverLimits:
+    """Budgets and the dumper for every query of one analysis.  It also
+    carries that analysis's group memo: models maps the frozenset of
+    an independent group of conjuncts to one satisfying assignment of
+    it, or to None when the group is unsatisfiable."""
+
     def __init__(self, conflict_limit: int = DEFAULT_CONFLICT_LIMIT,
                  clause_cap: int = DEFAULT_CLAUSE_CAP,
                  dumper: "CnfDumper | None" = None):
         self.conflict_limit = conflict_limit
         self.clause_cap = clause_cap
         self.dumper = dumper
-
-
-_DEFAULT_LIMITS = SolverLimits()
+        self.models: dict[frozenset, dict | None] = {}
 
 
 class CnfDumper:
@@ -80,6 +97,46 @@ def _symbolic_conjuncts(pc: Iterable[ex.Expr]) -> list[ex.Expr] | None:
             continue
         out.append(s)
     return out
+
+
+def _components(conjuncts: list[ex.Expr]) -> list[list[ex.Expr]]:
+    """The distinct conjuncts partitioned into groups that share no leaf,
+    not even through other conjuncts.  Groups are in order of their first
+    conjunct, and members keep their input order."""
+    unique = list(dict.fromkeys(conjuncts))
+    parent = list(range(len(unique)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: dict[ex.Expr, int] = {}
+    for i, c in enumerate(unique):
+        for leaf in ex.leaf_set(c):
+            j = owner.setdefault(leaf, i)
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    groups: dict[int, list[ex.Expr]] = {}
+    for i, c in enumerate(unique):
+        groups.setdefault(find(i), []).append(c)
+    return list(groups.values())
+
+
+def _slice(e: ex.Expr, conjuncts: list[ex.Expr]):
+    """(related, others): the conjuncts that share leaves with e, directly
+    or through other conjuncts, and the remaining independent groups."""
+    wanted = ex.leaf_set(e)
+    related: list[ex.Expr] = []
+    others: list[list[ex.Expr]] = []
+    for group in _components(conjuncts):
+        if any(not wanted.isdisjoint(ex.leaf_set(c)) for c in group):
+            related.extend(group)
+        else:
+            others.append(group)
+    return related, others
 
 
 def _raise_if_out(outcome: SatOutcome) -> SatOutcome:
@@ -131,38 +188,55 @@ def _query_solver(enc: Encoder, limits: SolverLimits):
     return formula, solver
 
 
-def pc_model(pc: Iterable[ex.Expr], limits: SolverLimits = _DEFAULT_LIMITS,
+def _group_model(group: list[ex.Expr], limits: SolverLimits,
+                 label: str) -> dict | None:
+    """A satisfying assignment of one independent group of conjuncts, or
+    None when it is unsatisfiable; solved at most once per limits.  A
+    ResourceOut propagates and is not remembered."""
+    key = frozenset(group)
+    if key in limits.models:
+        return limits.models[key]
+    formula = _encoder(group, limits).to_formula()
+    outcome = _solve(formula, limits, label)
+    model = None
+    if outcome.is_sat:
+        model = {}
+        for leaf in frozenset().union(*map(ex.leaf_set, group)):
+            if leaf.op == "var":
+                model[("var",) + leaf.aux] = sum(
+                    1 << i for i in range(leaf.width)
+                    if outcome.lit_value(formula.bit_map[(leaf, i)]))
+    limits.models[key] = model
+    return model
+
+
+def pc_model(pc: Iterable[ex.Expr], limits: SolverLimits | None = None,
              label: str = "pc-sat") -> dict | None:
     """A satisfying assignment of the conjunction of pc, or None when it
     is unsatisfiable.  The assignment maps ("var", name, step) to a value
-    for every variable of pc's non-constant conjuncts."""
+    for every variable of pc's non-constant conjuncts; it is the union of
+    one model per independent group."""
+    if limits is None:
+        limits = SolverLimits()
     conjuncts = _symbolic_conjuncts(pc)
     if conjuncts is None:
         return None
-    if not conjuncts:
-        return {}
-    formula = _encoder(conjuncts, limits).to_formula()
-    outcome = _solve(formula, limits, label)
-    if outcome.is_unsat:
-        return None
-    env = {}
-    for leaf in ex.postorder(conjuncts):
-        if leaf.op != "var":
-            continue
-        env[("var",) + leaf.aux] = sum(
-            1 << i for i in range(leaf.width)
-            if outcome.lit_value(formula.bit_map[(leaf, i)]))
+    env: dict = {}
+    for group in _components(conjuncts):
+        model = _group_model(group, limits, label)
+        if model is None:
+            return None
+        env.update(model)
     return env
 
 
-def pc_sat(pc: Iterable[ex.Expr],
-           limits: SolverLimits = _DEFAULT_LIMITS) -> bool:
+def pc_sat(pc: Iterable[ex.Expr], limits: SolverLimits | None = None) -> bool:
     """Is the conjunction of pc satisfiable?"""
     return pc_model(pc, limits) is not None
 
 
 def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
-               limits: SolverLimits = _DEFAULT_LIMITS) -> set[int]:
+               limits: SolverLimits | None = None) -> set[int]:
     """Exactly { v : pc and (e = v) is satisfiable }, via blocking clauses.
 
     Raises CapExceeded once more than cap distinct values are found.
@@ -172,11 +246,16 @@ def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
             f"all_values needs width <= {ALL_VALUES_WIDTH_CAP}, got {e.width}")
     if cap < 1:
         raise CapExceeded(cap)
+    if limits is None:
+        limits = SolverLimits()
     conjuncts = _symbolic_conjuncts(pc)
     if conjuncts is None:
         return set()
     e = ex.simplify(e)
-    enc = _encoder(conjuncts, limits)
+    related, others = _slice(e, conjuncts)
+    if any(_group_model(g, limits, "all-values") is None for g in others):
+        return set()
+    enc = _encoder(related, limits)
     bits = enc.bits(e)
     formula, solver = _query_solver(enc, limits)
 
@@ -211,7 +290,7 @@ def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
 
 
 def min_value(e: ex.Expr, pc: Iterable[ex.Expr],
-              limits: SolverLimits = _DEFAULT_LIMITS) -> int | None:
+              limits: SolverLimits | None = None) -> int | None:
     """Smallest feasible value of e under pc (None when pc is unsat).
 
     Deterministic regardless of solver internals: bits are pinned to zero
@@ -219,11 +298,16 @@ def min_value(e: ex.Expr, pc: Iterable[ex.Expr],
     pins are assumptions on one solver.  The last model satisfies every
     pin so far, so a bit it already has at zero needs no solve.
     """
+    if limits is None:
+        limits = SolverLimits()
     conjuncts = _symbolic_conjuncts(pc)
     if conjuncts is None:
         return None
     e = ex.simplify(e)
-    enc = _encoder(conjuncts, limits)
+    related, others = _slice(e, conjuncts)
+    if any(_group_model(g, limits, "min-value") is None for g in others):
+        return None
+    enc = _encoder(related, limits)
     bits = enc.bits(e)
     formula, solver = _query_solver(enc, limits)
 

@@ -252,13 +252,15 @@ def support_leaves(*roots: ex.Expr) -> list[ex.Expr]:
 
 
 class ExprGen:
-    """Seeded random expression generator with bounded support."""
+    """Seeded random expression generator with bounded support.  Generators
+    with different prefixes draw on disjoint variables."""
 
     def __init__(self, rng: random.Random, max_width: int = 8,
-                 n_vars: int = 3, var_width: int = 3):
+                 n_vars: int = 3, var_width: int = 3, prefix: str = "v"):
         self.rng = rng
         self.max_width = max_width
-        self.vars = [ex.var(f"v{i}", var_width, 0) for i in range(n_vars)]
+        self.vars = [ex.var(f"{prefix}{i}", var_width, 0)
+                     for i in range(n_vars)]
 
     def leaf(self, width: int) -> ex.Expr:
         if self.rng.random() < 0.45:

@@ -11,8 +11,8 @@ from dctforge import expr as ex
 from dctforge.circuit import (Circuit, Register, decode_state, encode_state,
                               make_state_spec, validate, validation_errors)
 from dctforge.engine import ExploreConfig, Mode, reset_state, step_cycle
-from dctforge.errors import (CombinationalCycle, InvalidCircuit,
-                             UnknownSignal, WidthMismatch)
+from dctforge.errors import (CombinationalCycle, DuplicateName,
+                             InvalidCircuit, UnknownSignal, WidthMismatch)
 from dctforge.trojanlab import gen_random_fsm
 
 
@@ -89,6 +89,15 @@ def test_state_spec_width_cap():
 def test_state_spec_unknown_register(ima):
     with pytest.raises(UnknownSignal):
         make_state_spec(ima, ["ghost"])
+
+
+def test_state_spec_duplicate_names_the_register():
+    c = Circuit("c", (), (), tuple(Register(n, 2, 0, ex.const(2, 0))
+                                   for n in ("a", "b", "d")), ())
+    with pytest.raises(DuplicateName) as info:
+        make_state_spec(c, ["a", "b", "b", "a"])
+    assert info.value.signal == "b"
+    assert str(info.value) == "duplicate name 'b'"
 
 
 def test_validated_circuits_step_cleanly():

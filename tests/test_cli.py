@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +266,30 @@ def test_assume_leading_zero_constant(counter_path, tmp_path, capsys):
     assert rep["rs"] == list(range(7))
     assert rep["dct"] == [[7, 0]]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unsatisfiable_assume_warns_on_stderr(ima_path, tmp_path):
+    """The report and exit code stay as they were; stderr carries the
+    warning at the default log level."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env.pop("DCTFORGE_LOG", None)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dctforge.cli", "analyze", "--circuit",
+         ima_path, "--state", "pcmSq", "--assume", "1'd0", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "assumptions cut every successor of the initial states: 1'd0" \
+        in proc.stderr
+    rep = read_report(out)
+    assert rep["rs"] == [0] and rep["dct"] == []
+
+
+def test_duplicate_state_register_named_once(ima_path, capsys):
+    assert run_cli(["analyze", "--circuit", ima_path,
+                    "--state", "pcmSq,pcmSq"]) == 1
+    err = capsys.readouterr().err
+    assert "duplicate name 'pcmSq'" in err
+    assert "pcmSq,pcmSq" not in err

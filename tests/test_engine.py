@@ -268,3 +268,25 @@ def test_gate_level_enumeration_stepping(ima_gate):
     projections = sorted(sorted(project(s, cfg.state_spec, cfg))
                          for s in succs)
     assert projections == [[0], [1]]
+
+
+def test_unsatisfiable_assume_warns(ima, caplog):
+    """Assumptions that cut every successor of the initial states leave
+    the result as it was, and say so on the engine's logger."""
+    never = config_for(ima, ["pcmSq"], depth=3, assumes=(ex.const(1, 0),))
+    with caplog.at_level("WARNING", logger="dctforge.engine"):
+        meta = explore(ima, [reset_state(ima)], never, Kind.REACH)
+    assert meta.rs == {0}
+    assert meta.trans == set() and meta.rbs == set()
+    warned = [r.getMessage() for r in caplog.records
+              if "cut every successor" in r.getMessage()]
+    assert warned == ["the assumptions cut every successor of the initial "
+                      "states: 1'd0"]
+    caplog.clear()
+    st = ex.ref("pcmSq", 3)
+    some = config_for(ima, ["pcmSq"], depth=3,
+                      assumes=(ex.ult(st, ex.const(3, 3)),))
+    with caplog.at_level("WARNING", logger="dctforge.engine"):
+        explore(ima, [reset_state(ima)], some, Kind.REACH)
+    assert not any("cut every successor" in r.getMessage()
+                   for r in caplog.records)

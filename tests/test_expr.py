@@ -196,3 +196,100 @@ def test_simplify_memo_stops_at_simplified_nodes():
     outer = ex.xor(inner, ex.const(4, 3))
     assert ex.simplify(outer) is ex.xor(x, ex.const(4, 3))
     assert inner.simp is x and x.simp is x
+
+
+def _hold_case(rng: random.Random, x: ex.Expr) -> ex.Expr:
+    """case(x){k: k, ...; default: x}, now and then with an arm that is x
+    itself or, as a near miss, a wrong constant or default."""
+    w = x.width
+    keys = sorted(rng.sample(range(1 << w), rng.randrange(1, (1 << w) + 1)))
+    arms = []
+    for k in keys:
+        roll = rng.random()
+        if roll < 0.15:
+            arms.append((k, x))
+        elif roll < 0.25:
+            arms.append((k, ex.const(w, (k + 1) & ex.mask(w))))
+        else:
+            arms.append((k, ex.const(w, k)))
+    default = x if rng.random() < 0.85 else ex.const(w, rng.randrange(1 << w))
+    return ex.case(x, arms, default)
+
+
+def _hold_mux(rng: random.Random, gen: ExprGen, x: ex.Expr,
+              cond: ex.Expr) -> ex.Expr:
+    """x under one more mux on cond, nested into a mux on cond (or, as a
+    near miss, on another condition) in either branch."""
+    other = gen.gen(1, x.width)
+    inner_c = cond if rng.random() < 0.8 else gen.gen(1, 1)
+    if rng.random() < 0.5:
+        return ex.mux(cond, x, ex.mux(inner_c, other, gen.gen(1, x.width)))
+    return ex.mux(cond, ex.mux(inner_c, gen.gen(1, x.width), other), x)
+
+
+def _with_hold_logic(seed: int, depth: int) -> ex.Expr:
+    rng = random.Random(seed)
+    gen = ExprGen(rng, n_vars=2, var_width=3)
+    cond = gen.gen(1, 1)
+    e = gen.gen(depth, rng.choice([1, 2, 3]))
+    for _ in range(rng.randrange(1, 6)):
+        if e.width <= 3 and rng.random() < 0.5:
+            e = _hold_case(rng, e)
+        else:
+            e = _hold_mux(rng, gen, e, cond)
+        if rng.random() < 0.3:
+            e = ex.xor(e, gen.gen(depth, e.width))
+    return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3))
+def test_simplify_hold_logic_agrees_with_evaluate(seed, depth):
+    e = _with_hold_logic(seed, depth)
+    s = ex.simplify(e)
+    assert ex.simplify(s) is s
+    assert s is _simplify_without_memo(e)
+    leaves = support_leaves(e, s)
+    bp = BitPlanes(leaves)
+    for k in range(bp.count):
+        env = bp.assignment_env(k)
+        assert ex.evaluate(s, env) == ex.evaluate(e, env), ex.pp(e)
+
+
+def _ops(e: ex.Expr) -> list[str]:
+    """Operators of e's DAG: a failure report that stays small, where
+    pp of nested hold logic would spell out 2^depth copies."""
+    return [n.op for n in ex.postorder([e])]
+
+
+def test_nested_hold_case_simplifies_to_register():
+    x = ex.var("trojan_state", 2, -1)
+    e = x
+    for _ in range(60):
+        e = ex.case(e, [(k, ex.const(2, k)) for k in range(3)], e)
+    assert _ops(ex.simplify(e)) == ["var"]
+    assert ex.simplify(e) is x
+
+
+def test_mux_chain_on_one_condition_collapses():
+    c = ex.var("en", 1, 0)
+    x = ex.var("cnt", 4, -1)
+    one = ex.const(4, 1)
+    e = x
+    for _ in range(60):
+        e = ex.mux(c, one, e)
+    assert _ops(ex.simplify(e)).count("mux") == 1
+    assert ex.simplify(e) is ex.mux(c, one, x)
+    e = x
+    for _ in range(60):
+        e = ex.mux(c, e, one)
+    assert _ops(ex.simplify(e)).count("mux") == 1
+    assert ex.simplify(e) is ex.mux(c, x, one)
+
+
+def test_hold_case_rule_needs_every_arm_to_hold():
+    x = ex.var("s", 2, 0)
+    near = ex.case(x, [(0, ex.const(2, 0)), (1, ex.const(2, 2))], x)
+    assert ex.simplify(near) is near
+    other_default = ex.case(x, [(0, ex.const(2, 0))], ex.const(2, 3))
+    assert ex.simplify(other_default) is other_default

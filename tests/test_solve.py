@@ -92,12 +92,16 @@ def ref_min_value(e: ex.Expr, pc) -> int | None:
     return value
 
 
-def _query(seed: int):
+def _query(seed: int, groups: int = 1):
+    """e over the first generator's variables, and a pc of up to three
+    conjuncts from each of `groups` generators with disjoint variables."""
     rng = random.Random(seed)
-    gen = ExprGen(rng, n_vars=3, var_width=3)
-    e = gen.gen(rng.randrange(1, 4))
+    size = (dict(n_vars=3, var_width=3) if groups == 1
+            else dict(n_vars=2, var_width=2))
+    gens = [ExprGen(rng, prefix=p, **size) for p in "vwu"[:groups]]
+    e = gens[0].gen(rng.randrange(1, 4))
     pc = tuple(gen.gen(rng.randrange(1, 4), 1)
-               for _ in range(rng.randrange(0, 4)))
+               for gen in gens for _ in range(rng.randrange(0, 4)))
     return e, pc
 
 
@@ -239,3 +243,84 @@ def test_solver_stats_event_per_dumped_query(ima, caplog):
     events = [e for e in events if e["event"] == "solver_stats"]
     assert {"all-values", "min-value"} <= set(labels.labels)
     assert [e["label"] for e in events] == labels.labels
+
+
+def _satisfies(env, pc) -> bool:
+    return all(ex.evaluate(ex.simplify(c), env) == 1 for c in pc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_sliced_queries_equal_rebuild_reference(seed):
+    """Multi-group path constraints, every query sharing one limits (and
+    so one group memo), against the references and the oracle."""
+    e, pc = _query(seed, groups=3)
+    limits = SolverLimits()
+    planes = BitPlanes(support_leaves(e, *pc))
+    values = planes.value_set(e, pc)
+    got = all_values(e, pc, cap=1 << e.width, limits=limits)
+    assert got == ref_all_values(e, pc) == values
+    assert min_value(e, pc, limits=limits) == ref_min_value(e, pc)
+    env = pc_model(pc, limits)
+    assert (env is None) == (planes.truth_plane(pc) == 0)
+    if env is not None:
+        assert _satisfies(env, pc)
+
+
+def test_unsat_group_disjoint_from_query():
+    v, w = ex.var("v", 3, 0), ex.var("w", 2, 0)
+    related = (ex.ult(v, ex.const(3, 5)),)
+    never = (ex.ult(w, ex.const(2, 1)), ex.ne(w, ex.const(2, 0)))
+    for pc in (related + never, never + related):
+        planes = BitPlanes(support_leaves(v, *pc))
+        assert all_values(v, pc) == set() == ref_all_values(v, pc)
+        assert planes.value_set(v, pc) == set()
+        assert min_value(v, pc) is None is ref_min_value(v, pc)
+        assert pc_model(pc) is None
+    assert all_values(v, related) == {0, 1, 2, 3, 4}
+
+
+def test_resource_out_group_is_solved_again():
+    """A group whose budget ran out is not remembered: the next call with
+    the same limits solves it again and raises again, while the easy
+    group beside it stays answered from the memo."""
+    _, hard = _hard_sat_conjuncts()
+    y = ex.var("y", 2, 0)
+    pc = (ex.eq(y, ex.const(2, 1)),) + hard
+    labels = _Labels()
+    limits = SolverLimits(conflict_limit=1, dumper=labels)
+    counts = []
+    for _ in range(2):
+        with pytest.raises(ResourceOut):
+            pc_sat(pc, limits)
+        counts.append(len(labels.labels))
+    assert counts == [2, 3]
+    with pytest.raises(ResourceOut):
+        all_values(y, pc, cap=4, limits=limits)
+    assert labels.labels[3:] == ["all-values"]
+
+
+def test_each_group_solved_once_per_limits():
+    """Growing path constraints over three independent groups, as a long
+    exploration builds them: every distinct group is solved once per
+    limits, however many queries contain it."""
+    conjuncts = []
+    for g in range(3):
+        x, y = ex.var(f"x{g}", 3, 0), ex.var(f"y{g}", 3, 0)
+        conjuncts.append([ex.ult(x, ex.const(3, 6)), ex.ne(x, y),
+                          ex.ult(y, ex.add(x, ex.const(3, 1)))])
+    order = [conjuncts[g][i] for i in range(3) for g in range(3)]
+    prefixes = [tuple(order[:n]) for n in range(1, len(order) + 1)]
+    labels = _Labels()
+    limits = SolverLimits(dumper=labels)
+    for pc in prefixes + prefixes:
+        env = pc_model(pc, limits)
+        assert env is not None and _satisfies(env, pc)
+    # One new group per added conjunct, none solved twice.
+    assert labels.labels == ["pc-sat"] * len(order)
+    x0 = ex.var("x0", 3, 0)
+    assert all_values(x0, prefixes[-1], cap=8, limits=limits) == {1, 2, 3, 4, 5}
+    assert set(labels.labels[len(order):]) == {"all-values"}
+    fresh = _Labels()
+    pc_model(prefixes[-1], SolverLimits(dumper=fresh))
+    assert fresh.labels == ["pc-sat"] * 3
