@@ -65,7 +65,12 @@ def _setup_logging() -> None:
 
 
 def _load_circuit(path: str) -> Circuit:
-    text = open(path, "r", encoding="utf-8").read()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as err:
+        raise DctForgeError(f"{path}: not UTF-8 text ({err.reason} at "
+                            f"byte {err.start})") from None
     if path.endswith(".blif"):
         return parse_blif(text)
     return parse_rtl(text)
@@ -286,6 +291,13 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DctForgeError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _parse_edges(text: str) -> frozenset[tuple[int, int]]:
     edges = set()
     for item in text.split(","):
@@ -295,7 +307,8 @@ def _parse_edges(text: str) -> frozenset[tuple[int, int]]:
         parts = item.split(":")
         if len(parts) != 2:
             raise DctForgeError(f"bad edge {item!r}; expected SRC:DST")
-        edges.add((int(parts[0]), int(parts[1])))
+        edges.add((_parse_int(parts[0], "edge source"),
+                   _parse_int(parts[1], "edge destination")))
     if not edges:
         raise DctForgeError("--dct needs at least one SRC:DST edge")
     return frozenset(edges)
@@ -306,7 +319,7 @@ def _parse_payload(text: str) -> StuckAt:
     if len(parts) != 3 or parts[0] != "stuck-at":
         raise DctForgeError(
             f"bad payload {text!r}; expected stuck-at:<output>:<value>")
-    return StuckAt(parts[1], int(parts[2]))
+    return StuckAt(parts[1], _parse_int(parts[2], "payload value"))
 
 
 def cmd_inject(args) -> int:

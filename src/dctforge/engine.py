@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -50,8 +50,8 @@ from .circuit import (Circuit, StateSpec, decode_state, net_topo_order,
                       state_concat_expr)
 from .errors import (CapExceeded, DctForgeError, PathExplosion,
                      UnknownOutput)
-from .solve import (DEFAULT_VALUE_CAP, SolverLimits, all_values, min_value,
-                    pc_model)
+from .solve import (DEFAULT_VALUE_CAP, SolverLimits, all_values, extends,
+                    min_value)
 
 __all__ = ["Mode", "Kind", "FIXPOINT", "ExploreConfig", "SymState",
            "Behavior", "Metadata", "reset_state", "symbolic_state",
@@ -93,16 +93,13 @@ class ExploreConfig:
 @dataclass(frozen=True, eq=False)
 class SymState:
     """One symbolic execution path: register valuation, path constraint,
-    elapsed cycles.  Invariant: pc is satisfiable, and witness_env, when
-    not None, is an assignment under which every conjunct of pc evaluates
-    to 1.  witness_env only spares solver calls; results never depend on
-    it."""
+    elapsed cycles.  Invariant: pc is satisfiable.  Stepping relies on
+    it: each split guard is checked with solve.extends, which solves only
+    the slice of pc linked to the guard."""
     regs: Mapping[str, ex.Expr]
     pc: tuple[ex.Expr, ...]
     num_steps: int
     var_epoch: int
-    origin: int | None = None
-    witness_env: Mapping | None = None
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ class Metadata:
 def reset_state(c: Circuit) -> SymState:
     """All registers at their reset values, empty path constraint."""
     regs = {r.name: ex.const(r.width, r.reset_value) for r in c.registers}
-    return SymState(regs, (), 0, 0, witness_env={})
+    return SymState(regs, (), 0, 0)
 
 
 def symbolic_state(c: Circuit, spec: StateSpec) -> SymState:
@@ -138,7 +135,7 @@ def symbolic_state(c: Circuit, spec: StateSpec) -> SymState:
     variable, so one step from here covers every possible source state
     including trigger side effects in non-spec registers."""
     regs = {r.name: ex.var(r.name, r.width, -1) for r in c.registers}
-    return SymState(regs, (), 0, 0, witness_env=None)
+    return SymState(regs, (), 0, 0)
 
 
 def _distinct_var_concat(e: ex.Expr) -> bool:
@@ -207,61 +204,6 @@ def _alternatives(node: ex.Expr, mode: Mode) -> list[tuple[ex.Expr, ex.Expr]]:
     return pairs
 
 
-def _guard_extensions(guard: ex.Expr, free: list[ex.Expr],
-                      base_env: Mapping) -> list[dict]:
-    """Candidate environments for guard, whose variables are free, tried
-    before the SAT solver.  Each is base_env with guard variables set: the
-    ones base_env leaves unbound, or all of them when it binds every one
-    (base_env itself is then the first candidate)."""
-    unbound = [v for v in free if ("var",) + v.aux not in base_env]
-    candidates = []
-    if not unbound:
-        candidates.append(dict(base_env))
-        unbound = free
-    # Structural shot: eq(x, const) where x is a Var or a Var concatenation.
-    if guard.op == "eq":
-        a, b = guard.args
-        if b.op == "const" and _distinct_var_concat(a):
-            env = dict(base_env)
-            parts = (a,) if a.op == "var" else a.args
-            shift = a.width
-            for part in parts:
-                shift -= part.width
-                env[("var",) + part.aux] = (b.aux[0] >> shift) & ex.mask(part.width)
-            for v in unbound:
-                env.setdefault(("var",) + v.aux, 0)
-            candidates.append(env)
-    for all_ones in (False, True):
-        env = dict(base_env)
-        for v in unbound:
-            env[("var",) + v.aux] = ex.mask(v.width) if all_ones else 0
-        candidates.append(env)
-    return candidates
-
-
-def _extend_model(pc: tuple, new: tuple, model: Mapping | None,
-                  limits: SolverLimits) -> dict | None:
-    """A satisfying assignment of pc + new, or None when there is none.
-    model, a satisfying assignment of pc if known, is varied on the
-    variables of new and tried before the solver; a candidate that keeps
-    every value model had needs only new evaluated."""
-    old = [ex.simplify(c) for c in pc]
-    new = [ex.simplify(c) for c in new]
-    guard = ex.and_all(new)
-    free = [v for v in ex.support(guard) if v.op == "var"]
-    keys = [("var",) + v.aux for v in free]
-    for env in _guard_extensions(guard, free, model or {}):
-        kept = model is not None and all(
-            env[k] == model[k] for k in keys if k in model)
-        try:
-            if all(ex.evaluate(c, env) == 1 for c in
-                   (new if kept else old + new)):
-                return env
-        except KeyError:
-            continue
-    return pc_model(old + new, limits, "step-feasibility")
-
-
 def _step(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[_StepResult]:
     spec = cfg.state_spec
     inputs_env = {name: ex.var(name, w, s.var_epoch) for name, w in c.inputs}
@@ -281,7 +223,7 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[_StepResult]:
 
     # s.pc is satisfiable and every guard is checked as it is added, so
     # only the assumptions need a feasibility check of their own.
-    base_pc, base_env = s.pc, s.witness_env
+    base_pc = s.pc
     if cfg.assumes:
         post_env: dict[str, ex.Expr] = dict(inputs_env)
         post_env.update(next_exprs)
@@ -289,38 +231,35 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[_StepResult]:
             post_env[name] = ex.simplify(ex.substitute(e, post_env))
         assumed = tuple(ex.simplify(ex.substitute(a, post_env))
                         for a in cfg.assumes)
-        base_env = _extend_model(s.pc, assumed, s.witness_env, cfg.limits)
-        if base_env is None:
+        if not extends(s.pc, assumed, cfg.limits):
             return []
         base_pc = s.pc + assumed
 
     src_expr = ex.simplify(state_concat_expr(spec, dict(s.regs)))
 
     # Resolve Case/Mux controls of the spec registers' next-state logic.
-    worklist = [(next_exprs, outs, base_pc, base_env)]
+    worklist = [(next_exprs, outs, base_pc)]
     resolved = []
     while worklist:
-        nx, oo, pc, wenv = worklist.pop(0)
+        nx, oo, pc = worklist.pop(0)
         node = _first_split_node([nx[r] for r in spec.registers])
         if node is None:
-            resolved.append((nx, oo, pc, wenv))
+            resolved.append((nx, oo, pc))
             continue
         for guard, replacement in _alternatives(node, cfg.mode):
             guard_s = ex.simplify(guard)
-            pc2 = pc + (guard_s,)
-            env2 = _extend_model(pc, (guard_s,), wenv, cfg.limits)
-            if env2 is None:
+            if not extends(pc, (guard_s,), cfg.limits):
                 continue
             nx2 = {r: ex.simplify(ex.replace_node(e, node, replacement))
                    for r, e in nx.items()}
             oo2 = {o: ex.simplify(ex.replace_node(e, node, replacement))
                    for o, e in oo.items()}
-            worklist.append((nx2, oo2, pc2, env2))
+            worklist.append((nx2, oo2, pc + (guard_s,)))
             if cfg.mode is Mode.PARTIAL:
                 break
 
     results: list[_StepResult] = []
-    for nx, oo, pc, wenv in resolved:
+    for nx, oo, pc in resolved:
         concat = ex.simplify(state_concat_expr(spec, nx))
         if concat.op == "const":
             values = [concat.aux[0]]
@@ -347,16 +286,8 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[_StepResult]:
                     regs3[r.name] = ex.const(r.width, slices[r.name])
                 else:
                     regs3[r.name] = nx[r.name]
-            env3 = wenv
-            if not pinned and wenv is not None:
-                try:
-                    if ex.evaluate(concat, wenv) != v:
-                        env3 = None
-                except KeyError:
-                    env3 = None
             results.append(_StepResult(
-                SymState(regs3, pc3, s.num_steps + 1, s.var_epoch + 1,
-                         witness_env=env3),
+                SymState(regs3, pc3, s.num_steps + 1, s.var_epoch + 1),
                 src_expr, oo))
         if len(results) > cfg.path_cap:
             raise PathExplosion(len(results), cfg.path_cap)
@@ -365,9 +296,10 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[_StepResult]:
 
 def step_cycle(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[SymState]:
     """Advance one clock cycle from s, whose path constraint must be
-    satisfiable.  Every returned successor keeps the SymState invariant:
-    its pc is satisfiable, and its witness_env, when set, evaluates every
-    conjunct of that pc to 1."""
+    satisfiable: each split guard and the assumptions are checked as one
+    sliced query (solve.extends), which is sound only from a satisfiable
+    pc.  Every returned successor keeps the SymState invariant: its pc is
+    satisfiable."""
     return [r.state for r in _step(c, s, cfg)]
 
 
@@ -486,8 +418,6 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
                                state=sorted(proj))
                     continue
                 seen |= proj
-                succ = dc_replace(succ, origin=min(src_vals) if src_vals
-                                  else None)
                 new_frontier.append(succ)
                 _log_event(event="path_spawned", layer=layer,
                            state=sorted(proj), num_steps=succ.num_steps)

@@ -18,11 +18,12 @@ __all__ = [
     "and_", "or_", "xor", "add", "sub", "eq", "ne", "ult", "shl",
     "mux", "case", "slice_", "concat", "zext",
     "mask", "postorder", "evaluate", "substitute", "replace_node",
-    "simplify", "support", "leaf_set", "pp", "and_all", "or_all",
+    "simplify", "leaf_set", "pp", "and_all", "or_all",
 ]
 
 _BINARY = frozenset(["and", "or", "xor", "add", "sub"])
 _COMPARE = frozenset(["eq", "ne", "ult"])
+_REPR_TREE_CAP = 200  # tree nodes, shared sub-DAGs counted once per use
 
 
 def mask(width: int) -> int:
@@ -43,7 +44,16 @@ class Expr:
     leaves: "frozenset[Expr] | None"  # leaf_set(self) once computed
 
     def __repr__(self) -> str:
-        return f"<{pp(self)}:{self.width}>"
+        # pp's text grows with the tree, which can be exponential in the
+        # DAG; print it only when the tree is small.
+        size: dict[Expr, int] = {}
+        for node in postorder([self]):
+            size[node] = min(1 + sum(size[a] for a in node.args),
+                             _REPR_TREE_CAP + 1)
+        if size[self] <= _REPR_TREE_CAP:
+            return f"<{pp(self)}:{self.width}>"
+        return (f"<{self.op}:{self.width}, {len(size)} nodes, "
+                f"tree over {_REPR_TREE_CAP}>")
 
     # Identity comparison is structural equality, by interning.
     __hash__ = object.__hash__
@@ -339,12 +349,6 @@ def replace_node(e: Expr, target: Expr, replacement: Expr) -> Expr:
         else:
             out[node] = node
     return out[e]
-
-
-def support(e: Expr) -> list[Expr]:
-    """Ref and Var leaves of e, in deterministic (op, aux) order."""
-    leaves = [n for n in postorder([e]) if n.op in ("ref", "var")]
-    return sorted(leaves, key=lambda n: (n.op, n.aux))
 
 
 def leaf_set(e: Expr) -> frozenset[Expr]:

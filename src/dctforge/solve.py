@@ -8,26 +8,34 @@ solver, so learnt clauses carry over from one value to the next.
 min_value finds the lexicographically smallest feasible value by pinning
 bits from the most significant end down, each pin an assumption on one
 solver.  pc_model returns a satisfying assignment of a path constraint
-(pc_sat is its boolean form).
+(pc_sat is its boolean form).  extends answers the exploration's one
+feasibility question, whether a satisfiable path constraint stays
+satisfiable with new conjuncts added, as one sliced query.
 
-Every query is sliced by constraint independence, as in KLEE: a
-union-find over their leaves splits the simplified conjuncts into groups
-that share no variable.  all_values and min_value encode only the groups
-that share variables with the queried expression; every other group
-merely has to be satisfiable.  pc_model solves group by group and returns
-the union of the group models.  One model per group, or None when the
-group is unsatisfiable, is memoised on the SolverLimits object, which
-lives as long as one analysis; a call given no limits gets a fresh one,
-so no memo outlives its caller.
+Every query is sliced by constraint independence, as in KLEE.  _slice
+grows the set of leaves a query touches over the simplified conjuncts
+until no further conjunct shares one; the conjuncts it took are the
+related slice, the rest share no variable with it.  all_values and
+min_value encode only the related slice; every independent group of the
+rest (a union-find over their leaves) merely has to be satisfiable.
+extends slices around the new conjuncts and solves that one group: its
+caller guarantees the old path constraint is satisfiable, so the rest
+is too.  pc_model solves group by group and returns the union of the
+group models.  One model per group, or None when the group is
+unsatisfiable, is memoised on the SolverLimits object under the
+frozenset of the group's conjuncts, so every query kind shares it.  The
+memo lives as long as one analysis; a call given no limits gets a fresh
+one, so no memo outlives its caller.
 
-Every solver call writes its formula to the dumper, if any, and logs a
-solver_stats debug event under the same label: the label of the query
-that needed the solve.  A conflict budget running out raises ResourceOut
-from every query; it is never read as infeasible, and never memoised, so
-the next query solves that group again.  Results depend only on the
-query structure, never on CNF variable numbering or on which model a
-group's memo holds, so reports built from them are reproducible across
-runs.
+Every solve is solver.solve(assumptions) on a solver loaded with the
+query's formula.  Every solver call writes its formula to the dumper, if
+any, and logs a solver_stats debug event under the same label: the label
+of the query that needed the solve.  A conflict budget running out
+raises ResourceOut from every query; it is never read as infeasible, and
+never memoised, so the next query solves that group again.  Results
+depend only on the query structure, never on CNF variable numbering or
+on which model a group's memo holds, so reports built from them are
+reproducible across runs.
 """
 
 from __future__ import annotations
@@ -40,12 +48,15 @@ from typing import Iterable, Sequence
 from . import expr as ex
 from .cnf import DEFAULT_CLAUSE_CAP, CnfFormula, Encoder
 from .errors import CapExceeded, ResourceOut, WidthMismatch
+# No query calls check_sat; it stays importable as solve.check_sat, the
+# name perfbench/tracing.py wraps.
 from .sat import DEFAULT_CONFLICT_LIMIT, SatOutcome, Solver, check_sat
 
 log = logging.getLogger("dctforge.solve")
 
 __all__ = ["PathConstraint", "SolverLimits", "CnfDumper", "pc_model",
-           "pc_sat", "all_values", "min_value", "DEFAULT_VALUE_CAP"]
+           "pc_sat", "extends", "all_values", "min_value",
+           "DEFAULT_VALUE_CAP"]
 
 PathConstraint = tuple  # of width-1 Expr conjuncts
 
@@ -84,7 +95,8 @@ class CnfDumper:
 
 
 def _symbolic_conjuncts(pc: Iterable[ex.Expr]) -> list[ex.Expr] | None:
-    """Simplified non-trivial conjuncts, or None if one is constant false."""
+    """The distinct simplified non-trivial conjuncts in input order, or
+    None if one is constant false."""
     out = []
     for c in pc:
         if c.width != 1:
@@ -96,15 +108,14 @@ def _symbolic_conjuncts(pc: Iterable[ex.Expr]) -> list[ex.Expr] | None:
                 return None
             continue
         out.append(s)
-    return out
+    return list(dict.fromkeys(out))
 
 
 def _components(conjuncts: list[ex.Expr]) -> list[list[ex.Expr]]:
-    """The distinct conjuncts partitioned into groups that share no leaf,
+    """Distinct conjuncts partitioned into groups that share no leaf,
     not even through other conjuncts.  Groups are in order of their first
     conjunct, and members keep their input order."""
-    unique = list(dict.fromkeys(conjuncts))
-    parent = list(range(len(unique)))
+    parent = list(range(len(conjuncts)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -113,30 +124,34 @@ def _components(conjuncts: list[ex.Expr]) -> list[list[ex.Expr]]:
         return i
 
     owner: dict[ex.Expr, int] = {}
-    for i, c in enumerate(unique):
+    for i, c in enumerate(conjuncts):
         for leaf in ex.leaf_set(c):
             j = owner.setdefault(leaf, i)
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[ex.Expr]] = {}
-    for i, c in enumerate(unique):
+    for i, c in enumerate(conjuncts):
         groups.setdefault(find(i), []).append(c)
     return list(groups.values())
 
 
-def _slice(e: ex.Expr, conjuncts: list[ex.Expr]):
-    """(related, others): the conjuncts that share leaves with e, directly
-    or through other conjuncts, and the remaining independent groups."""
-    wanted = ex.leaf_set(e)
-    related: list[ex.Expr] = []
-    others: list[list[ex.Expr]] = []
-    for group in _components(conjuncts):
-        if any(not wanted.isdisjoint(ex.leaf_set(c)) for c in group):
-            related.extend(group)
-        else:
-            others.append(group)
-    return related, others
+def _slice(leaves: frozenset, conjuncts: list[ex.Expr]):
+    """(related, rest): the conjuncts that share a leaf with leaves,
+    directly or through other related conjuncts, and all the others.
+    Both keep the order of conjuncts."""
+    wanted = set(leaves)
+    taken = [False] * len(conjuncts)
+    grown = True
+    while grown:
+        grown = False
+        for i, c in enumerate(conjuncts):
+            if not taken[i] and not ex.leaf_set(c).isdisjoint(wanted):
+                taken[i] = grown = True
+                wanted |= ex.leaf_set(c)
+    related = [c for c, t in zip(conjuncts, taken) if t]
+    rest = [c for c, t in zip(conjuncts, taken) if not t]
+    return related, rest
 
 
 def _raise_if_out(outcome: SatOutcome) -> SatOutcome:
@@ -146,21 +161,18 @@ def _raise_if_out(outcome: SatOutcome) -> SatOutcome:
     return outcome
 
 
-def _solve(formula: CnfFormula, limits: SolverLimits, label: str,
-           solver: Solver | None = None, assumptions: Sequence[int] = ()):
-    """One solver call: the formula alone through check_sat, or solver
-    under assumptions.  The query goes to the dumper (assumptions as unit
-    clauses) and to a solver_stats debug event, both under label."""
+def _solve(formula: CnfFormula, solver: Solver, limits: SolverLimits,
+           label: str, assumptions: Sequence[int] = ()):
+    """One call of solver, loaded with formula, under assumptions.  The
+    query goes to the dumper (assumptions as unit clauses) and to a
+    solver_stats debug event, both under label."""
     if limits.dumper is not None:
         dumped = formula
         if assumptions:
             dumped = CnfFormula(formula.num_vars, formula.clauses
                                 + [[lit] for lit in assumptions])
         limits.dumper.dump(dumped, label)
-    if solver is None:
-        outcome = check_sat(formula, limits.conflict_limit)
-    else:
-        outcome = solver.solve(assumptions)
+    outcome = solver.solve(assumptions)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(json.dumps({"event": "solver_stats", "label": label,
                               "vars": formula.num_vars,
@@ -190,14 +202,14 @@ def _query_solver(enc: Encoder, limits: SolverLimits):
 
 def _group_model(group: list[ex.Expr], limits: SolverLimits,
                  label: str) -> dict | None:
-    """A satisfying assignment of one independent group of conjuncts, or
-    None when it is unsatisfiable; solved at most once per limits.  A
-    ResourceOut propagates and is not remembered."""
+    """A satisfying assignment of one group of conjuncts, or None when it
+    is unsatisfiable; solved at most once per limits.  A ResourceOut
+    propagates and is not remembered."""
     key = frozenset(group)
     if key in limits.models:
         return limits.models[key]
-    formula = _encoder(group, limits).to_formula()
-    outcome = _solve(formula, limits, label)
+    formula, solver = _query_solver(_encoder(group, limits), limits)
+    outcome = _solve(formula, solver, limits, label)
     model = None
     if outcome.is_sat:
         model = {}
@@ -210,8 +222,8 @@ def _group_model(group: list[ex.Expr], limits: SolverLimits,
     return model
 
 
-def pc_model(pc: Iterable[ex.Expr], limits: SolverLimits | None = None,
-             label: str = "pc-sat") -> dict | None:
+def pc_model(pc: Iterable[ex.Expr],
+             limits: SolverLimits | None = None) -> dict | None:
     """A satisfying assignment of the conjunction of pc, or None when it
     is unsatisfiable.  The assignment maps ("var", name, step) to a value
     for every variable of pc's non-constant conjuncts; it is the union of
@@ -223,7 +235,7 @@ def pc_model(pc: Iterable[ex.Expr], limits: SolverLimits | None = None,
         return None
     env: dict = {}
     for group in _components(conjuncts):
-        model = _group_model(group, limits, label)
+        model = _group_model(group, limits, "pc-sat")
         if model is None:
             return None
         env.update(model)
@@ -233,6 +245,30 @@ def pc_model(pc: Iterable[ex.Expr], limits: SolverLimits | None = None,
 def pc_sat(pc: Iterable[ex.Expr], limits: SolverLimits | None = None) -> bool:
     """Is the conjunction of pc satisfiable?"""
     return pc_model(pc, limits) is not None
+
+
+def extends(pc: Iterable[ex.Expr], new: Iterable[ex.Expr],
+            limits: SolverLimits | None = None) -> bool:
+    """Is pc + new satisfiable, given that pc is?
+
+    Precondition: pc is satisfiable; the answer is unspecified otherwise.
+    Only the conjuncts of pc linked to new through shared leaves can make
+    new infeasible, so they and new are solved as one group, under the
+    label step-feasibility; the rest of pc is never encoded."""
+    if limits is None:
+        limits = SolverLimits()
+    added = _symbolic_conjuncts(new)
+    if added is None:
+        return False
+    if not added:
+        return True
+    conjuncts = _symbolic_conjuncts(pc)
+    if conjuncts is None:
+        return False
+    related, _ = _slice(frozenset().union(*map(ex.leaf_set, added)),
+                        conjuncts)
+    group = list(dict.fromkeys(related + added))
+    return _group_model(group, limits, "step-feasibility") is not None
 
 
 def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
@@ -252,8 +288,9 @@ def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
     if conjuncts is None:
         return set()
     e = ex.simplify(e)
-    related, others = _slice(e, conjuncts)
-    if any(_group_model(g, limits, "all-values") is None for g in others):
+    related, rest = _slice(ex.leaf_set(e), conjuncts)
+    if any(_group_model(g, limits, "all-values") is None
+           for g in _components(rest)):
         return set()
     enc = _encoder(related, limits)
     bits = enc.bits(e)
@@ -275,7 +312,7 @@ def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
         return True
 
     while True:
-        outcome = _solve(formula, limits, "all-values", solver)
+        outcome = _solve(formula, solver, limits, "all-values")
         if outcome.is_unsat:
             return found
         value = 0
@@ -304,14 +341,15 @@ def min_value(e: ex.Expr, pc: Iterable[ex.Expr],
     if conjuncts is None:
         return None
     e = ex.simplify(e)
-    related, others = _slice(e, conjuncts)
-    if any(_group_model(g, limits, "min-value") is None for g in others):
+    related, rest = _slice(ex.leaf_set(e), conjuncts)
+    if any(_group_model(g, limits, "min-value") is None
+           for g in _components(rest)):
         return None
     enc = _encoder(related, limits)
     bits = enc.bits(e)
     formula, solver = _query_solver(enc, limits)
 
-    outcome = _solve(formula, limits, "min-value", solver)
+    outcome = _solve(formula, solver, limits, "min-value")
     if outcome.is_unsat:
         return None
     value = 0
@@ -326,7 +364,8 @@ def min_value(e: ex.Expr, pc: Iterable[ex.Expr],
         if not outcome.lit_value(lit):
             pins.append(-lit)
             continue
-        trial = _solve(formula, limits, "min-value", solver, pins + [-lit])
+        trial = _solve(formula, solver, limits, "min-value",
+                       pins + [-lit])
         if trial.is_sat:
             outcome = trial
             pins.append(-lit)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -225,6 +226,24 @@ def test_inject_bad_payload(ima_path):
                     "--dct", "6:0", "--payload", "leak:outValid"]) == 1
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--dct", "a:b", "edge source must be an integer, got 'a'"),
+    ("--payload", "stuck-at:outValid:x",
+     "payload value must be an integer, got 'x'")])
+def test_inject_non_integer_exit_one(ima_path, capsys, flag, value, message):
+    argv = {"--dct": "6:0", "--payload": "stuck-at:outValid:1", flag: value}
+    assert run_cli(["inject", "--circuit", ima_path, "--state", "pcmSq",
+                    *[x for kv in argv.items() for x in kv]]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_non_utf8_circuit_exit_one(tmp_path, capsys):
+    path = tmp_path / "latin1.snl"
+    path.write_bytes(b"circuit caf\xe9\n")
+    assert run_cli(["analyze", "--circuit", str(path), "--state", "r"]) == 1
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
 def test_dump_cnf_writes_dimacs(ima_path, tmp_path):
     dump = tmp_path / "cnf"
     run_cli(["analyze", "--circuit", ima_path, "--state", "pcmSq",
@@ -293,3 +312,54 @@ def test_duplicate_state_register_named_once(ima_path, capsys):
     err = capsys.readouterr().err
     assert "duplicate name 'pcmSq'" in err
     assert "pcmSq,pcmSq" not in err
+
+
+def _subcommands():
+    from dctforge.cli import _build_parser
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+_VALID = {"--circuit": None, "--state": "pcmSq", "--depth": "2",
+          "--dct": "6:0", "--payload": "stuck-at:outValid:1"}
+_MALFORMED = ["", "x", "-1", "0", "1.5", "99999999999999999999", ",", "a:b",
+              "6:0:1", "stuck-at:outValid:x", "stuck-at:nothere:1",
+              "stuck-at:outValid:-1", "pcmSq,pcmSq", "pcmSq ==", "8'd300",
+              "fixpoint"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "trojan", "stg", "oracle",
+                                     "inject"])
+def test_cli_flag_fuzz_no_traceback(command, ima_path, tmp_path, capsys,
+                                    monkeypatch):
+    """Every flag of the subcommand, one at a time, given malformed values
+    (and paths that are missing, a directory or not UTF-8) on ima.snl at
+    depth <= 2: the CLI exits 0-3 and never with a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin1.snl").write_bytes(b"circuit \xe9\n")
+    (tmp_path / "file").write_text("")
+    paths = ["missing.snl", "dir", "latin1.snl", "file", "file/below"]
+    parser = _subcommands()[command]
+    flags = [a.option_strings[-1] for a in parser._actions
+             if a.option_strings and a.option_strings[-1] != "--help"]
+    assert {"--circuit", "--state", "--depth"} <= set(flags)
+    valid = dict(_VALID, **{"--circuit": ima_path})
+    for flag in flags:
+        for value in _MALFORMED + paths:
+            if flag == "--depth" and value in ("99999999999999999999",
+                                               "fixpoint"):
+                continue  # well-formed, but deeper than this test runs
+            argv = [command]
+            for f, v in valid.items():
+                if f in flags and f != flag:
+                    argv += [f, v]
+            argv += [flag, value]
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (argv, code)
+            assert "Traceback" not in err, (argv, err)

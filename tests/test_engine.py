@@ -82,7 +82,10 @@ def test_project_examples(ima, ima_cfg):
     assert project(reset_state(ima), spec, ima_cfg) == {0}
     meta = explore(ima, [symbolic_state(ima, spec)],
                    dc_replace(ima_cfg, depth=1, mode=Mode.BFS), Kind.STATES)
-    default_succs = [s for s in meta.sym_states if s.origin in (6, 7)]
+    pcm = ex.var("pcmSq", 3, -1)
+    default_arm = ex.or_(ex.eq(pcm, ex.const(3, 6)), ex.eq(pcm, ex.const(3, 7)))
+    default_succs = [s for s in meta.sym_states
+                     if pc_sat(s.pc + (default_arm,))]
     assert default_succs
     assert project(default_succs[0], spec, ima_cfg) == {0}
 
@@ -208,10 +211,8 @@ def _random_fsms(count=12, seed=5151):
 
 @pytest.mark.parametrize("assumed", [False, True])
 def test_successors_keep_pc_invariant(assumed):
-    """Every successor's pc is satisfiable and its witness_env, when set,
-    satisfies every conjunct, for three cycles from reset and from the
-    fully symbolic state."""
-    witnessed = 0
+    """Every successor's pc is satisfiable, for three cycles from reset
+    and from the fully symbolic state."""
     for c in _random_fsms():
         w = c.register_map()["st"].width
         assumes = (ex.ne(ex.ref("st", w), ex.const(w, 1)),) if assumed else ()
@@ -221,14 +222,9 @@ def test_successors_keep_pc_invariant(assumed):
             succs = [t for s in frontier for t in step_cycle(c, s, cfg)]
             for t in succs:
                 assert pc_sat(t.pc)
-                if t.witness_env is not None:
-                    witnessed += 1
-                    assert all(ex.evaluate(conj, t.witness_env) == 1
-                               for conj in t.pc)
                 if assumed:
                     assert 1 not in project(t, cfg.state_spec, cfg)
             frontier = succs[:8]
-    assert witnessed
 
 
 def test_always_false_assume_gives_no_successors():

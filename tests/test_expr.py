@@ -271,6 +271,19 @@ def test_nested_hold_case_simplifies_to_register():
     assert ex.simplify(e) is x
 
 
+def test_repr_of_deep_hold_nest_is_bounded():
+    """20 unsimplified hold-case layers: 23 DAG nodes, but a tree of
+    about 3 * 2^20 nodes, which pp would spell out in full."""
+    x = ex.var("trojan_state", 2, -1)
+    e = x
+    for _ in range(20):
+        e = ex.case(e, [(k, ex.const(2, k)) for k in range(2)], e)
+    assert len(ex.postorder([e])) == 23
+    assert repr(e) == "<case:2, 23 nodes, tree over 200>"
+    small = ex.case(x, [(0, ex.const(2, 0))], x)
+    assert repr(small) == f"<{ex.pp(small)}:2>"
+
+
 def test_mux_chain_on_one_condition_collapses():
     c = ex.var("en", 1, 0)
     x = ex.var("cnt", 4, -1)

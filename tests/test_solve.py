@@ -9,7 +9,7 @@ import logging
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dctforge import corpus
@@ -22,8 +22,8 @@ from dctforge.engine import SymState, step_cycle
 from dctforge.errors import ResourceOut
 from dctforge.sat import SatOutcome, Solver, check_sat
 from dctforge.rtl import parse_rtl
-from dctforge.solve import (SolverLimits, all_values, min_value, pc_model,
-                            pc_sat)
+from dctforge.solve import (SolverLimits, all_values, extends, min_value,
+                            pc_model, pc_sat)
 
 from bruteforce import BitPlanes, ExprGen, support_leaves
 from conftest import config_for
@@ -174,29 +174,82 @@ def test_pc_model_satisfies_every_conjunct():
 
 
 class _Labels:
-    """A CnfDumper stand-in that records query labels."""
+    """A CnfDumper stand-in that records query labels and formulas."""
 
     def __init__(self):
         self.labels = []
+        self.formulas = []
 
     def dump(self, formula, label):
         self.labels.append(label)
+        self.formulas.append(formula)
 
 
 def test_step_feasibility_raises_resource_out():
-    """A split guard that no extension of the known model satisfies goes
-    to the solver; its budget running out raises instead of pruning."""
+    """A split guard that shares a variable with the path constraint is
+    solved with the slice it links to; its budget running out raises
+    instead of pruning.  The input x7 (step 0) occurs in the hard
+    instance, which is satisfiable with x7 at either value."""
     _, pc = _hard_sat_conjuncts()
-    c = parse_rtl("circuit t\ninput d:1\n"
-                  "reg r:2 reset 0 next d ? 2'd1 : 2'd2\noutput y:2 = r\n")
+    c = parse_rtl("circuit t\ninput x7:1\n"
+                  "reg r:2 reset 0 next x7 ? 2'd1 : 2'd2\noutput y:2 = r\n")
     labels = _Labels()
     cfg = config_for(c, ["r"], depth=1, limits=SolverLimits(dumper=labels))
-    s = SymState({"r": ex.const(2, 0)}, pc, 0, 0, witness_env=None)
+    s = SymState({"r": ex.const(2, 0)}, pc, 0, 0)
     assert len(step_cycle(c, s, cfg)) == 2
     assert labels.labels[0] == "step-feasibility"
     tiny = config_for(c, ["r"], depth=1, limits=TINY)
     with pytest.raises(ResourceOut):
         step_cycle(c, s, tiny)
+
+
+def test_fresh_guard_never_solves_the_path_constraint():
+    """A guard on a fresh input shares no variable with a satisfiable pc,
+    so its feasibility query holds the guard alone, even when pc is the
+    hard instance and the budget is one conflict."""
+    _, pc = _hard_sat_conjuncts()
+    c = parse_rtl("circuit t\ninput d:1\n"
+                  "reg r:2 reset 0 next d ? 2'd1 : 2'd2\noutput y:2 = r\n")
+    s = SymState({"r": ex.const(2, 0)}, pc, 0, 0)
+    for conflict_limit in (10 ** 6, 1):
+        dumps = _Labels()
+        limits = SolverLimits(conflict_limit=conflict_limit, dumper=dumps)
+        succs = step_cycle(c, s, config_for(c, ["r"], depth=1, limits=limits))
+        assert len(succs) == 2
+        assert dumps.labels == ["step-feasibility"] * 2
+        assert all(f.num_vars < 5 for f in dumps.formulas)
+
+
+def _new_conjuncts(seed: int):
+    """One or two width-1 conjuncts over the variables of _query's three
+    groups and of a fourth, fresh group; some link two groups."""
+    rng = random.Random(seed)
+    gens = [ExprGen(rng, prefix=p, n_vars=2, var_width=2) for p in "vwuz"]
+    new = []
+    for _ in range(rng.randrange(1, 3)):
+        a, b = rng.sample(gens, 2)
+        c = a.gen(rng.randrange(0, 3), 1)
+        if rng.random() < 0.5:
+            c = ex.or_(c, b.gen(rng.randrange(0, 3), 1))
+        new.append(c)
+    return tuple(new)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
+def test_extends_equals_pc_sat(seed, new_seed):
+    """For a satisfiable multi-group pc, extends answers pc + new exactly,
+    with a fresh memo and with one that pc_model already filled."""
+    _, pc = _query(seed, groups=3)
+    assume(pc_sat(pc))
+    new = _new_conjuncts(new_seed)
+    expected = pc_sat(pc + new)
+    planes = BitPlanes(support_leaves(*pc, *new))
+    assert expected == (planes.truth_plane(pc + new) != 0)
+    assert extends(pc, new) == expected
+    limits = SolverLimits()
+    pc_model(pc, limits)
+    assert extends(pc, new, limits) == expected
 
 
 class _OutOfBudgetUnderAssumptions(Solver):
