@@ -101,12 +101,21 @@ def _parse_assume(text: str, c: Circuit) -> ex.Expr:
 
 
 def _explore_config(args, c: Circuit) -> ExploreConfig:
+    for flag, value in (("--value-cap", args.value_cap),
+                        ("--path-cap", args.path_cap),
+                        ("--conflict-limit", args.conflict_limit),
+                        ("--clause-cap", args.clause_cap)):
+        if value < 1:
+            raise DctForgeError(f"{flag} must be >= 1, got {value}")
     spec = make_state_spec(c, [s for s in args.state.split(",") if s])
     dumper = CnfDumper(args.dump_cnf) if args.dump_cnf else None
     limits = SolverLimits(conflict_limit=args.conflict_limit,
                           clause_cap=args.clause_cap, dumper=dumper)
     if args.monitor:
         monitored = tuple(s for s in args.monitor.split(",") if s)
+        if not monitored:
+            raise DctForgeError(f"--monitor must name at least one output, "
+                                f"got {args.monitor!r}")
         unknown = set(monitored) - set(c.output_widths())
         if unknown:
             raise DctForgeError(f"unknown monitored outputs: {sorted(unknown)}")

@@ -211,21 +211,23 @@ def detect_trojan(c: Circuit, cfg: ExploreConfig) -> TrojanReport:
                         stage3_paths)
 
 
-def _oracle_step(c: Circuit, valuation: dict[str, int], inputs: dict[str, int],
-                 out_names: tuple[str, ...] = ()) -> tuple[dict[str, int],
-                                                           dict[str, int]]:
-    """One concrete clock cycle: returns (next valuation, output values)."""
+def _oracle_step(c: Circuit, nets: list[tuple[str, int, ex.Expr]],
+                 valuation: dict[str, int], inputs: dict[str, int],
+                 outputs: dict[str, ex.Expr] | None = None
+                 ) -> tuple[dict[str, int], dict[str, int]]:
+    """One concrete clock cycle: returns (next valuation, output values).
+    nets is net_topo_order(c) and outputs the outputs to sample, both
+    computed once by the caller."""
     env: dict[tuple, int] = {}
     for name, value in inputs.items():
         env[("ref", name)] = value
     for name, value in valuation.items():
         env[("ref", name)] = value
-    for name, _, e in net_topo_order(c):
+    for name, _, e in nets:
         env[("ref", name)] = ex.evaluate(e, env)
-    out_map = c.output_exprs()
-    outputs = {name: ex.evaluate(out_map[name], env) for name in out_names}
+    values = {name: ex.evaluate(e, env) for name, e in (outputs or {}).items()}
     nxt = {r.name: ex.evaluate(r.next, env) for r in c.registers}
-    return nxt, outputs
+    return nxt, values
 
 
 def _live_inputs(c: Circuit, monitored: tuple[str, ...]) -> set[str]:
@@ -266,10 +268,13 @@ def oracle_analyze(c: Circuit, spec: StateSpec, depth: int | None,
 
     assignments = _input_assignments(c, monitored)
     reg_names = [r.name for r in c.registers]
+    nets = net_topo_order(c)
+    out_map = c.output_exprs()
+    sampled = {name: out_map[name] for name in monitored}
+    regs = c.register_map()
 
     def proj(valuation: dict[str, int]) -> int:
         value = 0
-        regs = c.register_map()
         for n in spec.registers:
             value = (value << regs[n].width) | valuation[n]
         return value
@@ -288,7 +293,7 @@ def oracle_analyze(c: Circuit, spec: StateSpec, depth: int | None,
         for valuation in frontier:
             s1 = proj(valuation)
             for inputs in assignments:
-                nxt, outs = _oracle_step(c, valuation, inputs, monitored)
+                nxt, outs = _oracle_step(c, nets, valuation, inputs, sampled)
                 s2 = proj(nxt)
                 if s2 not in rs:
                     new_this_layer = True
@@ -312,7 +317,7 @@ def oracle_analyze(c: Circuit, spec: StateSpec, depth: int | None,
         valuation = dict(zip(reg_names, combo))
         s1 = proj(valuation)
         for inputs in assignments:
-            nxt, _ = _oracle_step(c, valuation, inputs)
+            nxt, _ = _oracle_step(c, nets, valuation, inputs)
             trans.add((s1, proj(nxt)))
 
     return Metadata(kind=Kind.REACH, rs=rs, trans=trans, rbs=rbs,
@@ -329,7 +334,8 @@ def replay_dct_witness(c: Circuit, spec: StateSpec,
                        edge: tuple[int, int], witness: DctWitness) -> bool:
     """Concretely simulate one cycle from the witness register valuation
     under the witness inputs; True iff the claimed destination is reached."""
-    nxt, _ = _oracle_step(c, dict(witness.registers), dict(witness.inputs))
+    nxt, _ = _oracle_step(c, net_topo_order(c), dict(witness.registers),
+                          dict(witness.inputs))
     regs = c.register_map()
     value = 0
     for n in spec.registers:

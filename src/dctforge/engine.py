@@ -2,8 +2,15 @@
 
 Every cycle injects fresh symbolic variables for the circuit inputs, then
 evaluates nets, outputs, and register next-state expressions under
-synchronous semantics.  Paths split on Case/Mux controls reachable from
-the state-spec registers' next-state logic; whatever symbolic state
+synchronous semantics.  Each explore call builds one step plan for its
+circuit: the nets in topological order, then the register next-state
+expressions, then the monitored outputs, as one node order (and the nets
+then the assumptions as a second one, evaluated after the edge).  A
+cycle is one fused substitute-and-simplify pass over that order
+(expr.substitute_simplify), which builds each node already simplified.
+
+Paths split on Case/Mux controls reachable from the state-spec
+registers' next-state logic; whatever symbolic state
 remains after splitting is resolved by enumerating the feasible next
 StateId values and pinning each one into the path constraint (this is the
 only splitting mechanism gate-level circuits need, since they carry no
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -204,44 +212,85 @@ def _alternatives(node: ex.Expr, mode: Mode) -> list[tuple[ex.Expr, ex.Expr]]:
     return pairs
 
 
-def _step(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[_StepResult]:
-    spec = cfg.state_spec
-    inputs_env = {name: ex.var(name, w, s.var_epoch) for name, w in c.inputs}
-    env: dict[str, ex.Expr] = dict(inputs_env)
-    env.update(s.regs)
-    for name, _, e in net_topo_order(c):
-        env[name] = ex.simplify(ex.substitute(e, env))
+@dataclass(frozen=True)
+class _StepPlan:
+    """What every cycle of one exploration evaluates, in one node order.
 
-    next_exprs = {r.name: ex.simplify(ex.substitute(r.next, env))
-                  for r in c.registers}
+    `order` holds every node of the nets (in net topological order), then
+    of the register next-state expressions, then of the monitored
+    outputs, each once with children first; `assume_order` holds the
+    nets and then the assumptions.  A net's Ref resolves through `links`
+    to the result of that net's expression, so one substitute_simplify
+    walk evaluates a whole cycle."""
+    order: tuple[ex.Expr, ...]
+    assume_order: tuple[ex.Expr, ...]
+    links: dict[str, ex.Expr]
+    outputs: tuple[tuple[str, ex.Expr], ...]
+
+
+def _node_order(roots: list[ex.Expr]) -> tuple[ex.Expr, ...]:
+    # postorder pops its roots from a stack, so reversing them finishes
+    # each root's nodes before the next root's: a net comes before every
+    # Ref to it.
+    return tuple(ex.postorder(roots[::-1]))
+
+
+def _build_plan(c: Circuit, cfg: ExploreConfig) -> _StepPlan:
+    nets = [e for _, _, e in net_topo_order(c)]
     out_all = c.output_exprs()
-    outs = {}
+    outputs = []
     for name in cfg.monitored_outputs:
         if name not in out_all:
             raise UnknownOutput(name)
-        outs[name] = ex.simplify(ex.substitute(out_all[name], env))
+        outputs.append((name, out_all[name]))
+    order = _node_order(nets + [r.next for r in c.registers]
+                        + [e for _, e in outputs])
+    assume_order = _node_order(nets + list(cfg.assumes)) if cfg.assumes else ()
+    return _StepPlan(order, assume_order, {n: e for n, _, e in c.nets},
+                     tuple(outputs))
 
+
+_Cycle = tuple[dict[str, ex.Expr], dict[str, ex.Expr], tuple[ex.Expr, ...]]
+
+
+def _cycle_exprs(c: Circuit, s: SymState, cfg: ExploreConfig,
+                 plan: _StepPlan) -> _Cycle | None:
+    """One cycle from s before any split: the register next-state
+    expressions, the monitored outputs and the path constraint with the
+    assumptions added; None when the assumptions cut s."""
+    inputs_env = {name: ex.var(name, w, s.var_epoch) for name, w in c.inputs}
+    env: dict[str, ex.Expr] = dict(inputs_env)
+    env.update(s.regs)
+    vals = ex.substitute_simplify(plan.order, env, plan.links)
+    next_exprs = {r.name: vals[r.next] for r in c.registers}
+    outs = {name: vals[e] for name, e in plan.outputs}
+    if not cfg.assumes:
+        return next_exprs, outs, s.pc
     # s.pc is satisfiable and every guard is checked as it is added, so
     # only the assumptions need a feasibility check of their own.
-    base_pc = s.pc
-    if cfg.assumes:
-        post_env: dict[str, ex.Expr] = dict(inputs_env)
-        post_env.update(next_exprs)
-        for name, _, e in net_topo_order(c):
-            post_env[name] = ex.simplify(ex.substitute(e, post_env))
-        assumed = tuple(ex.simplify(ex.substitute(a, post_env))
-                        for a in cfg.assumes)
-        if not extends(s.pc, assumed, cfg.limits):
-            return []
-        base_pc = s.pc + assumed
+    post_env: dict[str, ex.Expr] = dict(inputs_env)
+    post_env.update(next_exprs)
+    post = ex.substitute_simplify(plan.assume_order, post_env, plan.links)
+    assumed = tuple(post[a] for a in cfg.assumes)
+    if not extends(s.pc, assumed, cfg.limits):
+        return None
+    return next_exprs, outs, s.pc + assumed
 
+
+def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
+          plan: _StepPlan) -> list[_StepResult]:
+    spec = cfg.state_spec
+    cycle = _cycle_exprs(c, s, cfg, plan)
+    if cycle is None:
+        return []
+    next_exprs, outs, base_pc = cycle
     src_expr = ex.simplify(state_concat_expr(spec, dict(s.regs)))
 
     # Resolve Case/Mux controls of the spec registers' next-state logic.
-    worklist = [(next_exprs, outs, base_pc)]
+    worklist = deque([(next_exprs, outs, base_pc)])
     resolved = []
     while worklist:
-        nx, oo, pc = worklist.pop(0)
+        nx, oo, pc = worklist.popleft()
         node = _first_split_node([nx[r] for r in spec.registers])
         if node is None:
             resolved.append((nx, oo, pc))
@@ -300,7 +349,7 @@ def step_cycle(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[SymState]:
     sliced query (solve.extends), which is sound only from a satisfiable
     pc.  Every returned successor keeps the SymState invariant: its pc is
     satisfiable."""
-    return [r.state for r in _step(c, s, cfg)]
+    return [r.state for r in _step(c, s, cfg, _build_plan(c, cfg))]
 
 
 def _log_event(**fields) -> None:
@@ -372,6 +421,7 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
     spec = cfg.state_spec
     if cfg.mode is Mode.BFS_PRUNE:
         _prune_soundness_warning(c, spec)
+    plan = _build_plan(c, cfg)
 
     seen: set[int] = set()
     for s in init:
@@ -387,7 +437,7 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
         if cfg.depth is not None and layer >= cfg.depth:
             break
         layer += 1
-        step_results = [_step(c, st, cfg) for st in frontier]
+        step_results = [_step(c, st, cfg, plan) for st in frontier]
         meta.paths_explored += len(frontier)
         if layer == 1 and cfg.assumes and not any(step_results):
             log.warning("the assumptions cut every successor of the "

@@ -18,7 +18,8 @@ __all__ = [
     "and_", "or_", "xor", "add", "sub", "eq", "ne", "ult", "shl",
     "mux", "case", "slice_", "concat", "zext",
     "mask", "postorder", "evaluate", "substitute", "replace_node",
-    "simplify", "leaf_set", "pp", "and_all", "or_all",
+    "simplify", "substitute_simplify", "leaf_set", "pp", "and_all",
+    "or_all",
 ]
 
 _BINARY = frozenset(["and", "or", "xor", "add", "sub"])
@@ -497,6 +498,45 @@ def simplify(e: Expr) -> Expr:
         result.simp = result
         node.simp = result
     return e.simp
+
+
+def substitute_simplify(order: Iterable[Expr], env: Mapping[str, Expr],
+                        links: Mapping[str, Expr] | None = None
+                        ) -> dict[Expr, Expr]:
+    """simplify(substitute(node, env)) for every node of `order`, in one walk.
+
+    `order` lists each node once, children before parents (as postorder
+    does).  Each node is built directly with the simplifier's local rules
+    from its children's results, so no unsubstituted or unsimplified
+    intermediate node is interned; each result is marked as its own
+    fixed point, as simplify marks it.  Both maps are bottom-up, so the
+    result of every node is the interned node simplify(substitute(node,
+    env)) returns.
+
+    A Ref named in `links` takes the result of the linked node, which
+    must come earlier in `order`: a circuit's nets link their names to
+    their expressions, so one walk in net topological order evaluates
+    every net once.  Refs in neither map are kept."""
+    links = links or {}
+    out: dict[Expr, Expr] = {}
+    for node in order:
+        if node.args:
+            result = _simp_node(node.op, node.width,
+                                tuple([out[a] for a in node.args]), node.aux)
+        elif node.op == "ref" and node.aux[0] in links:
+            result = out[links[node.aux[0]]]
+        elif node.op == "ref" and node.aux[0] in env:
+            repl = env[node.aux[0]]
+            if repl.width != node.width:
+                raise WidthMismatch(
+                    f"substitution for {node.aux[0]!r} has width "
+                    f"{repl.width}, expected {node.width}")
+            result = repl.simp if repl.simp is not None else simplify(repl)
+        else:
+            result = node
+        result.simp = result
+        out[node] = result
+    return out
 
 
 _PREC_MUX = 0

@@ -324,3 +324,33 @@ class ExprGen:
             w1 = rng.randrange(1, width)
             return ex.zext(self.gen(depth - 1, w1), width)
         return self.leaf(width)
+
+
+def per_net_cycle_exprs(c, s, cfg):
+    """engine._cycle_exprs the direct way: one substitute and one
+    simplify per net (re-ordering the nets on every call), per register,
+    per monitored output and per assumption, with the post-edge nets
+    evaluated again for the assumptions."""
+    from dctforge.circuit import net_topo_order
+    from dctforge.solve import extends
+    inputs_env = {name: ex.var(name, w, s.var_epoch) for name, w in c.inputs}
+    env = dict(inputs_env)
+    env.update(s.regs)
+    for name, _, e in net_topo_order(c):
+        env[name] = ex.simplify(ex.substitute(e, env))
+    next_exprs = {r.name: ex.simplify(ex.substitute(r.next, env))
+                  for r in c.registers}
+    out_all = c.output_exprs()
+    outs = {name: ex.simplify(ex.substitute(out_all[name], env))
+            for name in cfg.monitored_outputs}
+    if not cfg.assumes:
+        return next_exprs, outs, s.pc
+    post_env = dict(inputs_env)
+    post_env.update(next_exprs)
+    for name, _, e in net_topo_order(c):
+        post_env[name] = ex.simplify(ex.substitute(e, post_env))
+    assumed = tuple(ex.simplify(ex.substitute(a, post_env))
+                    for a in cfg.assumes)
+    if not extends(s.pc, assumed, cfg.limits):
+        return None
+    return next_exprs, outs, s.pc + assumed

@@ -261,6 +261,31 @@ def test_monitor_flag_unknown_output(ima_path):
                     "--monitor", "nothere"]) == 1
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--conflict-limit", "-1"), ("--conflict-limit", "0"),
+    ("--value-cap", "-1"), ("--value-cap", "0"), ("--path-cap", "-1"),
+    ("--path-cap", "0"), ("--clause-cap", "0"), ("--clause-cap", "-1")])
+def test_limit_below_one_exit_one(ima_path, capsys, flag, value):
+    assert run_cli(["analyze", "--circuit", ima_path, "--state", "pcmSq",
+                    "--depth", "2", flag, value]) == 1
+    assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trojan", "stg", "oracle"])
+def test_limit_checked_by_every_analysis(ima_path, capsys, command):
+    assert run_cli([command, "--circuit", ima_path, "--state", "pcmSq",
+                    "--depth", "2", "--path-cap", "0"]) == 1
+    assert "--path-cap must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [",", ",,"])
+def test_monitor_naming_no_output_exit_one(ima_path, capsys, value):
+    assert run_cli(["analyze", "--circuit", ima_path, "--state", "pcmSq",
+                    "--depth", "2", "--monitor", value]) == 1
+    assert "--monitor must name at least one output" in \
+        capsys.readouterr().err
+
+
 def test_assume_flag(tmp_path):
     path = tmp_path / "a.snl"
     path.write_text("circuit a\ninput d:2\nreg r:2 reset 0 next d\n"

@@ -7,10 +7,11 @@ from dataclasses import replace as dc_replace
 
 import pytest
 
-from dctforge import corpus
+from dctforge import corpus, detect, engine
 from dctforge import expr as ex
+from dctforge.blif import parse_blif
 from dctforge.circuit import Circuit, Register, make_state_spec
-from dctforge.detect import oracle_analyze
+from dctforge.detect import compute_dct, oracle_analyze
 from dctforge.engine import (FIXPOINT, ExploreConfig, Kind, Mode, explore,
                              project, reset_state, step_cycle, symbolic_state)
 from dctforge.errors import PathExplosion
@@ -18,6 +19,7 @@ from dctforge.rtl import parse_rtl
 from dctforge.solve import pc_sat
 from dctforge.trojanlab import gen_random_fsm
 
+from bruteforce import per_net_cycle_exprs
 from conftest import config_for
 
 
@@ -286,3 +288,115 @@ def test_unsatisfiable_assume_warns(ima, caplog):
         explore(ima, [reset_state(ima)], some, Kind.REACH)
     assert not any("cut every successor" in r.getMessage()
                    for r in caplog.records)
+
+
+# A 3-bit enable counter, bit-blasted with two levels of carry nets.
+_BLIF_COUNTER = """\
+.model cnt3_gate
+.inputs en
+.outputs wrap
+.latch d2 q2 0
+.latch d1 q1 0
+.latch d0 q0 0
+.names en q0 d0
+10 1
+01 1
+.names en q0 c1
+11 1
+.names c1 q1 d1
+10 1
+01 1
+.names c1 q1 c2
+11 1
+.names c2 q2 d2
+10 1
+01 1
+.names q2 q1 q0 wrap
+111 1
+.end
+"""
+
+
+def _step_cases():
+    """(circuit, state registers, assumption) triples; the gate-level
+    assumptions read nets, so they need the post-edge nets."""
+    rng = random.Random(2468)
+    cases = []
+    for _ in range(12):
+        bits = rng.randrange(2, 5)
+        c = gen_random_fsm(rng.randrange(1 << 30), state_bits=bits,
+                           input_bits=rng.randrange(1, 4),
+                           reachable_fraction=rng.choice([0.4, 0.6, 0.8]),
+                           dct_count=rng.randrange(0, 2))
+        cases.append((c, ["st"], ex.ne(ex.ref("st", bits),
+                                       ex.const(bits, rng.randrange(1, 1 << bits)))))
+    bit = lambda name: ex.ref(name, 1)  # noqa: E731
+    cases.append((corpus.load("ima_gate.blif"), ["q2", "q1", "q0"],
+                  ex.not_(ex.and_(bit("n2"), bit("n1")))))
+    # q0 stays outside the spec, so successors keep a symbolic register.
+    cases.append((parse_blif(_BLIF_COUNTER), ["q2", "q1"],
+                  ex.not_(ex.and_(bit("d2"), bit("c1")))))
+    return cases
+
+
+def _assert_same_nodes(got, want):
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    for g, w in zip(got[:2], want[:2]):
+        assert g.keys() == w.keys()
+        assert all(g[k] is w[k] for k in w)
+    assert len(got[2]) == len(want[2])
+    assert all(a is b for a, b in zip(got[2], want[2]))
+
+
+@pytest.mark.parametrize("assume", [False, True])
+def test_fused_step_matches_per_net_reference(assume, monkeypatch):
+    """The fused walk over the plan yields the very next-state, output and
+    path-constraint nodes of one substitute-and-simplify per net, and so
+    the very same successors."""
+    for c, state, assumption in _step_cases():
+        cfg = config_for(c, state, depth=1,
+                         assumes=(assumption,) if assume else ())
+        plan = engine._build_plan(c, cfg)
+        sym = symbolic_state(c, cfg.state_spec)
+        states = [reset_state(c), sym] + step_cycle(c, sym, cfg)[:3]
+        for s in states:
+            want = per_net_cycle_exprs(c, s, cfg)
+            _assert_same_nodes(engine._cycle_exprs(c, s, cfg, plan), want)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_cycle_exprs",
+                          lambda c, s, cfg, plan: per_net_cycle_exprs(c, s, cfg))
+                ref_results = engine._step(c, s, cfg, plan)
+            results = engine._step(c, s, cfg, plan)
+            assert len(results) == len(ref_results)
+            for r, w in zip(results, ref_results):
+                assert r.src_expr is w.src_expr
+                _assert_same_nodes(
+                    (r.state.regs, r.out_exprs, r.state.pc),
+                    (w.state.regs, w.out_exprs, w.state.pc))
+
+
+@pytest.mark.parametrize("assume", [False, True])
+def test_net_order_built_once_per_explore(ima_gate, assume, monkeypatch):
+    """compute_dct orders the nets once per explore call, not once per
+    step, and evaluates cycles without substitute or output_exprs."""
+    calls = {"net_topo_order": 0, "explore": 0, "substitute": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine, "net_topo_order",
+                        counted("net_topo_order", engine.net_topo_order))
+    monkeypatch.setattr(detect, "explore", counted("explore", detect.explore))
+    monkeypatch.setattr(ex, "substitute", counted("substitute", ex.substitute))
+    assumes = ((ex.not_(ex.and_(ex.ref("q2", 1), ex.ref("n0", 1))),)
+               if assume else ())
+    cfg = config_for(ima_gate, ["q2", "q1", "q0"], depth=7, assumes=assumes)
+    report = compute_dct(ima_gate, cfg)
+    assert report.paths_explored > calls["explore"] == 2
+    assert calls["net_topo_order"] <= calls["explore"]
+    assert calls["substitute"] == 0

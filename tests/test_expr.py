@@ -306,3 +306,53 @@ def test_hold_case_rule_needs_every_arm_to_hold():
     assert ex.simplify(near) is near
     other_default = ex.case(x, [(0, ex.const(2, 0))], ex.const(2, 3))
     assert ex.simplify(other_default) is other_default
+
+
+def _with_ref_leaves(e: ex.Expr, refs: dict[ex.Expr, ex.Expr]) -> ex.Expr:
+    for v, r in refs.items():
+        e = ex.replace_node(e, v, r)
+    return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_substitute_simplify_is_simplify_of_substitute(seed, depth):
+    """The fused walk gives every node of the DAG the very node that
+    simplify(substitute(node, env)) gives.  Env values are Vars,
+    constants and unsimplified sub-DAGs; one Ref stays unbound."""
+    rng = random.Random(seed)
+    gen = ExprGen(rng, n_vars=3, var_width=3)
+    refs = {v: ex.ref(f"r{i}", v.width) for i, v in enumerate(gen.vars)}
+    roots = [_with_ref_leaves(gen.gen(depth), refs) for _ in range(3)]
+    values = ExprGen(rng, n_vars=2, var_width=3, prefix="w")
+    env = {"r0": rng.choice(values.vars),
+           "r1": rng.choice([ex.const(3, rng.randrange(8)),
+                             values.gen(depth, 3)])}
+    nodes = ex.postorder(roots)
+    # A memo set before either walk, so simplify stops early there.
+    ex.simplify(nodes[len(nodes) // 2])
+    want = {}
+    for node in nodes:
+        substituted = ex.substitute(node, env)
+        want[node] = ex.simplify(substituted)
+        assert want[node] is _simplify_without_memo(substituted)
+    got = ex.substitute_simplify(nodes, env)
+    assert got.keys() == want.keys()
+    for node in nodes:
+        assert got[node] is want[node]
+        assert got[node].simp is got[node]
+
+
+def test_substitute_simplify_links_and_width_check():
+    a, b, n = ex.ref("a", 2), ex.ref("b", 2), ex.ref("n", 2)
+    net = ex.and_(a, b)
+    top = ex.add(n, ex.const(2, 1))
+    order = ex.postorder([net]) + ex.postorder([top])
+    x = ex.var("fused_x", 2, 0)
+    got = ex.substitute_simplify(order, {"a": x, "b": ex.const(2, 3)},
+                                 {"n": net})
+    assert got[net] is x
+    # The walk marks a result it built as its own fixed point.
+    assert got[top] is ex.add(x, ex.const(2, 1)) and got[top].simp is got[top]
+    with pytest.raises(WidthMismatch):
+        ex.substitute_simplify(ex.postorder([net]), {"a": ex.const(3, 1)})
