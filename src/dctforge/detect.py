@@ -32,7 +32,9 @@ from .circuit import (Circuit, StateSpec, decode_state, net_topo_order,
 from .engine import (Behavior, ExploreConfig, Kind, Metadata, Mode, SymState,
                      explore, project, reset_state, symbolic_state)
 from .errors import StageThreeExplosion, TooLargeForOracle
-from .solve import min_value, pc_sat
+# Nothing here calls pc_sat; it stays importable as detect.pc_sat, the
+# name perfbench/tracing.py wraps.
+from .solve import extends, min_value, pc_sat  # noqa: F401
 
 __all__ = ["DctWitness", "DctReport", "TrojanReport", "Verdict",
            "compute_dct", "detect_trojan", "diff_behaviors",
@@ -148,8 +150,10 @@ def _build_dct_report(c: Circuit, cfg: ExploreConfig, stage1: Metadata,
         for st in stage2.sym_states:
             if project(st, spec, s2cfg) != {b}:
                 continue
-            pinned = st.pc + (ex.eq(src_expr, ex.const(spec.total_width, a)),)
-            if not pc_sat(pinned, cfg.limits):
+            # st.pc is satisfiable (a SymState invariant), so the pin
+            # only needs the slice of st.pc it shares variables with.
+            pin = ex.eq(src_expr, ex.const(spec.total_width, a))
+            if not extends(st.pc, (pin,), cfg.limits):
                 continue
             witnesses[edge] = _extract_witness(c, spec, st, a, cfg)
             dumps[edge] = "\n".join(ex.pp(conj) for conj in st.pc)

@@ -14,7 +14,12 @@ registers' next-state logic; whatever symbolic state
 remains after splitting is resolved by enumerating the feasible next
 StateId values and pinning each one into the path constraint (this is the
 only splitting mechanism gate-level circuits need, since they carry no
-Case/Mux nodes at all).
+Case/Mux nodes at all).  The step also records, for each successor, the
+pre-step StateIds that reach it.  When both the source and the
+destination are symbolic, as in the one fully symbolic step of stage 2,
+a branch's successors and their sources come from one pair query
+(solve.transitions, labelled "transitions"), which encodes the branch's
+next-state cone once instead of once per destination.
 
 Exploration modes:
 
@@ -59,7 +64,7 @@ from .circuit import (Circuit, StateSpec, decode_state, net_topo_order,
 from .errors import (CapExceeded, DctForgeError, PathExplosion,
                      UnknownOutput)
 from .solve import (DEFAULT_VALUE_CAP, SolverLimits, all_values, extends,
-                    min_value)
+                    min_value, transitions)
 
 __all__ = ["Mode", "Kind", "FIXPOINT", "ExploreConfig", "SymState",
            "Behavior", "Metadata", "reset_state", "symbolic_state",
@@ -172,6 +177,7 @@ def project(s: SymState, spec: StateSpec, cfg: ExploreConfig) -> set[int]:
 class _StepResult:
     state: SymState
     src_expr: ex.Expr               # pre-step spec concatenation
+    src_vals: list[int]             # its feasible values under state.pc
     out_exprs: dict[str, ex.Expr]   # monitored outputs, pre-edge sample
 
 
@@ -310,24 +316,24 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
     results: list[_StepResult] = []
     for nx, oo, pc in resolved:
         concat = ex.simplify(state_concat_expr(spec, nx))
+        # Each successor StateId with the feasible pre-step StateIds that
+        # reach it on this branch.
         if concat.op == "const":
-            values = [concat.aux[0]]
-            pinned = True
+            succs = {concat.aux[0]: _sources(src_expr, pc, cfg)}
         elif cfg.mode is Mode.PARTIAL:
             v = min_value(concat, pc, limits=cfg.limits)
             if v is None:
                 continue
-            values = [v]
-            pinned = False
+            succs = {v: _sources(src_expr, _pinned(pc, concat, v), cfg)}
+        elif src_expr.op == "const":
+            succs = {v: [src_expr.aux[0]]
+                     for v in all_values(concat, pc, cap=cfg.value_cap,
+                                         limits=cfg.limits)}
         else:
-            values = sorted(all_values(concat, pc, cap=cfg.value_cap,
-                                       limits=cfg.limits))
-            pinned = False
-        for v in values:
-            if pinned:
-                pc3 = pc
-            else:
-                pc3 = pc + (ex.eq(concat, ex.const(spec.total_width, v)),)
+            succs = {v: sorted(srcs) for v, srcs in transitions(
+                concat, src_expr, pc, cap=cfg.value_cap,
+                limits=cfg.limits).items()}
+        for v in sorted(succs):
             slices = decode_state(c, spec, v)
             regs3 = {}
             for r in c.registers:
@@ -336,11 +342,29 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
                 else:
                     regs3[r.name] = nx[r.name]
             results.append(_StepResult(
-                SymState(regs3, pc3, s.num_steps + 1, s.var_epoch + 1),
-                src_expr, oo))
+                SymState(regs3, _pinned(pc, concat, v), s.num_steps + 1,
+                         s.var_epoch + 1),
+                src_expr, succs[v], oo))
         if len(results) > cfg.path_cap:
             raise PathExplosion(len(results), cfg.path_cap)
     return results
+
+
+def _pinned(pc: tuple[ex.Expr, ...], concat: ex.Expr,
+            v: int) -> tuple[ex.Expr, ...]:
+    """pc with the successor StateId concat pinned to v."""
+    if concat.op == "const":
+        return pc
+    return pc + (ex.eq(concat, ex.const(concat.width, v)),)
+
+
+def _sources(src_expr: ex.Expr, pc: tuple[ex.Expr, ...],
+             cfg: ExploreConfig) -> list[int]:
+    """The feasible pre-step StateIds under pc, in ascending order."""
+    if src_expr.op == "const":
+        return [src_expr.aux[0]]
+    return sorted(all_values(src_expr, pc, cap=cfg.value_cap,
+                             limits=cfg.limits))
 
 
 def step_cycle(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[SymState]:
@@ -383,18 +407,10 @@ def _prune_soundness_warning(c: Circuit, spec: StateSpec) -> None:
                 return
 
 
-def _record_sources(res: _StepResult, cfg: ExploreConfig) -> list[int]:
+def _record_behaviors(res: _StepResult, dst: int, cfg: ExploreConfig,
+                      rbs: set[Behavior]) -> None:
     succ = res.state
-    src = ex.simplify(res.src_expr)
-    if src.op == "const":
-        return [src.aux[0]]
-    return sorted(all_values(src, succ.pc, cap=cfg.value_cap,
-                             limits=cfg.limits))
-
-
-def _record_behaviors(res: _StepResult, src_vals: list[int], dst: int,
-                      cfg: ExploreConfig, rbs: set[Behavior]) -> None:
-    succ = res.state
+    src_vals = res.src_vals
     for out in cfg.monitored_outputs:
         oe = res.out_exprs[out]
         if len(src_vals) == 1:
@@ -450,13 +466,12 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
             for res in results:
                 succ = res.state
                 proj = project(succ, spec, cfg)
-                src_vals = _record_sources(res, cfg)
                 if kind is Kind.REACH:
                     meta.rs |= proj
                     for d in sorted(proj):
-                        _record_behaviors(res, src_vals, d, cfg, meta.rbs)
+                        _record_behaviors(res, d, cfg, meta.rbs)
                 else:
-                    for s1 in src_vals:
+                    for s1 in res.src_vals:
                         for s2 in sorted(proj):
                             meta.trans.add((s1, s2))
                 new_ids = proj - seen

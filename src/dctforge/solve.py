@@ -5,18 +5,24 @@ conjunction.  all_values enumerates every feasible value of an expression
 under a path constraint: it encodes the query once, builds one solver,
 and after each model adds a clause blocking that value to the same
 solver, so learnt clauses carry over from one value to the next.
-min_value finds the lexicographically smallest feasible value by pinning
-bits from the most significant end down, each pin an assumption on one
-solver.  pc_model returns a satisfying assignment of a path constraint
-(pc_sat is its boolean form).  extends answers the exploration's one
-feasibility question, whether a satisfiable path constraint stays
-satisfiable with new conjuncts added, as one sliced query.
+transitions is the same enumeration over a pair of expressions, a
+destination and a source: it encodes the path constraint once with both,
+blocks each (destination, source) pair it finds, and returns every
+destination with the set of sources that reach it.  Both run one loop,
+_enumerate, over one or two expressions.  min_value finds the
+lexicographically smallest feasible value by pinning bits from the most
+significant end down, each pin an assumption on one solver.  pc_model
+returns a satisfying assignment of a path constraint (pc_sat is its
+boolean form).  extends answers the exploration's one feasibility
+question, whether a satisfiable path constraint stays satisfiable with
+new conjuncts added, as one sliced query.
 
 Every query is sliced by constraint independence, as in KLEE.  _slice
 grows the set of leaves a query touches over the simplified conjuncts
 until no further conjunct shares one; the conjuncts it took are the
-related slice, the rest share no variable with it.  all_values and
-min_value encode only the related slice; every independent group of the
+related slice, the rest share no variable with it.  all_values,
+transitions (sliced on the leaves of both expressions) and min_value
+encode only the related slice; every independent group of the
 rest (a union-find over their leaves) merely has to be satisfiable.
 extends slices around the new conjuncts and solves that one group: its
 caller guarantees the old path constraint is satisfiable, so the rest
@@ -55,7 +61,7 @@ from .sat import DEFAULT_CONFLICT_LIMIT, SatOutcome, Solver, check_sat
 log = logging.getLogger("dctforge.solve")
 
 __all__ = ["PathConstraint", "SolverLimits", "CnfDumper", "pc_model",
-           "pc_sat", "extends", "all_values", "min_value",
+           "pc_sat", "extends", "all_values", "transitions", "min_value",
            "DEFAULT_VALUE_CAP"]
 
 PathConstraint = tuple  # of width-1 Expr conjuncts
@@ -271,59 +277,91 @@ def extends(pc: Iterable[ex.Expr], new: Iterable[ex.Expr],
     return _group_model(group, limits, "step-feasibility") is not None
 
 
+def _check_width(e: ex.Expr) -> None:
+    if e.width > ALL_VALUES_WIDTH_CAP:
+        raise WidthMismatch(
+            f"all_values needs width <= {ALL_VALUES_WIDTH_CAP}, got {e.width}")
+
+
+def _enumerate(es: Sequence[ex.Expr], pc: Iterable[ex.Expr],
+               limits: SolverLimits, label: str):
+    """Yield every distinct tuple (v1, ..., vn) such that pc and every
+    es[i] = vi is satisfiable, via blocking clauses on one solver.
+
+    The query slices pc on the leaves of all of es; each independent
+    group of the rest only has to be satisfiable.  After each model a
+    clause over the non-constant bits of every expression blocks that
+    tuple, so learnt clauses carry over from one tuple to the next."""
+    conjuncts = _symbolic_conjuncts(pc)
+    if conjuncts is None:
+        return
+    es = [ex.simplify(e) for e in es]
+    related, rest = _slice(frozenset().union(*map(ex.leaf_set, es)),
+                           conjuncts)
+    if any(_group_model(g, limits, label) is None
+           for g in _components(rest)):
+        return
+    enc = _encoder(related, limits)
+    bits = [enc.bits(e) for e in es]
+    formula, solver = _query_solver(enc, limits)
+    while True:
+        outcome = _solve(formula, solver, limits, label)
+        if outcome.is_unsat:
+            return
+        values = tuple(sum(1 << i for i, lit in enumerate(b)
+                           if outcome.lit_value(lit)) for b in bits)
+        yield values
+        clause = [-lit if (v >> i) & 1 else lit
+                  for b, v in zip(bits, values)
+                  for i, lit in enumerate(b) if abs(lit) != 1]
+        if not clause:
+            return
+        formula.clauses.append(clause)
+        solver.add_clause(clause)
+
+
 def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
                limits: SolverLimits | None = None) -> set[int]:
     """Exactly { v : pc and (e = v) is satisfiable }, via blocking clauses.
 
     Raises CapExceeded once more than cap distinct values are found.
     """
-    if e.width > ALL_VALUES_WIDTH_CAP:
-        raise WidthMismatch(
-            f"all_values needs width <= {ALL_VALUES_WIDTH_CAP}, got {e.width}")
+    _check_width(e)
     if cap < 1:
         raise CapExceeded(cap)
     if limits is None:
         limits = SolverLimits()
-    conjuncts = _symbolic_conjuncts(pc)
-    if conjuncts is None:
-        return set()
-    e = ex.simplify(e)
-    related, rest = _slice(ex.leaf_set(e), conjuncts)
-    if any(_group_model(g, limits, "all-values") is None
-           for g in _components(rest)):
-        return set()
-    enc = _encoder(related, limits)
-    bits = enc.bits(e)
-    formula, solver = _query_solver(enc, limits)
-
     found: set[int] = set()
-
-    def block(value: int) -> bool:
-        """Exclude value; returns False when no other value can exist."""
-        clause = []
-        for i, lit in enumerate(bits):
-            if abs(lit) == 1:
-                continue
-            clause.append(-lit if (value >> i) & 1 else lit)
-        if not clause:
-            return False
-        formula.clauses.append(clause)
-        solver.add_clause(clause)
-        return True
-
-    while True:
-        outcome = _solve(formula, solver, limits, "all-values")
-        if outcome.is_unsat:
-            return found
-        value = 0
-        for i, lit in enumerate(bits):
-            if outcome.lit_value(lit):
-                value |= 1 << i
+    for (value,) in _enumerate((e,), pc, limits, "all-values"):
         found.add(value)
         if len(found) > cap:
             raise CapExceeded(cap)
-        if not block(value):
-            return found
+    return found
+
+
+def transitions(dst: ex.Expr, src: ex.Expr, pc: Iterable[ex.Expr],
+                cap: int = DEFAULT_VALUE_CAP,
+                limits: SolverLimits | None = None) -> dict[int, set[int]]:
+    """{ d: all_values(src, pc + (dst = d)) for d in all_values(dst, pc) },
+    from one query that enumerates (d, s) pairs on one solver.
+
+    Raises what those calls would: WidthMismatch when dst or src is too
+    wide, CapExceeded when more than cap destinations exist or more than
+    cap sources reach one destination.
+    """
+    _check_width(dst)
+    _check_width(src)
+    if cap < 1:
+        raise CapExceeded(cap)
+    if limits is None:
+        limits = SolverLimits()
+    found: dict[int, set[int]] = {}
+    for d, s in _enumerate((dst, src), pc, limits, "transitions"):
+        sources = found.setdefault(d, set())
+        sources.add(s)
+        if len(found) > cap or len(sources) > cap:
+            raise CapExceeded(cap)
+    return found
 
 
 def min_value(e: ex.Expr, pc: Iterable[ex.Expr],

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from dctforge import corpus
@@ -44,3 +48,16 @@ def ima_cfg(ima):
 @pytest.fixture(scope="session")
 def counter_cfg(counter):
     return config_for(counter, ["cnt"], depth=8)
+
+
+def counter_blif(w: int) -> str:
+    """The gate-level benchmark's cnt{w}.blif netlist, from
+    perfbench/workloads.py (which imports nothing of dctforge)."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name].counter_blif(w)

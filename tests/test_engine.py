@@ -14,13 +14,13 @@ from dctforge.circuit import Circuit, Register, make_state_spec
 from dctforge.detect import compute_dct, oracle_analyze
 from dctforge.engine import (FIXPOINT, ExploreConfig, Kind, Mode, explore,
                              project, reset_state, step_cycle, symbolic_state)
-from dctforge.errors import PathExplosion
+from dctforge.errors import CapExceeded, PathExplosion
 from dctforge.rtl import parse_rtl
-from dctforge.solve import pc_sat
+from dctforge.solve import SolverLimits, pc_sat
 from dctforge.trojanlab import gen_random_fsm
 
 from bruteforce import per_net_cycle_exprs
-from conftest import config_for
+from conftest import config_for, counter_blif
 
 
 def behavior_tuples(meta):
@@ -400,3 +400,66 @@ def test_net_order_built_once_per_explore(ima_gate, assume, monkeypatch):
     assert report.paths_explored > calls["explore"] == 2
     assert calls["net_topo_order"] <= calls["explore"]
     assert calls["substitute"] == 0
+
+
+def _stage2(c, state_regs, **kw):
+    """Stage 2 as compute_dct runs it: one BFS step from the fully
+    symbolic state."""
+    cfg = config_for(c, state_regs, depth=1, mode=Mode.BFS, **kw)
+    return explore(c, [symbolic_state(c, cfg.state_spec)], cfg, Kind.STATES)
+
+
+@pytest.mark.parametrize("name", ["cnt4.blif", "cnt5.blif", "ima_gate.blif"])
+def test_stage2_trans_matches_oracle_at_gate_level(name):
+    if name == "ima_gate.blif":
+        c, state_regs = corpus.load(name), ["q2", "q1", "q0"]
+    else:
+        w = int(name[3])
+        c = parse_blif(counter_blif(w))
+        state_regs = [f"q{i}" for i in reversed(range(w))]
+    spec = make_state_spec(c, state_regs)
+    assert _stage2(c, state_regs).trans == \
+        oracle_analyze(c, spec, depth=1).trans
+
+
+def test_stage2_enumerates_transitions_from_one_query():
+    """On cnt5.blif, stage 2's one symbolic step finds Trans with one
+    pair query: a solve per transition plus the final unsat one, and no
+    source query per destination."""
+    labels = []
+
+    class Labels:
+        def dump(self, formula, label):
+            labels.append(label)
+
+    c = parse_blif(counter_blif(5))
+    meta = _stage2(c, [f"q{i}" for i in reversed(range(5))],
+                   limits=SolverLimits(dumper=Labels()))
+    assert len(meta.trans) == 64
+    assert labels == ["transitions"] * (len(meta.trans) + 1)
+
+
+@pytest.mark.parametrize("text", [
+    # 8 sources reach each of 2 destinations.
+    "circuit t\noutput y:4 = r\nreg r:4 reset 0 next r & 4'd1\n",
+    # 16 destinations.
+    "circuit t\ninput i:4\noutput y:4 = r\nreg r:4 reset 0 next i\n",
+])
+def test_cap_exceeded_on_source_and_destination_overflow(text):
+    c = parse_rtl(text)
+    cfg = config_for(c, ["r"], value_cap=4)
+    with pytest.raises(CapExceeded) as caught:
+        compute_dct(c, cfg)
+    assert caught.value.cap == 4
+
+
+def test_source_overflow_raises_from_the_step():
+    """A destination reached from more than value_cap sources raises
+    CapExceeded from the step that enumerates its transitions."""
+    c = parse_rtl("circuit t\noutput y:4 = r\n"
+                  "reg r:4 reset 0 next r & 4'd1\n")
+    cfg = config_for(c, ["r"], value_cap=4)
+    with pytest.raises(CapExceeded):
+        step_cycle(c, symbolic_state(c, cfg.state_spec), cfg)
+    assert len(step_cycle(c, symbolic_state(c, cfg.state_spec),
+                          dc_replace(cfg, value_cap=8))) == 2

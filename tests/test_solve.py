@@ -9,7 +9,7 @@ import logging
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dctforge import corpus
@@ -19,13 +19,13 @@ from dctforge.cli import main
 from dctforge.cnf import Encoder
 from dctforge.detect import compute_dct
 from dctforge.engine import SymState, step_cycle
-from dctforge.errors import ResourceOut
+from dctforge.errors import CapExceeded, ResourceOut, WidthMismatch
 from dctforge.sat import SatOutcome, Solver, check_sat
 from dctforge.rtl import parse_rtl
 from dctforge.solve import (SolverLimits, all_values, extends, min_value,
-                            pc_model, pc_sat)
+                            pc_model, pc_sat, transitions)
 
-from bruteforce import BitPlanes, ExprGen, support_leaves
+from bruteforce import BitPlanes, ExprGen, naive_eval, support_leaves
 from conftest import config_for
 
 
@@ -235,13 +235,24 @@ def _new_conjuncts(seed: int):
     return tuple(new)
 
 
+def _satisfiable_pc(seed: int):
+    """The three-group pc of _query(seed, groups=3), each conjunct negated
+    where needed so that one random assignment of its variables satisfies
+    every conjunct: satisfiable by construction, no filtering needed."""
+    _, pc = _query(seed, groups=3)
+    rng = random.Random(seed)
+    env = {(leaf.op,) + leaf.aux: rng.randrange(1 << leaf.width)
+           for leaf in support_leaves(*pc)}
+    return tuple(c if naive_eval(c, env) else ex.not_(c) for c in pc)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
 def test_extends_equals_pc_sat(seed, new_seed):
     """For a satisfiable multi-group pc, extends answers pc + new exactly,
     with a fresh memo and with one that pc_model already filled."""
-    _, pc = _query(seed, groups=3)
-    assume(pc_sat(pc))
+    pc = _satisfiable_pc(seed)
+    assert pc_sat(pc)
     new = _new_conjuncts(new_seed)
     expected = pc_sat(pc + new)
     planes = BitPlanes(support_leaves(*pc, *new))
@@ -377,3 +388,101 @@ def test_each_group_solved_once_per_limits():
     fresh = _Labels()
     pc_model(prefixes[-1], SolverLimits(dumper=fresh))
     assert fresh.labels == ["pc-sat"] * 3
+
+
+def _per_destination(dst, src, pc, cap):
+    """transitions the long way: one source query per destination."""
+    return {d: all_values(src, pc + (ex.eq(dst, ex.const(dst.width, d)),),
+                          cap=cap)
+            for d in all_values(dst, pc, cap=cap)}
+
+
+def _pair_query(seed: int):
+    """(dst, src, pc): pc over three generators with disjoint variables;
+    dst and src each over the first two generators or constant, so
+    either may be independent of the other and of parts of pc."""
+    rng = random.Random(seed)
+    gens = [ExprGen(rng, prefix=p, n_vars=2, var_width=2) for p in "vwu"]
+
+    def part():
+        if rng.random() < 0.2:
+            w = rng.choice([1, 2, 3])
+            return ex.const(w, rng.randrange(1 << w))
+        return rng.choice(gens[:2]).gen(rng.randrange(0, 4))
+
+    dst, src = part(), part()
+    pc = tuple(gen.gen(rng.randrange(1, 4), 1)
+               for gen in gens for _ in range(rng.randrange(0, 4)))
+    if rng.random() < 0.1:
+        x = ex.slice_(gens[2].vars[0], 0, 0)
+        pc += (x, ex.not_(x))
+    return dst, src, pc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_transitions_equal_per_destination_queries(seed):
+    """The pair query gives every destination's sources exactly: equal to
+    one all_values per destination and to the bit-plane oracle, with a
+    fresh memo and with one shared across queries."""
+    dst, src, pc = _pair_query(seed)
+    cap = 1 << max(dst.width, src.width)
+    expected = _per_destination(dst, src, pc, cap)
+    assert transitions(dst, src, pc, cap=cap) == expected
+    pairs = BitPlanes(support_leaves(dst, src, *pc)).value_set(
+        ex.concat(dst, src), pc)
+    mask = (1 << src.width) - 1
+    assert {(d, s) for d, srcs in expected.items() for s in srcs} == \
+        {(p >> src.width, p & mask) for p in pairs}
+    limits = SolverLimits()
+    pc_model(pc, limits)
+    assert transitions(dst, src, pc, cap=cap, limits=limits) == expected
+
+
+def test_transitions_edge_cases():
+    v, w = ex.var("v", 2, 0), ex.var("w", 2, 0)
+    never = (ex.ult(w, ex.const(2, 1)), ex.ne(w, ex.const(2, 0)))
+    related = (ex.ne(v, ex.const(2, 3)),)
+    # An unsatisfiable pc, in a group of its own or not, has no pairs.
+    assert transitions(v, w, never) == {} == _per_destination(v, w, never, 4)
+    assert transitions(v, v, related + never) == {}
+    # Constant parts.
+    three = ex.const(2, 3)
+    assert transitions(three, v, related) == {3: {0, 1, 2}}
+    assert transitions(v, three, related) == {0: {3}, 1: {3}, 2: {3}}
+    assert transitions(three, three, ()) == {3: {3}}
+    # Independent parts: every source reaches every destination.
+    assert transitions(v, w, related) == {d: {0, 1, 2, 3} for d in range(3)}
+    # One leaf shared: the source pins the destination.
+    assert transitions(ex.add(v, ex.const(2, 1)), v, related) == \
+        {1: {0}, 2: {1}, 3: {2}}
+
+
+def test_transitions_raise_as_per_destination_queries():
+    """CapExceeded exactly when the per-destination queries raise it, on
+    a destination or a source overflow, and the same WidthMismatch."""
+    v, w = ex.var("v", 3, 0), ex.var("w", 3, 0)
+    few_dsts = ex.and_(v, ex.const(3, 1))     # 2 destinations, 4 sources each
+    for dst, src, cap, raises in [(few_dsts, v, 4, False),
+                                  (few_dsts, v, 3, True),
+                                  (v, few_dsts, 4, True),
+                                  (v, few_dsts, 8, False),
+                                  (v, w, 8, False),
+                                  (v, w, 7, True)]:
+        if raises:
+            with pytest.raises(CapExceeded):
+                _per_destination(dst, src, (), cap)
+            with pytest.raises(CapExceeded) as caught:
+                transitions(dst, src, (), cap=cap)
+            assert caught.value.cap == cap
+        else:
+            assert transitions(dst, src, (), cap=cap) == \
+                _per_destination(dst, src, (), cap)
+    wide = ex.var("x", solve.ALL_VALUES_WIDTH_CAP + 1, 0)
+    for dst, src in [(wide, v), (v, wide)]:
+        with pytest.raises(WidthMismatch) as caught:
+            transitions(dst, src, ())
+        with pytest.raises(WidthMismatch) as expected:
+            all_values(wide, ())
+        assert str(caught.value) == str(expected.value)
+
