@@ -305,10 +305,10 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
             guard_s = ex.simplify(guard)
             if not extends(pc, (guard_s,), cfg.limits):
                 continue
-            nx2 = {r: ex.simplify(ex.replace_node(e, node, replacement))
-                   for r, e in nx.items()}
-            oo2 = {o: ex.simplify(ex.replace_node(e, node, replacement))
-                   for o, e in oo.items()}
+            replaced = [ex.simplify(e) for e in ex.replace_nodes(
+                [*nx.values(), *oo.values()], node, replacement)]
+            nx2 = dict(zip(nx, replaced))
+            oo2 = dict(zip(oo, replaced[len(nx):]))
             worklist.append((nx2, oo2, pc + (guard_s,)))
             if cfg.mode is Mode.PARTIAL:
                 break

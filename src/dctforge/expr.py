@@ -18,8 +18,8 @@ __all__ = [
     "and_", "or_", "xor", "add", "sub", "eq", "ne", "ult", "shl",
     "mux", "case", "slice_", "concat", "zext",
     "mask", "postorder", "evaluate", "substitute", "replace_node",
-    "simplify", "substitute_simplify", "leaf_set", "pp", "and_all",
-    "or_all",
+    "replace_nodes", "simplify", "substitute_simplify", "leaf_set", "pp",
+    "and_all", "or_all",
 ]
 
 _BINARY = frozenset(["and", "or", "xor", "add", "sub"])
@@ -338,10 +338,12 @@ def substitute(e: Expr, env: Mapping[str, Expr]) -> Expr:
     return out[e]
 
 
-def replace_node(e: Expr, target: Expr, replacement: Expr) -> Expr:
-    """Rebuild e with every occurrence of the node `target` replaced."""
+def replace_nodes(roots: list[Expr], target: Expr,
+                  replacement: Expr) -> list[Expr]:
+    """replace_node of every root, from one walk over the roots' shared
+    nodes."""
     out: dict[Expr, Expr] = {target: replacement}
-    for node in postorder([e]):
+    for node in postorder(roots):
         if node in out:
             continue
         if any(out.get(a, a) is not a for a in node.args):
@@ -349,7 +351,12 @@ def replace_node(e: Expr, target: Expr, replacement: Expr) -> Expr:
                             tuple(out.get(a, a) for a in node.args), node.aux)
         else:
             out[node] = node
-    return out[e]
+    return [out[r] for r in roots]
+
+
+def replace_node(e: Expr, target: Expr, replacement: Expr) -> Expr:
+    """Rebuild e with every occurrence of the node `target` replaced."""
+    return replace_nodes([e], target, replacement)[0]
 
 
 def leaf_set(e: Expr) -> frozenset[Expr]:

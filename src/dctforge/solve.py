@@ -29,19 +29,31 @@ caller guarantees the old path constraint is satisfiable, so the rest
 is too.  pc_model solves group by group and returns the union of the
 group models.  One model per group, or None when the group is
 unsatisfiable, is memoised on the SolverLimits object under the
-frozenset of the group's conjuncts, so every query kind shares it.  The
-memo lives as long as one analysis; a call given no limits gets a fresh
-one, so no memo outlives its caller.
+frozenset of the group's conjuncts, so every query kind shares it.
+
+Enumerations are memoised there too.  After the rest groups are found
+satisfiable, _enumerate keys its query on the simplified expressions and
+the frozenset of the related slice; those fix the answer, however many
+unrelated conjuncts the path constraint has gained since.  The list of
+value tuples is stored only when the enumeration ran to its end (the
+last model was blocked to UNSAT, or there was nothing left to block); a
+consumer that stops early with CapExceeded stores nothing.  A later
+query with the same key replays the list and solves nothing, so it
+writes no dump and logs no solver_stats event.  Both memos live as long
+as their SolverLimits: one per ExploreConfig, shared by every stage and
+analysis run with that config; a call given no limits gets a fresh one.
+Sharing is exact, because a key fixes its answer.
 
 Every solve is solver.solve(assumptions) on a solver loaded with the
 query's formula.  Every solver call writes its formula to the dumper, if
 any, and logs a solver_stats debug event under the same label: the label
 of the query that needed the solve.  A conflict budget running out
 raises ResourceOut from every query; it is never read as infeasible, and
-never memoised, so the next query solves that group again.  Results
-depend only on the query structure, never on CNF variable numbering or
-on which model a group's memo holds, so reports built from them are
-reproducible across runs.
+never memoised, so the next query solves that group or enumeration
+again.  Results depend only on the query structure, never on CNF
+variable numbering, on which model a group's memo holds or on the order
+in which an enumeration found its tuples, so reports built from them
+are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -71,10 +83,16 @@ ALL_VALUES_WIDTH_CAP = 24
 
 
 class SolverLimits:
-    """Budgets and the dumper for every query of one analysis.  It also
-    carries that analysis's group memo: models maps the frozenset of
-    an independent group of conjuncts to one satisfying assignment of
-    it, or to None when the group is unsatisfiable."""
+    """Budgets and the dumper for every query made with it, and two
+    memos those queries share.  models maps the frozenset of an
+    independent group of conjuncts to one satisfying assignment of it,
+    or to None when the group is unsatisfiable.  answers maps an
+    enumeration's key, the tuple of its simplified expressions and the
+    frozenset of its related slice, to the list of value tuples its
+    complete enumeration yielded.  Both hold only what a solve settled,
+    never a ResourceOut, and a key fixes its answer, so any queries may
+    share one SolverLimits: an ExploreConfig carries one, for every
+    stage of every analysis run with that config."""
 
     def __init__(self, conflict_limit: int = DEFAULT_CONFLICT_LIMIT,
                  clause_cap: int = DEFAULT_CLAUSE_CAP,
@@ -83,6 +101,7 @@ class SolverLimits:
         self.clause_cap = clause_cap
         self.dumper = dumper
         self.models: dict[frozenset, dict | None] = {}
+        self.answers: dict[tuple, list[tuple[int, ...]]] = {}
 
 
 class CnfDumper:
@@ -291,33 +310,47 @@ def _enumerate(es: Sequence[ex.Expr], pc: Iterable[ex.Expr],
     The query slices pc on the leaves of all of es; each independent
     group of the rest only has to be satisfiable.  After each model a
     clause over the non-constant bits of every expression blocks that
-    tuple, so learnt clauses carry over from one tuple to the next."""
+    tuple, so learnt clauses carry over from one tuple to the next.  A
+    complete enumeration is remembered on limits under the simplified es
+    and the related slice, and a later query with that key replays it
+    without a solve."""
     conjuncts = _symbolic_conjuncts(pc)
     if conjuncts is None:
         return
-    es = [ex.simplify(e) for e in es]
+    es = tuple(ex.simplify(e) for e in es)
     related, rest = _slice(frozenset().union(*map(ex.leaf_set, es)),
                            conjuncts)
     if any(_group_model(g, limits, label) is None
            for g in _components(rest)):
         return
+    key = (es, frozenset(related))
+    answer = limits.answers.get(key)
+    if answer is not None:
+        yield from answer
+        return
     enc = _encoder(related, limits)
     bits = [enc.bits(e) for e in es]
     formula, solver = _query_solver(enc, limits)
+    found = []
     while True:
         outcome = _solve(formula, solver, limits, label)
         if outcome.is_unsat:
-            return
+            break
         values = tuple(sum(1 << i for i, lit in enumerate(b)
                            if outcome.lit_value(lit)) for b in bits)
+        found.append(values)
         yield values
         clause = [-lit if (v >> i) & 1 else lit
                   for b, v in zip(bits, values)
                   for i, lit in enumerate(b) if abs(lit) != 1]
         if not clause:
-            return
+            break
         formula.clauses.append(clause)
         solver.add_clause(clause)
+    # Reached only when the enumeration ran to its end: a consumer that
+    # stops early never resumes the generator past its yield, and a
+    # ResourceOut leaves through _solve.
+    limits.answers[key] = found
 
 
 def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,

@@ -151,6 +151,41 @@ def test_replace_node_targets_identity():
     assert out is ex.add(ex.const(3, 1), x)
 
 
+def _replaced(e: ex.Expr, target: ex.Expr, repl: ex.Expr,
+              memo: dict) -> ex.Expr:
+    """replace_node the direct way: recursion over e's arguments."""
+    if e is target:
+        return repl
+    if e not in memo:
+        args = tuple(_replaced(a, target, repl, memo) for a in e.args)
+        memo[e] = (e if all(a is b for a, b in zip(args, e.args))
+                   else ex._mk(e.op, e.width, args, e.aux))
+    return memo[e]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_replace_nodes_is_replace_node_per_root(seed, depth):
+    """One walk over roots that share nodes gives each root the very node
+    that replace_node gives it alone.  The target is a node of the DAG
+    or not, and the replacement may contain the target."""
+    rng = random.Random(seed)
+    gen = ExprGen(rng, n_vars=3, var_width=3)
+    roots = [gen.gen(depth) for _ in range(3)]
+    roots.append(ex.concat(roots[0], roots[1]) if rng.random() < 0.5
+                 else roots[0])
+    nodes = ex.postorder(roots)
+    target = (rng.choice(nodes) if rng.random() < 0.9
+              else gen.gen(depth))
+    repl = rng.choice([gen.gen(rng.randrange(0, depth), target.width)]
+                      + [n for n in nodes if n.width == target.width])
+    got = ex.replace_nodes(roots, target, repl)
+    assert len(got) == len(roots)
+    for root, g in zip(roots, got):
+        assert g is ex.replace_node(root, target, repl)
+        assert g is _replaced(root, target, repl, {})
+
+
 def test_pp_stable_and_readable():
     e = ex.mux(ex.eq(ex.ref("s", 3), ex.const(3, 5)),
                ex.const(1, 1), ex.const(1, 0))

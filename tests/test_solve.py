@@ -1,6 +1,7 @@
 """Query layer: incremental all_values/min_value against a rebuild-per-call
 reference and the bit-plane oracle, conflict budgets raising ResourceOut
-from every query, and one solver_stats event per dumped query."""
+from every query, one solver_stats event per dumped query, and the group
+and enumeration memos on SolverLimits."""
 
 from __future__ import annotations
 
@@ -486,3 +487,105 @@ def test_transitions_raise_as_per_destination_queries():
             all_values(wide, ())
         assert str(caught.value) == str(expected.value)
 
+
+
+def test_repeated_enumeration_solved_once_per_limits():
+    """An all_values or transitions query asked again, with unrelated
+    conjuncts appended to its path constraint, replays its remembered
+    answer: its solve sequence is dumped only once."""
+    v, u, w = ex.var("v", 3, 0), ex.var("u", 2, 0), ex.var("w", 2, 0)
+    related = (ex.ult(v, ex.const(3, 5)), ex.ne(u, ex.slice_(v, 0, 1)))
+    pcs = [related + tuple(ex.ne(w, ex.const(2, k)) for k in range(n))
+           for n in range(4)]
+    labels = _Labels()
+    limits = SolverLimits(dumper=labels)
+    for pc in pcs:
+        # The unrelated groups are solved here, under their own label.
+        assert pc_sat(pc, limits)
+        assert all_values(v, pc, cap=8, limits=limits) == {0, 1, 2, 3, 4}
+        assert transitions(v, u, pc, cap=8, limits=limits) == \
+            transitions(v, u, pc, cap=8)
+    # 5 values and the closing UNSAT; 5 * 3 = 15 pairs and the UNSAT.
+    assert [x for x in labels.labels if x != "pc-sat"] == \
+        ["all-values"] * 6 + ["transitions"] * 16
+
+
+def test_memo_hit_checks_the_unrelated_groups_first():
+    """A remembered answer is replayed only once every unrelated group of
+    the new path constraint is satisfiable."""
+    v, u, w = ex.var("v", 3, 0), ex.var("u", 2, 0), ex.var("w", 2, 0)
+    related = (ex.ult(v, ex.const(3, 5)),)
+    never = (ex.ult(w, ex.const(2, 1)), ex.ne(w, ex.const(2, 0)))
+    limits = SolverLimits()
+    assert all_values(v, related, limits=limits) == {0, 1, 2, 3, 4}
+    assert transitions(v, u, related, limits=limits) == \
+        {d: {0, 1, 2, 3} for d in range(5)}
+    assert all_values(v, related + never, limits=limits) == set()
+    assert transitions(v, u, related + never, limits=limits) == {}
+
+
+def test_cap_exceeded_enumeration_is_not_remembered():
+    """A consumer that stops early with CapExceeded leaves no partial
+    answer: a later call with a larger cap gets the full one."""
+    v, u = ex.var("v", 3, 0), ex.var("u", 2, 0)
+    pc = (ex.ult(v, ex.const(3, 6)), ex.ne(u, ex.slice_(v, 0, 1)))
+    limits = SolverLimits()
+    with pytest.raises(CapExceeded):
+        all_values(v, pc, cap=2, limits=limits)
+    assert all_values(v, pc, cap=8, limits=limits) == \
+        all_values(v, pc, cap=8, limits=SolverLimits()) == set(range(6))
+    with pytest.raises(CapExceeded):
+        transitions(v, u, pc, cap=2, limits=limits)
+    full = transitions(v, u, pc, cap=8, limits=SolverLimits())
+    assert transitions(v, u, pc, cap=8, limits=limits) == full
+    assert sum(map(len, full.values())) == 18
+
+
+def test_resource_out_enumeration_is_solved_again():
+    """An enumeration whose budget ran out is not remembered: the next
+    call solves it again and raises again."""
+    xs, pc = _hard_sat_conjuncts()
+    labels = _Labels()
+    limits = SolverLimits(conflict_limit=1, dumper=labels)
+    for query in (lambda: all_values(ex.concat(*xs[:4]), pc, cap=16,
+                                     limits=limits),
+                  lambda: transitions(ex.concat(*xs[:2]),
+                                      ex.concat(*xs[2:4]), pc, cap=16,
+                                      limits=limits)):
+        counts = []
+        for _ in range(2):
+            with pytest.raises(ResourceOut):
+                query()
+            counts.append(len(labels.labels))
+        assert counts[1] > counts[0]
+    assert not limits.answers
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_memoised_enumerations_equal_fresh_answers(seed):
+    """Growing then shrinking path constraints, as explorations build
+    them, with every query on one limits: each answer equals a fresh
+    limits' answer and the bit-plane oracle."""
+    e, pc = _query(seed, groups=3)
+    dst, src, pair_pc = _pair_query(seed)
+    limits = SolverLimits()
+    planes = BitPlanes(support_leaves(e, dst, src, *pc, *pair_pc))
+    both = ex.concat(dst, src)
+    mask = (1 << src.width) - 1
+    prefixes = list(range(len(pc) + 1))
+    pair_prefixes = list(range(len(pair_pc) + 1))
+    for n in prefixes + prefixes[::-1]:
+        p = pc[:n]
+        got = all_values(e, p, cap=1 << e.width, limits=limits)
+        assert got == all_values(e, p, cap=1 << e.width) == \
+            planes.value_set(e, p)
+    for n in pair_prefixes + pair_prefixes[::-1]:
+        p = pair_pc[:n]
+        cap = 1 << max(dst.width, src.width)
+        got = transitions(dst, src, p, cap=cap, limits=limits)
+        assert got == transitions(dst, src, p, cap=cap)
+        assert {(d, s) for d, srcs in got.items() for s in srcs} == \
+            {(b >> src.width, b & mask) for b in planes.value_set(both, p)}
+        assert all_values(dst, p, cap=1 << dst.width, limits=limits) == \
+            set(got)
