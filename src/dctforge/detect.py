@@ -6,9 +6,10 @@ reachable.  compute_dct runs two stages: a bounded forward exploration
 from reset for the reachable set, then a single fully symbolic cycle for
 the transition relation.  detect_trojan adds a third stage that resumes
 exploration from the stage-2 frontier states whose projection is a DCT
-destination, keeping their full register valuations and path constraints
-(so any side effect a trigger accumulated is preserved), and reports
-behavior tuples absent from the stage-1 baseline.
+destination, keeping their full register valuations (so any side effect
+a trigger accumulated is preserved) and, like stage 1, only the live
+part of each path constraint (see engine), and reports behavior tuples
+absent from the stage-1 baseline.
 
 The forward stages honor the configured exploration mode; stage 2 always
 runs full BFS, since the single symbolic step must produce the complete

@@ -28,8 +28,9 @@ Exploration modes:
                   already encountered is terminated after its metadata is
                   recorded; justified by monotonicity of bounded cut
                   reachability, and unsound only when registers outside
-                  the state spec feed the state-spec logic (a structural
-                  warning is logged in that case).
+                  the state spec feed the state-spec logic or a monitored
+                  output (a structural warning names each such register
+                  and what it feeds).
 * PARTIAL      -- keeps exactly one successor per step (deterministic
                   first-feasible choice, taking Mux else-branches first),
                   modelling a single-path input partition.  Reachable
@@ -43,6 +44,17 @@ as functions of the pre-edge state and the cycle's inputs; States records
 the transition relation and returns the surviving frontier so later
 stages can resume from it with all side effects intact.
 
+Live path constraints: in a Reach exploration a successor joins the
+frontier with only the conjuncts of its path constraint that are linked
+through shared leaves, directly or through other conjuncts, to the
+leaves of its register expressions (solve.live_conjuncts).  The step
+that produced it still reads the full path constraint for its
+projection and behaviors.  The dropped groups can never meet a later
+query (see SymState), so while the registers stay concrete a path
+constraint does not grow with depth.  A States exploration keeps every
+conjunct: its frontier's path constraints feed the DCT witnesses and
+constraint dumps.
+
 Depth may be an explicit cycle count or FIXPOINT, which runs until a
 layer discovers no new StateId (that closing layer also guarantees every
 state contributes outgoing behaviors) and reports the discovered
@@ -54,7 +66,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
 from typing import Mapping
 
@@ -64,7 +76,7 @@ from .circuit import (Circuit, StateSpec, decode_state, net_topo_order,
 from .errors import (CapExceeded, DctForgeError, PathExplosion,
                      UnknownOutput)
 from .solve import (DEFAULT_VALUE_CAP, SolverLimits, all_values, extends,
-                    min_value, transitions)
+                    live_conjuncts, min_value, transitions)
 
 __all__ = ["Mode", "Kind", "FIXPOINT", "ExploreConfig", "SymState",
            "Behavior", "Metadata", "reset_state", "symbolic_state",
@@ -108,7 +120,19 @@ class SymState:
     """One symbolic execution path: register valuation, path constraint,
     elapsed cycles.  Invariant: pc is satisfiable.  Stepping relies on
     it: each split guard is checked with solve.extends, which solves only
-    the slice of pc linked to the guard."""
+    the slice of pc linked to the guard.
+
+    A Reach exploration keeps only the live pc of each frontier state:
+    the conjuncts linked through shared leaves to the leaves of regs.
+    That changes no answer:
+    - every later query is built from regs, from fresh input variables
+      (a later epoch than any conjunct of pc mentions) and from the
+      assumptions and split guards over them;
+    - so a dropped group, which shares no leaf with regs, never enters a
+      related slice: every step-feasibility group and every answers memo
+      key stays the same, and the rest-groups checks only see fewer
+      groups, each of them satisfiable because pc is;
+    - so every answer, and every report, stays byte-identical."""
     regs: Mapping[str, ex.Expr]
     pc: tuple[ex.Expr, ...]
     num_steps: int
@@ -381,30 +405,42 @@ def _log_event(**fields) -> None:
         log.debug(json.dumps(fields, sort_keys=True))
 
 
-def _prune_soundness_warning(c: Circuit, spec: StateSpec) -> None:
-    """BFS_PRUNE keys on the projected StateId only; warn when registers
-    outside the spec feed the spec registers' next-state logic."""
+def _cone_registers(c: Circuit, roots: list[ex.Expr]) -> set[str]:
+    """The registers that roots read, directly or through nets."""
     net_map = {n: e for n, _, e in c.nets}
-    spec_set = set(spec.registers)
     regs = c.register_map()
-    seen_sigs: set[str] = set()
-    frontier = [regs[r].next for r in spec.registers]
+    seen: set[str] = set()
+    found: set[str] = set()
+    frontier = list(roots)
     while frontier:
-        e = frontier.pop()
-        for node in ex.postorder([e]):
-            if node.op != "ref":
+        for node in ex.postorder([frontier.pop()]):
+            if node.op != "ref" or node.aux[0] in seen:
                 continue
             name = node.aux[0]
-            if name in seen_sigs:
-                continue
-            seen_sigs.add(name)
+            seen.add(name)
             if name in net_map:
                 frontier.append(net_map[name])
-            elif name in regs and name not in spec_set:
-                log.warning(
-                    "register %r outside the state spec feeds state-spec "
-                    "logic; pruning by StateId may under-approximate", name)
-                return
+            elif name in regs:
+                found.add(name)
+    return found
+
+
+def _prune_soundness_warning(c: Circuit, spec: StateSpec,
+                             plan: _StepPlan) -> None:
+    """BFS_PRUNE keys on the projected StateId only; warn about each
+    register outside the spec that feeds the spec registers' next-state
+    logic or a monitored output, naming what it feeds."""
+    regs = c.register_map()
+    cones = [("state-spec logic", [regs[r].next for r in spec.registers])]
+    cones += [(f"output {name!r}", [e]) for name, e in plan.outputs]
+    feeds: dict[str, list[str]] = {}
+    for what, roots in cones:
+        for name in sorted(_cone_registers(c, roots) - set(spec.registers)):
+            feeds.setdefault(name, []).append(what)
+    for name, whats in feeds.items():
+        log.warning("register %r outside the state spec feeds %s; pruning "
+                    "by StateId may under-approximate", name,
+                    ", ".join(whats))
 
 
 def _record_behaviors(res: _StepResult, dst: int, cfg: ExploreConfig,
@@ -435,9 +471,9 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
     if not init:
         raise DctForgeError("explore needs at least one initial state")
     spec = cfg.state_spec
-    if cfg.mode is Mode.BFS_PRUNE:
-        _prune_soundness_warning(c, spec)
     plan = _build_plan(c, cfg)
+    if cfg.mode is Mode.BFS_PRUNE:
+        _prune_soundness_warning(c, spec, plan)
 
     seen: set[int] = set()
     for s in init:
@@ -483,9 +519,15 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
                                state=sorted(proj))
                     continue
                 seen |= proj
+                if kind is Kind.REACH:
+                    leaves = frozenset().union(
+                        *map(ex.leaf_set, succ.regs.values()))
+                    succ = dc_replace(succ,
+                                      pc=live_conjuncts(succ.pc, leaves))
                 new_frontier.append(succ)
                 _log_event(event="path_spawned", layer=layer,
-                           state=sorted(proj), num_steps=succ.num_steps)
+                           state=sorted(proj), num_steps=succ.num_steps,
+                           pc_conjuncts=len(succ.pc))
         frontier = new_frontier
         if layer_added:
             last_new_layer = layer

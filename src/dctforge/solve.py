@@ -15,7 +15,9 @@ significant end down, each pin an assumption on one solver.  pc_model
 returns a satisfying assignment of a path constraint (pc_sat is its
 boolean form).  extends answers the exploration's one feasibility
 question, whether a satisfiable path constraint stays satisfiable with
-new conjuncts added, as one sliced query.
+new conjuncts added, as one sliced query.  live_conjuncts keeps of a
+satisfiable path constraint only the slice around a set of leaves; the
+exploration uses it to drop the groups no register can reach again.
 
 Every query is sliced by constraint independence, as in KLEE.  _slice
 grows the set of leaves a query touches over the simplified conjuncts
@@ -73,8 +75,8 @@ from .sat import DEFAULT_CONFLICT_LIMIT, SatOutcome, Solver, check_sat
 log = logging.getLogger("dctforge.solve")
 
 __all__ = ["PathConstraint", "SolverLimits", "CnfDumper", "pc_model",
-           "pc_sat", "extends", "all_values", "transitions", "min_value",
-           "DEFAULT_VALUE_CAP"]
+           "pc_sat", "extends", "live_conjuncts", "all_values",
+           "transitions", "min_value", "DEFAULT_VALUE_CAP"]
 
 PathConstraint = tuple  # of width-1 Expr conjuncts
 
@@ -177,6 +179,23 @@ def _slice(leaves: frozenset, conjuncts: list[ex.Expr]):
     related = [c for c, t in zip(conjuncts, taken) if t]
     rest = [c for c, t in zip(conjuncts, taken) if not t]
     return related, rest
+
+
+def live_conjuncts(pc: Iterable[ex.Expr],
+                   leaves: frozenset) -> tuple[ex.Expr, ...]:
+    """The simplified conjuncts of pc linked to leaves through shared
+    leaves, directly or through other conjuncts, in pc's order: the
+    related slice every query around those leaves would take.
+
+    Precondition: pc is satisfiable.  The conjuncts left out form groups
+    that share no leaf with leaves or with the kept ones, so they are
+    satisfiable on their own and no query over leaves and fresh
+    variables can ever slice them in."""
+    conjuncts = _symbolic_conjuncts(pc)
+    if conjuncts is None:
+        return (ex.const(1, 0),)
+    related, _ = _slice(leaves, conjuncts)
+    return tuple(related)
 
 
 def _raise_if_out(outcome: SatOutcome) -> SatOutcome:

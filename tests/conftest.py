@@ -50,9 +50,8 @@ def counter_cfg(counter):
     return config_for(counter, ["cnt"], depth=8)
 
 
-def counter_blif(w: int) -> str:
-    """The gate-level benchmark's cnt{w}.blif netlist, from
-    perfbench/workloads.py (which imports nothing of dctforge)."""
+def _workloads():
+    """perfbench/workloads.py, which imports nothing of dctforge."""
     name = "perfbench_workloads"
     if name not in sys.modules:
         path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -60,4 +59,15 @@ def counter_blif(w: int) -> str:
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
-    return sys.modules[name].counter_blif(w)
+    return sys.modules[name]
+
+
+def counter_blif(w: int) -> str:
+    """The gate-level benchmark's cnt{w}.blif netlist."""
+    return _workloads().counter_blif(w)
+
+
+def counter_rtl(w: int) -> str:
+    """The benchmark's RTL enable counter of width w, wrapping to 0 at
+    2^w - 3."""
+    return _workloads().counter_rtl(w)

@@ -180,6 +180,58 @@ output y:2 = st
     assert any("outside the state spec" in r.message for r in caplog.records)
 
 
+def test_prune_warning_when_nonspec_feeds_output(caplog):
+    """tick feeds only the monitored output y, never s's next state, yet
+    pruning by s alone drops behaviors of y: bfs matches the oracle's six
+    stage-1 tuples, and bfs-prune warns and names the output."""
+    src = """\
+circuit tickout
+input go:1
+reg s:2 reset 0 next case(s){ 2'd0: go ? 2'd1 : 2'd0; 2'd1: 2'd0; \
+default: 2'd0 }
+reg tick:2 reset 0 next tick + 2'd1
+output y:1 = tick == 2'd3
+"""
+    c = parse_rtl(src)
+    bfs = detect.detect_trojan(c, config_for(c, ["s"], depth=6,
+                                             mode=Mode.BFS))
+    om = oracle_analyze(c, make_state_spec(c, ["s"]), 6)
+    assert behavior_tuples(bfs.dct.stage1) == {
+        (b.src, b.dst, b.output, b.value) for b in om.rbs}
+    assert len(bfs.rbs) == 6
+    with caplog.at_level("WARNING", logger="dctforge.engine"):
+        explore(c, [reset_state(c)], config_for(c, ["s"], depth=6),
+                Kind.REACH)
+    warned = [r.getMessage() for r in caplog.records
+              if "outside the state spec" in r.getMessage()]
+    assert warned == ["register 'tick' outside the state spec feeds output "
+                      "'y'; pruning by StateId may under-approximate"]
+
+
+def test_prune_warning_names_every_cone(caplog):
+    """A register feeding the spec logic and an output is named once,
+    with both; a spec register is never named; bfs does not warn."""
+    src = """\
+circuit both
+input go:1
+reg mode:1 reset 0 next go
+reg st:2 reset 0 next mode ? st + 2'd1 : st
+output y:1 = mode
+output z:2 = st
+"""
+    c = parse_rtl(src)
+    with caplog.at_level("WARNING", logger="dctforge.engine"):
+        explore(c, [reset_state(c)], config_for(c, ["st"], depth=1),
+                Kind.REACH)
+        explore(c, [reset_state(c)],
+                config_for(c, ["st"], depth=1, mode=Mode.BFS), Kind.REACH)
+    warned = [r.getMessage() for r in caplog.records
+              if "outside the state spec" in r.getMessage()]
+    assert warned == ["register 'mode' outside the state spec feeds "
+                      "state-spec logic, output 'y'; pruning by StateId may "
+                      "under-approximate"]
+
+
 def test_path_explosion_cap(ima, ima_cfg):
     tiny = dc_replace(ima_cfg, path_cap=1)
     with pytest.raises(PathExplosion):
