@@ -29,8 +29,8 @@ Exploration modes:
                   recorded; justified by monotonicity of bounded cut
                   reachability, and unsound only when registers outside
                   the state spec feed the state-spec logic or a monitored
-                  output (a structural warning names each such register
-                  and what it feeds).
+                  output (a structural warning, once per circuit and
+                  config, names each such register and what it feeds).
 * PARTIAL      -- keeps exactly one successor per step (deterministic
                   first-feasible choice, taking Mux else-branches first),
                   modelling a single-path input partition.  Reachable
@@ -109,6 +109,10 @@ class ExploreConfig:
     value_cap: int = DEFAULT_VALUE_CAP
     path_cap: int = DEFAULT_PATH_CAP
     limits: SolverLimits = field(default_factory=SolverLimits)
+    # The circuits explore has given its prune warning for under this
+    # config object; a replaced config starts empty.
+    _prune_warned: list = field(default_factory=list, init=False,
+                                compare=False, repr=False)
 
     def __post_init__(self):
         if self.depth is not None and self.depth < 0:
@@ -467,12 +471,18 @@ def _record_behaviors(res: _StepResult, dst: int, cfg: ExploreConfig,
 def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
             kind: Kind) -> Metadata:
     """Worklist exploration per the configured mode; see the module
-    docstring for the semantics of each mode and metadata kind."""
+    docstring for the semantics of each mode and metadata kind.  Under
+    BFS_PRUNE, the first exploration of c with cfg warns about the
+    registers outside the spec that pruning ignores; later ones (such
+    as detect_trojan's stage-3 explorations after stage 1) would repeat
+    the same warning, so they skip it."""
     if not init:
         raise DctForgeError("explore needs at least one initial state")
     spec = cfg.state_spec
     plan = _build_plan(c, cfg)
-    if cfg.mode is Mode.BFS_PRUNE:
+    if (cfg.mode is Mode.BFS_PRUNE
+            and not any(c is warned for warned in cfg._prune_warned)):
+        cfg._prune_warned.append(c)
         _prune_soundness_warning(c, spec, plan)
 
     seen: set[int] = set()

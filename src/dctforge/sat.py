@@ -17,6 +17,19 @@ solve() call; search stops with ResourceOut once it is exhausted.  Every
 Sat model is checked against every clause the solver was given and
 against every assumption before it is returned.
 
+The trail rule: a Sat solve() leaves its complete assignment on the
+trail; every other outcome returns at decision level 0.  add_clause and
+solve(assumptions) backtrack to level 0 before they start, which puts
+the solver in the state the old return-at-level-0 rule left it in, so
+their outcomes and models are unchanged.  (A solve() straight after a
+Sat one returns the same model either way: from level 0, with the model
+as every saved phase, the search finds it again without a conflict.)
+block(lits) continues an enumeration without restarting it: it adds a
+clause that the kept assignment falsifies, typically one excluding the
+last model, and backjumps only as far as that clause needs, so the next
+solve() keeps every decision level below it.  All-solutions solvers
+avoid restarts the same way (Grumberg, Schuster & Yadgar, FMCAD 2004).
+
 check_sat is the one-shot form: one Solver per formula, no assumptions.
 """
 
@@ -99,14 +112,15 @@ class Solver:
 
     def add_clause(self, lits: list[int]) -> None:
         """Add a clause over variables 1..num_vars; call between solves,
-        never during one.  The list is kept for the model check, so the
-        caller must not change it.
+        never during one.  It first backtracks to decision level 0.  The
+        list is kept for the model check, so the caller must not change it.
 
         Before the first propagation the clause is stored as given, which
         keeps one-shot solving identical to loading the whole formula up
         front.  After it, the clause is first reduced by the level-0
         assignment so that the watch invariant holds without revisiting
         literals already propagated."""
+        self._backtrack(0)
         self.given.append(lits)
         if not self.ok:
             return
@@ -121,12 +135,38 @@ class Solver:
             if lits is None:
                 return
         if len(lits) > 1:
-            ci = len(self.clauses)
-            self.clauses.append(lits[:])
-            self.watches[lits[0]].append(ci)
-            self.watches[lits[1]].append(ci)
+            self._attach(lits[:])
         elif not lits or not self._enqueue(lits[0], None):
             self.ok = False
+
+    def block(self, lits: list[int]) -> None:
+        """Add a clause that the assignment on the trail falsifies, as a
+        Sat solve() leaves it, and backjump only as far as the clause
+        needs.  With one literal at the clause's highest decision level,
+        the solver backtracks to the second-highest level among its
+        literals (0 for a unit) and asserts that literal there; with two
+        or more at the highest level, it backtracks to one level below
+        it, where the clause has two unassigned literals to watch.  A
+        clause false at level 0 makes the solver Unsat for good.  The
+        list is kept for the model check, like add_clause's; duplicate
+        literals are allowed.  Raises AssertionError when the assignment
+        does not falsify the clause."""
+        assign = self.assign
+        if any(assign[l] != -1 for l in lits):
+            raise AssertionError("block needs a clause the assignment falsifies")
+        self.given.append(lits)
+        level = self.level
+        lits = sorted(dict.fromkeys(lits), key=lambda l: -level[abs(l)])
+        top = level[abs(lits[0])] if lits else 0
+        if top == 0:
+            self._backtrack(0)
+            self.ok = False
+        elif len(lits) > 1 and level[abs(lits[1])] == top:
+            self._backtrack(top - 1)
+            self._attach(lits)
+        else:
+            self._backtrack(level[abs(lits[1])] if len(lits) > 1 else 0)
+            self._learn(lits)
 
     def _reduce_at_level0(self, lits: list[int]) -> list[int] | None:
         """lits without its level-0 false literals, or None when the
@@ -287,6 +327,15 @@ class Solver:
             return None
         return best if self.phase[best] else -best
 
+    def _attach(self, lits: list[int]) -> int:
+        """Store a clause of two or more literals, watching its first two;
+        returns its index."""
+        ci = len(self.clauses)
+        self.clauses.append(lits)
+        self.watches[lits[0]].append(ci)
+        self.watches[lits[1]].append(ci)
+        return ci
+
     def _learn(self, learnt: list[int]) -> None:
         if len(learnt) == 1:
             self._enqueue(learnt[0], None)
@@ -295,11 +344,7 @@ class Solver:
         watch2 = max(range(1, len(learnt)),
                      key=lambda i: (self.level[abs(learnt[i])], -i))
         learnt[1], learnt[watch2] = learnt[watch2], learnt[1]
-        ci = len(self.clauses)
-        self.clauses.append(learnt)
-        self.watches[learnt[0]].append(ci)
-        self.watches[learnt[1]].append(ci)
-        self._enqueue(learnt[0], ci)
+        self._enqueue(learnt[0], self._attach(learnt))
 
     def _check_model(self, assumptions: Sequence[int]) -> None:
         assign = self.assign
@@ -316,9 +361,14 @@ class Solver:
 
     def solve(self, assumptions: Sequence[int] = ()) -> SatOutcome:
         """Sat with a model satisfying every clause and assumption, Unsat,
-        or ResourceOut.  Returns at decision level 0."""
+        or ResourceOut.  Sat leaves the model's assignment on the trail,
+        for block; any other outcome returns at decision level 0.  With
+        assumptions the search starts from level 0; without, it
+        continues from the trail as the last call or block left it."""
         if not self.ok:
             return _UNSAT
+        if assumptions:
+            self._backtrack(0)
         n_assumed = len(assumptions)
         conflicts = 0
         restart_idx = 1
@@ -364,7 +414,6 @@ class Solver:
                     self._check_model(assumptions)
                     model = tuple(self.assign[v] == 1
                                   for v in range(self.nv + 1))
-                    self._backtrack(0)
                     return SatOutcome("sat", model=model)
             self.trail_lim.append(len(self.trail))
             self._enqueue(decision, None)

@@ -3,8 +3,10 @@
 A path constraint is a tuple of width-1 expressions understood as a
 conjunction.  all_values enumerates every feasible value of an expression
 under a path constraint: it encodes the query once, builds one solver,
-and after each model adds a clause blocking that value to the same
-solver, so learnt clauses carry over from one value to the next.
+and after each model blocks that value on the same solver (Solver.block),
+which backjumps only as far as the blocking clause needs, so the next
+solve continues from the decisions the clause does not depend on and
+learnt clauses carry over from one value to the next.
 transitions is the same enumeration over a pair of expressions, a
 destination and a source: it encodes the path constraint once with both,
 blocks each (destination, source) pair it finds, and returns every
@@ -327,9 +329,13 @@ def _enumerate(es: Sequence[ex.Expr], pc: Iterable[ex.Expr],
     es[i] = vi is satisfiable, via blocking clauses on one solver.
 
     The query slices pc on the leaves of all of es; each independent
-    group of the rest only has to be satisfiable.  After each model a
-    clause over the non-constant bits of every expression blocks that
-    tuple, so learnt clauses carry over from one tuple to the next.  A
+    group of the rest only has to be satisfiable.  After each model,
+    solver.block adds a clause over the non-constant bits of every
+    expression that excludes that tuple, and the next solve continues
+    from where the backjump left the search rather than from level 0;
+    learnt clauses carry over too.  That is one solve per tuple, and a
+    final UNSAT one unless the expressions have no non-constant bit;
+    each is dumped with every blocking clause so far.  A
     complete enumeration is remembered on limits under the simplified es
     and the related slice, and a later query with that key replays it
     without a solve."""
@@ -365,7 +371,7 @@ def _enumerate(es: Sequence[ex.Expr], pc: Iterable[ex.Expr],
         if not clause:
             break
         formula.clauses.append(clause)
-        solver.add_clause(clause)
+        solver.block(clause)
     # Reached only when the enumeration ran to its end: a consumer that
     # stops early never resumes the generator past its yield, and a
     # ResourceOut leaves through _solve.

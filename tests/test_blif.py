@@ -8,11 +8,12 @@ from dctforge import expr as ex
 from dctforge.blif import parse_blif
 from dctforge.circuit import make_state_spec
 from dctforge.detect import compute_dct
-from dctforge.engine import ExploreConfig, Mode
+from dctforge.engine import FIXPOINT, ExploreConfig, Mode
 from dctforge.errors import (DuplicateName, ParseError, UndrivenSignal,
                              UnsupportedDirective)
 
 from bruteforce import BitPlanes, support_leaves
+from conftest import config_for, counter_blif
 
 
 def test_buffer_cover():
@@ -81,6 +82,19 @@ def test_frontend_agreement_rs_trans_dct(ima, ima_gate):
     assert rep_rtl.trans == rep_gate.trans
     assert rep_rtl.dct == rep_gate.dct
     assert rep_gate.dct == {(6, 0), (7, 0)}
+
+
+def test_counter_scale_at_fixpoint():
+    """The w=7 gate-level counter at fixpoint equals its closed form: it
+    wraps to 0 at K = 2^w - 3, so RS is {0..K} and the one unreachable
+    code with a reachable successor, 2^w - 1, goes to 0."""
+    w = 7
+    c = parse_blif(counter_blif(w))
+    cfg = config_for(c, [f"q{i}" for i in reversed(range(w))],
+                     depth=FIXPOINT, value_cap=1 << (w + 1))
+    rep = compute_dct(c, cfg)
+    assert rep.rs == set(range((1 << w) - 2))
+    assert rep.dct == {((1 << w) - 1, 0)}
 
 
 def test_unsupported_directive():

@@ -7,12 +7,12 @@ from dataclasses import replace as dc_replace
 
 import pytest
 
-from dctforge import corpus
+from dctforge import corpus, detect, engine
 from dctforge.circuit import Circuit, Register, make_state_spec
 from dctforge.detect import (Verdict, compute_dct, detect_trojan,
                              diff_behaviors, oracle_analyze, oracle_dct,
                              replay_dct_witness)
-from dctforge.engine import Behavior, Mode
+from dctforge.engine import Behavior, Kind, Mode, explore, reset_state
 from dctforge.errors import TooLargeForOracle
 from dctforge.rtl import parse_rtl
 from dctforge.trojanlab import gen_random_fsm
@@ -83,6 +83,40 @@ def test_detect_trojan_on_injected_ima(ima_trojan):
     # The 5 -> 0 hop outputs 1 honestly, so it reveals nothing.
     assert not any((b.src, b.dst) == (5, 0) for b in tr.dbs)
     assert set(tr.per_dest) == {0}
+
+
+def test_prune_warning_once_per_analysis(ima_trojan, caplog, monkeypatch):
+    """detect_trojan explores ima_trojan under bfs-prune in stage 1 and
+    three times in stage 3, all with one config, and names trojan_ena
+    once.  A standalone explore, or an analysis with a replaced config,
+    warns again."""
+    reach = []
+
+    def counting(circuit, init, config, kind):
+        reach.append(kind)
+        return engine.explore(circuit, init, config, kind)
+
+    def warned():
+        return [r.getMessage() for r in caplog.records
+                if "outside the state spec" in r.getMessage()]
+
+    once = ["register 'trojan_ena' outside the state spec feeds output "
+            "'outValid'; pruning by StateId may under-approximate"]
+    cfg = config_for(ima_trojan, ["pcmSq"], depth=7)
+    with caplog.at_level("WARNING", logger="dctforge.engine"):
+        with monkeypatch.context() as m:
+            m.setattr(detect, "explore", counting)
+            tr = detect_trojan(ima_trojan, cfg)
+        assert tr.verdict is Verdict.TROJAN_DETECTED
+        assert reach.count(Kind.REACH) == 4
+        assert warned() == once
+        detect_trojan(ima_trojan, cfg)
+        assert warned() == once
+        explore(ima_trojan, [reset_state(ima_trojan)],
+                config_for(ima_trojan, ["pcmSq"], depth=7), Kind.REACH)
+        assert warned() == once * 2
+        detect_trojan(ima_trojan, dc_replace(cfg, depth=6))
+        assert warned() == once * 3
 
 
 def test_detect_trojan_clean_ima(ima, ima_cfg):

@@ -6,6 +6,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+
 from dctforge.cnf import CnfFormula
 from dctforge.sat import Solver, _luby, check_sat
 
@@ -168,3 +170,108 @@ def test_check_sat_equals_one_shot_solver():
         one_shot = check_sat(CnfFormula(nv, [list(c) for c in clauses]))
         direct = _loaded(nv, clauses).solve()
         assert one_shot == direct
+
+
+def _projections(num_vars: int, clauses, proj) -> set[tuple[bool, ...]]:
+    """Every projection onto proj of a satisfying assignment."""
+    return {tuple(bits[v - 1] for v in proj)
+            for bits in itertools.product([False, True], repeat=num_vars)
+            if _satisfies((False,) + bits, clauses)}
+
+
+def test_block_enumeration_agrees_with_brute_force():
+    """The solve/block loop yields each projected assignment once and
+    exactly the brute-force set; every model satisfies every clause given
+    so far.  The projection lists a variable twice and includes one fixed
+    at level 0.  Stopped partway, the solver still answers add_clause and
+    solve(assumptions) as brute force does."""
+    rng = random.Random(2026)
+    for round_ in range(120):
+        nv = rng.randrange(3, 13)
+        fixed = rng.randrange(1, nv + 1)
+        clauses = [[fixed if rng.random() < 0.5 else -fixed]]
+        clauses += [_random_clause(rng, nv)
+                    for _ in range(rng.randrange(1, 3 * nv))]
+        proj = rng.sample(range(1, nv + 1), rng.randrange(1, nv + 1))
+        proj += [proj[0], fixed]
+        expected = _projections(nv, clauses, proj)
+        stop = rng.randrange(len(expected) + 1) if round_ % 2 else None
+        solver = _loaded(nv, clauses)
+        given = [list(cl) for cl in clauses]
+        found = []
+        while stop is None or len(found) < stop:
+            out = solver.solve()
+            if not out.is_sat:
+                assert out.is_unsat
+                break
+            assert _satisfies(out.model, given)
+            values = tuple(out.model[v] for v in proj)
+            assert values not in found
+            found.append(values)
+            clause = [-v if out.model[v] else v for v in proj]
+            given.append(clause)
+            solver.block(clause)
+            assert solver.given[-1] is clause  # checked against from now on
+        if stop is None:
+            assert set(found) == expected
+            assert solver.solve().is_unsat
+            continue
+        assert set(found) <= expected and len(found) == stop
+        for _ in range(4):
+            cl = _random_clause(rng, nv)
+            given.append(cl)
+            solver.add_clause(list(cl))
+            assumptions = [v if rng.random() < 0.5 else -v
+                           for v in rng.sample(range(1, nv + 1),
+                                               rng.randrange(1, nv + 1))]
+            out = solver.solve(assumptions)
+            assert out.is_sat == _satisfiable(nv, given, assumptions)
+            if out.is_sat:
+                assert _satisfies(out.model, given, assumptions)
+
+
+def test_block_backjumps_only_as_far_as_the_clause_needs():
+    """With no clauses, x1..x3 are decided false at levels 1..3.
+    Blocking (x1, x3), with x3 listed twice, keeps level 1 and asserts
+    x3 there; then blocking (x1, -x3), whose literals share level 1,
+    backtracks to level 0."""
+    solver = _loaded(3, [])
+    assert solver.solve().model[1:] == (False, False, False)
+    assert [solver.level[v] for v in (1, 2, 3)] == [1, 2, 3]
+    solver.block([3, 1, 3])
+    assert len(solver.trail_lim) == 1
+    assert solver.assign[3] == 1 and solver.level[3] == 1
+    assert solver.assign[2] == 0
+    assert solver.solve().model[1:] == (False, False, True)
+    assert [solver.level[v] for v in (1, 2, 3)] == [1, 2, 1]
+    solver.block([1, -3])
+    assert len(solver.trail_lim) == 0
+    assert solver.assign[1] == solver.assign[3] == 0
+    rest = []
+    while (out := solver.solve()).is_sat:
+        rest.append(out.model[1:])
+        solver.block([-v if out.model[v] else v for v in (1, 2, 3)])
+    # (x1, x3) and (x1, -x3) together exclude every model with x1 false.
+    assert sorted(rest) == [(True, b2, b3) for b2 in (False, True)
+                            for b3 in (False, True)]
+
+
+def test_block_rejects_a_clause_the_assignment_satisfies():
+    solver = _loaded(2, [[1, 2]])
+    out = solver.solve()
+    assert out.is_sat
+    true_lit = 1 if out.model[1] else -1
+    for clause in ([true_lit], [-2 if out.model[2] else 2, true_lit]):
+        with pytest.raises(AssertionError):
+            solver.block(clause)
+    assert solver.given == [[1, 2]]
+    assert solver.solve().model == out.model
+
+
+def test_block_false_at_level_zero_is_unsat_for_good():
+    solver = _loaded(2, [[1], [-1, 2]])
+    assert solver.solve().is_sat
+    solver.block([-1, -2])
+    assert not solver.ok
+    assert solver.solve().is_unsat
+    assert solver.solve([1]).is_unsat

@@ -561,6 +561,47 @@ def test_resource_out_enumeration_is_solved_again():
     assert not limits.answers
 
 
+def test_resource_out_mid_enumeration_leaves_the_solver_usable(monkeypatch):
+    """A budget of one conflict from the first model on raises
+    ResourceOut partway through the enumeration and remembers nothing.
+    The solver stays usable: with the budget restored, its solve/block
+    loop finds the values it had not yet found, and no others."""
+    xs, pc = _hard_sat_conjuncts(ratio=3.8)  # 6 values of x0..x3
+    e = ex.concat(*xs[:4])
+    expected = all_values(e, pc, cap=16)
+    solvers = []
+
+    class TinyBudgetAfterFirstModel(Solver):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            self.blocked = []
+            solvers.append(self)
+
+        def solve(self, assumptions=()):
+            outcome = super().solve(assumptions)
+            if outcome.is_sat and not self.blocked:
+                self.conflict_limit = 1
+            return outcome
+
+        def block(self, lits):
+            super().block(lits)
+            self.blocked.append(lits)
+
+    monkeypatch.setattr(solve, "Solver", TinyBudgetAfterFirstModel)
+    limits = SolverLimits()
+    with pytest.raises(ResourceOut):
+        all_values(e, pc, cap=16, limits=limits)
+    assert not limits.answers
+    solver = solvers[-1]
+    assert 1 <= len(solver.blocked) < len(expected)
+    proj = [abs(lit) for lit in solver.blocked[0]]
+    solver.conflict_limit = solve.DEFAULT_CONFLICT_LIMIT
+    while (outcome := solver.solve()).is_sat:
+        solver.block([-v if outcome.model[v] else v for v in proj])
+    assert outcome.is_unsat
+    assert len(solver.blocked) == len(expected)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_memoised_enumerations_equal_fresh_answers(seed):
