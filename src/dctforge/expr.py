@@ -5,6 +5,11 @@ One node type serves both circuit logic (Ref leaves) and symbolic values
 object, so equality is identity and sub-DAGs are shared across the whole
 process.  Nodes are immutable apart from two memo slots: `simp` holds
 simplify()'s result and `leaves` leaf_set()'s.
+
+The concrete semantics of the two-operand operators live in one table,
+`_BINARY_FOLD`, which both evaluation and simplification read.  `const`
+checks a constant's width and range only when it first makes it; a
+constant already interned is returned by one lookup.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ __all__ = [
     "and_all", "or_all",
 ]
 
-_BINARY = frozenset(["and", "or", "xor", "add", "sub"])
-_COMPARE = frozenset(["eq", "ne", "ult"])
 _REPR_TREE_CAP = 200  # tree nodes, shared sub-DAGs counted once per use
 
 
@@ -88,6 +91,10 @@ def _need(cond: bool, detail: str):
 
 
 def const(width: int, value: int) -> Expr:
+    # The key _mk would build: a constant made before was checked then.
+    node = _intern_table.get(("const", width, (value,), ()))
+    if node is not None:
+        return node
     _need(width >= 1, f"constant width must be >= 1, got {width}")
     _need(0 <= value <= mask(width), f"value {value} does not fit in {width} bits")
     return _mk("const", width, (), (value,))
@@ -243,17 +250,37 @@ def postorder(roots: Iterable[Expr]) -> list[Expr]:
     return order
 
 
-def _case_pick(node: Expr, scrut_val: int) -> Expr:
-    for i, k in enumerate(node.aux):
+def _case_pick(keys: tuple, args: tuple[Expr, ...], scrut_val: int) -> Expr:
+    """The arm that scrut_val selects among a case's args, whose arm keys
+    are `keys` (the case node's aux)."""
+    for i, k in enumerate(keys):
         if k == scrut_val:
-            return node.args[1 + i]
-    return node.args[-1]
+            return args[1 + i]
+    return args[-1]
+
+
+# Concrete semantics of the two-operand operators, as
+# op -> f(a, b, result_width).
+_BINARY_FOLD: dict[str, Callable[[int, int, int], int]] = {
+    "and": lambda a, b, w: a & b,
+    "or": lambda a, b, w: a | b,
+    "xor": lambda a, b, w: a ^ b,
+    "add": lambda a, b, w: (a + b) & mask(w),
+    "sub": lambda a, b, w: (a - b) & mask(w),
+    "eq": lambda a, b, w: int(a == b),
+    "ne": lambda a, b, w: int(a != b),
+    "ult": lambda a, b, w: int(a < b),
+    "shl": lambda a, b, w: (a << b) & mask(w) if b < w else 0,
+}
 
 
 def _fold(op: str, width: int, vals: list[int], aux: tuple, arg_width: int) -> int:
     """Concrete semantics of one operator.  width is the result width,
     arg_width the width of the first operand (they differ for reductions,
     comparisons, and slices)."""
+    binary = _BINARY_FOLD.get(op)
+    if binary is not None:
+        return binary(vals[0], vals[1], width)
     m = mask(width)
     if op == "not":
         return ~vals[0] & m
@@ -263,24 +290,6 @@ def _fold(op: str, width: int, vals: list[int], aux: tuple, arg_width: int) -> i
         return int(vals[0] != 0)
     if op == "redand":
         return int(vals[0] == mask(arg_width))
-    if op == "and":
-        return vals[0] & vals[1]
-    if op == "or":
-        return vals[0] | vals[1]
-    if op == "xor":
-        return vals[0] ^ vals[1]
-    if op == "add":
-        return (vals[0] + vals[1]) & m
-    if op == "sub":
-        return (vals[0] - vals[1]) & m
-    if op == "eq":
-        return int(vals[0] == vals[1])
-    if op == "ne":
-        return int(vals[0] != vals[1])
-    if op == "ult":
-        return int(vals[0] < vals[1])
-    if op == "shl":
-        return (vals[0] << vals[1]) & m if vals[1] < width else 0
     if op == "mux":
         return vals[1] if vals[0] else vals[2]
     if op == "slice":
@@ -306,7 +315,7 @@ def evaluate(e: Expr, env: Mapping[tuple, int] | Callable[[Expr], int]) -> int:
             else:
                 vals[node] = env[(op,) + node.aux]
         elif op == "case":
-            picked = _case_pick(node, vals[node.args[0]])
+            picked = _case_pick(node.aux, node.args, vals[node.args[0]])
             vals[node] = vals[picked]
         elif op == "concat":
             acc = 0
@@ -373,6 +382,11 @@ def _is_const(e: Expr, value: int | None = None) -> bool:
 
 def _simp_node(op: str, width: int, args: tuple[Expr, ...], aux: tuple) -> Expr:
     """Build a node from already-simplified children, applying local rules."""
+    fold = _BINARY_FOLD.get(op)
+    if fold is not None:
+        a, b = args
+        if a.op == "const" and b.op == "const":
+            return const(width, fold(a.aux[0], b.aux[0], width))
     if op == "concat":
         if all(_is_const(a) for a in args):
             acc = 0
@@ -383,8 +397,7 @@ def _simp_node(op: str, width: int, args: tuple[Expr, ...], aux: tuple) -> Expr:
     if op == "case":
         scrut = args[0]
         if _is_const(scrut):
-            node = _mk(op, width, args, aux)
-            return _case_pick(node, scrut.aux[0])
+            return _case_pick(aux, args, scrut.aux[0])
         arms = args[1:-1]
         if all(a is args[-1] for a in arms):
             return args[-1]
@@ -407,7 +420,7 @@ def _simp_node(op: str, width: int, args: tuple[Expr, ...], aux: tuple) -> Expr:
         if e.op == "mux" and e.args[0] is c:
             return _simp_node(op, width, (c, t, e.args[2]), aux)
         return _mk(op, width, args, aux)
-    if all(_is_const(a) for a in args):
+    if fold is None and all(_is_const(a) for a in args):
         return const(width, _fold(op, width, [a.aux[0] for a in args], aux,
                                   args[0].width))
     m = mask(width)
@@ -527,9 +540,21 @@ def substitute_simplify(order: Iterable[Expr], env: Mapping[str, Expr],
     links = links or {}
     out: dict[Expr, Expr] = {}
     for node in order:
-        if node.args:
+        args = node.args
+        if len(args) == 2:
+            # _simp_node's first rule, inline: most nodes of a walk from
+            # constant state are binary gates over two constants.
+            a = out[args[0]]
+            b = out[args[1]]
+            fold = _BINARY_FOLD.get(node.op)
+            if fold is not None and a.op == "const" and b.op == "const":
+                result = const(node.width,
+                               fold(a.aux[0], b.aux[0], node.width))
+            else:
+                result = _simp_node(node.op, node.width, (a, b), node.aux)
+        elif args:
             result = _simp_node(node.op, node.width,
-                                tuple([out[a] for a in node.args]), node.aux)
+                                tuple([out[a] for a in args]), node.aux)
         elif node.op == "ref" and node.aux[0] in links:
             result = out[links[node.aux[0]]]
         elif node.op == "ref" and node.aux[0] in env:

@@ -32,8 +32,13 @@ def test_constructor_width_checks():
         ex.and_(ex.ref("a", 3), ex.ref("b", 4))
     with pytest.raises(WidthMismatch):
         ex.mux(ex.ref("c", 2), ex.ref("a", 3), ex.ref("b", 3))
+    assert ex.const(3, 7) is ex.const(3, 7)
     with pytest.raises(WidthMismatch):
         ex.const(3, 8)
+    with pytest.raises(WidthMismatch):
+        ex.const(0, 0)
+    with pytest.raises(WidthMismatch):
+        ex.const(3, -1)
     with pytest.raises(WidthMismatch):
         ex.slice_(ex.ref("a", 3), 1, 3)
     with pytest.raises(WidthMismatch):
@@ -56,6 +61,23 @@ def test_simplify_case_unused_state_hits_default():
     assert ex.simplify(e7) is ex.const(3, 0)
     e2 = ex.case(ex.const(3, 2), arms, ex.const(3, 0))
     assert ex.simplify(e2) is ex.const(3, 3)
+
+
+def test_case_on_constant_scrutinee_interns_no_node():
+    """Picking a case's arm by a constant scrutinee interns nothing when
+    the arms and the scrutinee's value already exist."""
+    x, y, d = (ex.ref(f"pick_{n}", 2) for n in "xyd")
+    e = ex.case(ex.add(ex.const(2, 1), ex.const(2, 2)), [(3, x), (1, y)], d)
+    ex.const(2, 3)
+    before = len(ex._intern_table)
+    assert ex.simplify(e) is x
+    assert len(ex._intern_table) == before
+    s = ex.ref("pick_s", 2)
+    e = ex.case(s, [(3, x), (1, y)], d)
+    order = ex.postorder([e])
+    before = len(ex._intern_table)
+    assert ex.substitute_simplify(order, {"pick_s": ex.const(2, 1)})[e] is y
+    assert len(ex._intern_table) == before
 
 
 def test_simplify_identity_and_annihilator_rules():
@@ -105,25 +127,49 @@ def test_evaluate_matches_naive_evaluator():
         assert ex.evaluate(e, env) == naive_eval(e, env)
 
 
+def _folds_to(e: ex.Expr, expected: int):
+    """A gate over constants evaluates to `expected`, and simplify folds
+    it to that interned constant."""
+    assert ex.evaluate(e, {}) == expected
+    assert ex.simplify(e) is ex.const(e.width, expected)
+
+
+# The two-operand operators whose semantics the tests below check.
+_CHECKED_BINARY = {"and", "or", "xor", "add", "sub", "eq", "ne", "ult", "shl"}
+
+
+def test_every_binary_fold_is_checked():
+    assert set(ex._BINARY_FOLD) == _CHECKED_BINARY
+
+
 @given(st.integers(0, 255), st.integers(0, 255))
 def test_add_sub_mod_256(a, b):
     ea, eb = ex.const(8, a), ex.const(8, b)
-    assert ex.evaluate(ex.add(ea, eb), {}) == (a + b) % 256
-    assert ex.evaluate(ex.sub(ea, eb), {}) == (a - b) % 256
+    _folds_to(ex.add(ea, eb), (a + b) % 256)
+    _folds_to(ex.sub(ea, eb), (a - b) % 256)
+
+
+@given(st.integers(0, 15), st.integers(0, 15))
+def test_bitwise_semantics(a, b):
+    ea, eb = ex.const(4, a), ex.const(4, b)
+    _folds_to(ex.and_(ea, eb), a & b)
+    _folds_to(ex.or_(ea, eb), a | b)
+    _folds_to(ex.xor(ea, eb), a ^ b)
 
 
 @given(st.integers(0, 7), st.integers(0, 7))
 def test_comparison_semantics(a, b):
     ea, eb = ex.const(3, a), ex.const(3, b)
-    assert ex.evaluate(ex.ult(ea, eb), {}) == int(a < b)
-    assert ex.evaluate(ex.eq(ea, eb), {}) == int(a == b)
+    _folds_to(ex.ult(ea, eb), int(a < b))
+    _folds_to(ex.eq(ea, eb), int(a == b))
+    _folds_to(ex.ne(ea, eb), int(a != b))
 
 
 @settings(max_examples=60)
 @given(st.integers(0, 15), st.integers(0, 7))
 def test_shl_semantics(a, s):
     e = ex.shl(ex.const(4, a), ex.const(3, s))
-    assert ex.evaluate(e, {}) == ((a << s) & 15 if s < 4 else 0)
+    _folds_to(e, (a << s) & 15 if s < 4 else 0)
 
 
 def test_concat_slice_roundtrip():
