@@ -33,10 +33,12 @@ from .circuit import Circuit, make_state_spec, print_rtl, validate
 from .detect import (Verdict, compute_dct, detect_trojan, oracle_analyze,
                      oracle_dct)
 from .dot import render_stg
-from .engine import FIXPOINT, ExploreConfig, Mode
+from .cnf import DEFAULT_CLAUSE_CAP
+from .engine import DEFAULT_PATH_CAP, FIXPOINT, ExploreConfig, Mode
 from .errors import DctForgeError
 from .rtl import parse_rtl
-from .solve import CnfDumper, SolverLimits
+from .sat import DEFAULT_CONFLICT_LIMIT
+from .solve import DEFAULT_VALUE_CAP, CnfDumper, SolverLimits
 from .trojanlab import StuckAt, TriggerSpec, inject_trojan
 
 __all__ = ["main"]
@@ -365,10 +367,11 @@ def _add_common(sp, need_state=True):
                     help="1-bit expression conjoined after every cycle")
     sp.add_argument("--out", default=None, help="report/output file path")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--value-cap", type=int, default=64)
-    sp.add_argument("--path-cap", type=int, default=4096)
-    sp.add_argument("--conflict-limit", type=int, default=10 ** 6)
-    sp.add_argument("--clause-cap", type=int, default=10 ** 7)
+    sp.add_argument("--value-cap", type=int, default=DEFAULT_VALUE_CAP)
+    sp.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
+    sp.add_argument("--conflict-limit", type=int,
+                    default=DEFAULT_CONFLICT_LIMIT)
+    sp.add_argument("--clause-cap", type=int, default=DEFAULT_CLAUSE_CAP)
     sp.add_argument("--dump-cnf", default=None, metavar="DIR",
                     help="write one DIMACS file per solver query")
 

@@ -105,22 +105,26 @@ def _source_var_expr(c: Circuit, spec: StateSpec) -> ex.Expr:
 def _extract_witness(c: Circuit, spec: StateSpec, state: SymState,
                      source: int, cfg: ExploreConfig) -> DctWitness:
     """Deterministic witness: pin the source StateId, then take the
-    lexicographically smallest feasible value for each input and each
-    non-spec register, in declaration order."""
+    lexicographically smallest feasible tuple of the inputs and the
+    non-spec registers, in declaration order, as one min_value over
+    their concatenation (the first input most significant)."""
     src_expr = _source_var_expr(c, spec)
     pc = state.pc + (ex.eq(src_expr, ex.const(spec.total_width, source)),)
-    inputs: dict[str, int] = {}
-    for name, w in c.inputs:
-        v = min_value(ex.var(name, w, 0), pc, limits=cfg.limits)
-        inputs[name] = v
-        pc = pc + (ex.eq(ex.var(name, w, 0), ex.const(w, v)),)
     registers = dict(decode_state(c, spec, source))
-    for r in c.registers:
-        if r.name in registers:
-            continue
-        v = min_value(ex.var(r.name, r.width, -1), pc, limits=cfg.limits)
-        registers[r.name] = v
-        pc = pc + (ex.eq(ex.var(r.name, r.width, -1), ex.const(r.width, v)),)
+    free = [r for r in c.registers if r.name not in registers]
+    parts = ([ex.var(name, w, 0) for name, w in c.inputs]
+             + [ex.var(r.name, r.width, -1) for r in free])
+    value = 0
+    if parts:
+        whole = parts[0] if len(parts) == 1 else ex.concat(*parts)
+        value = min_value(whole, pc, limits=cfg.limits)
+    shift = sum(p.width for p in parts)
+    values = []
+    for p in parts:
+        shift -= p.width
+        values.append((value >> shift) & ((1 << p.width) - 1))
+    inputs = dict(zip((name for name, _ in c.inputs), values))
+    registers.update(zip((r.name for r in free), values[len(c.inputs):]))
     return DctWitness(source, inputs, registers)
 
 

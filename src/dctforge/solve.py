@@ -1,52 +1,51 @@
 """Query layer on top of the encoder and the CDCL core.
 
 A path constraint is a tuple of width-1 expressions understood as a
-conjunction.  all_values enumerates every feasible value of an expression
-under a path constraint: it encodes the query once, builds one solver,
-and after each model blocks that value on the same solver (Solver.block),
-which backjumps only as far as the blocking clause needs, so the next
-solve continues from the decisions the clause does not depend on and
-learnt clauses carry over from one value to the next.
-transitions is the same enumeration over a pair of expressions, a
-destination and a source: it encodes the path constraint once with both,
-blocks each (destination, source) pair it finds, and returns every
-destination with the set of sources that reach it.  Both run one loop,
-_enumerate, over one or two expressions.  min_value finds the
-lexicographically smallest feasible value by pinning bits from the most
-significant end down, each pin an assumption on one solver.  pc_model
-returns a satisfying assignment of a path constraint (pc_sat is its
-boolean form).  extends answers the exploration's one feasibility
-question, whether a satisfiable path constraint stays satisfiable with
-new conjuncts added, as one sliced query.  live_conjuncts keeps of a
-satisfiable path constraint only the slice around a set of leaves; the
-exploration uses it to drop the groups no register can reach again.
+conjunction.  Every query but min_value is answered by one loop,
+_solutions, which encodes a conjunction and a tuple of expressions,
+builds one solver, and after each model blocks that tuple of values on
+the same solver (Solver.block).  The block backjumps only as far as the
+blocking clause needs, so the next solve continues from the decisions the
+clause does not depend on, and learnt clauses carry over from one tuple
+to the next.  all_values enumerates every feasible value of one
+expression under a path constraint.  transitions enumerates pairs of a
+destination and a source, and returns every destination with the set of
+sources that reach it.  A satisfiability check is the loop over no
+expression: it yields the empty tuple once or not at all.  pc_sat asks
+it of every group of a path constraint, and extends asks it once for
+the exploration's one feasibility question: whether a satisfiable path
+constraint stays satisfiable with new conjuncts added.  min_value finds
+the lexicographically smallest feasible value by pinning bits from the
+most significant end down, each pin an assumption on one solver.
+live_conjuncts keeps of a satisfiable path constraint only the slice
+around a set of leaves; the exploration uses it to drop the groups no
+register can reach again.
 
 Every query is sliced by constraint independence, as in KLEE.  _slice
 grows the set of leaves a query touches over the simplified conjuncts
 until no further conjunct shares one; the conjuncts it took are the
-related slice, the rest share no variable with it.  all_values,
-transitions (sliced on the leaves of both expressions) and min_value
-encode only the related slice; every independent group of the
-rest (a union-find over their leaves) merely has to be satisfiable.
-extends slices around the new conjuncts and solves that one group: its
-caller guarantees the old path constraint is satisfiable, so the rest
-is too.  pc_model solves group by group and returns the union of the
-group models.  One model per group, or None when the group is
-unsatisfiable, is memoised on the SolverLimits object under the
-frozenset of the group's conjuncts, so every query kind shares it.
+related slice, the rest share no variable with it.  _query, the one
+prologue of all_values, transitions, min_value and pc_sat, slices the
+path constraint on the leaves of the query's expressions (none, for
+pc_sat) and checks that every independent group of the rest (a
+union-find over their leaves) is satisfiable; only the related slice
+is encoded with the expressions.  extends slices around the new
+conjuncts and checks that one group: its caller guarantees the old path
+constraint is satisfiable, so the rest is too.
 
-Enumerations are memoised there too.  After the rest groups are found
-satisfiable, _enumerate keys its query on the simplified expressions and
-the frozenset of the related slice; those fix the answer, however many
-unrelated conjuncts the path constraint has gained since.  The list of
-value tuples is stored only when the enumeration ran to its end (the
-last model was blocked to UNSAT, or there was nothing left to block); a
-consumer that stops early with CapExceeded stores nothing.  A later
-query with the same key replays the list and solves nothing, so it
-writes no dump and logs no solver_stats event.  Both memos live as long
-as their SolverLimits: one per ExploreConfig, shared by every stage and
-analysis run with that config; a call given no limits gets a fresh one.
-Sharing is exact, because a key fixes its answer.
+One memo on the SolverLimits object, answers, holds every complete
+answer of _solutions under the tuple of its simplified expressions and
+the frozenset of its conjuncts; those fix the answer, however many
+unrelated conjuncts the path constraint has gained since.  A group check
+stores [()] or [] there, so every query kind shares the group answers.
+The list of value tuples is stored only when the loop ran to its end
+(the last model was blocked to UNSAT, or there was nothing left to
+block); a consumer that stops early with CapExceeded stores nothing.  A
+later query with the same key replays the list and solves nothing, so
+it writes no dump and logs no solver_stats event.  The memo lives as
+long as its SolverLimits: one per ExploreConfig, shared by every stage
+and analysis run with that config; a call given no limits gets a fresh
+one.  Sharing is exact, because a key fixes its answer.
 
 Every solve is solver.solve(assumptions) on a solver loaded with the
 query's formula.  Every solver call writes its formula to the dumper, if
@@ -55,9 +54,8 @@ of the query that needed the solve.  A conflict budget running out
 raises ResourceOut from every query; it is never read as infeasible, and
 never memoised, so the next query solves that group or enumeration
 again.  Results depend only on the query structure, never on CNF
-variable numbering, on which model a group's memo holds or on the order
-in which an enumeration found its tuples, so reports built from them
-are reproducible across runs.
+variable numbering or on the order in which an enumeration found its
+tuples, so reports built from them are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -76,27 +74,24 @@ from .sat import DEFAULT_CONFLICT_LIMIT, SatOutcome, Solver, check_sat
 
 log = logging.getLogger("dctforge.solve")
 
-__all__ = ["PathConstraint", "SolverLimits", "CnfDumper", "pc_model",
-           "pc_sat", "extends", "live_conjuncts", "all_values",
-           "transitions", "min_value", "DEFAULT_VALUE_CAP"]
-
-PathConstraint = tuple  # of width-1 Expr conjuncts
+__all__ = ["SolverLimits", "CnfDumper", "pc_sat", "extends",
+           "live_conjuncts", "all_values", "transitions", "min_value",
+           "DEFAULT_VALUE_CAP"]
 
 DEFAULT_VALUE_CAP = 64
 ALL_VALUES_WIDTH_CAP = 24
 
 
 class SolverLimits:
-    """Budgets and the dumper for every query made with it, and two
-    memos those queries share.  models maps the frozenset of an
-    independent group of conjuncts to one satisfying assignment of it,
-    or to None when the group is unsatisfiable.  answers maps an
-    enumeration's key, the tuple of its simplified expressions and the
-    frozenset of its related slice, to the list of value tuples its
-    complete enumeration yielded.  Both hold only what a solve settled,
-    never a ResourceOut, and a key fixes its answer, so any queries may
-    share one SolverLimits: an ExploreConfig carries one, for every
-    stage of every analysis run with that config."""
+    """Budgets and the dumper for every query made with it, and the one
+    memo those queries share.  answers maps a query's key, the tuple of
+    its simplified expressions (empty for a satisfiability check) and the
+    frozenset of its conjuncts, to the list of value tuples its complete
+    enumeration yielded: [()] or [] for a satisfiable or unsatisfiable
+    group.  It holds only what a solve settled, never a ResourceOut, and
+    a key fixes its answer, so any queries may share one SolverLimits: an
+    ExploreConfig carries one, for every stage of every analysis run with
+    that config."""
 
     def __init__(self, conflict_limit: int = DEFAULT_CONFLICT_LIMIT,
                  clause_cap: int = DEFAULT_CLAUSE_CAP,
@@ -104,7 +99,6 @@ class SolverLimits:
         self.conflict_limit = conflict_limit
         self.clause_cap = clause_cap
         self.dumper = dumper
-        self.models: dict[frozenset, dict | None] = {}
         self.answers: dict[tuple, list[tuple[int, ...]]] = {}
 
 
@@ -228,69 +222,95 @@ def _solve(formula: CnfFormula, solver: Solver, limits: SolverLimits,
     return _raise_if_out(outcome)
 
 
-def _encoder(conjuncts: list[ex.Expr], limits: SolverLimits) -> Encoder:
-    """An encoder with every conjunct asserted."""
+def _loaded(es: Sequence[ex.Expr], related: list[ex.Expr],
+            limits: SolverLimits):
+    """(formula, solver, bits): related asserted and every expression of
+    es encoded, as a formula (for dumps), one solver loaded with it, and
+    the literals of each expression's bits."""
     enc = Encoder(limits.clause_cap)
-    for c in conjuncts:
+    for c in related:
         enc.assert_lit(enc.bits(c)[0])
-    return enc
-
-
-def _query_solver(enc: Encoder, limits: SolverLimits):
-    """The encoded query as a formula (for dumps) and one solver loaded
-    with it."""
+    bits = [enc.bits(e) for e in es]
     formula = enc.to_formula()
     solver = Solver(formula.num_vars, limits.conflict_limit)
     for cl in formula.clauses:
         solver.add_clause(cl)
-    return formula, solver
+    return formula, solver, bits
 
 
-def _group_model(group: list[ex.Expr], limits: SolverLimits,
-                 label: str) -> dict | None:
-    """A satisfying assignment of one group of conjuncts, or None when it
-    is unsatisfiable; solved at most once per limits.  A ResourceOut
-    propagates and is not remembered."""
-    key = frozenset(group)
-    if key in limits.models:
-        return limits.models[key]
-    formula, solver = _query_solver(_encoder(group, limits), limits)
-    outcome = _solve(formula, solver, limits, label)
-    model = None
-    if outcome.is_sat:
-        model = {}
-        for leaf in frozenset().union(*map(ex.leaf_set, group)):
-            if leaf.op == "var":
-                model[("var",) + leaf.aux] = sum(
-                    1 << i for i in range(leaf.width)
-                    if outcome.lit_value(formula.bit_map[(leaf, i)]))
-    limits.models[key] = model
-    return model
+def _solutions(es: tuple[ex.Expr, ...], related: list[ex.Expr],
+               limits: SolverLimits, label: str):
+    """Yield every distinct tuple (v1, ..., vn) such that related and
+    every es[i] = vi is satisfiable, via blocking clauses on one solver.
+
+    After each model, solver.block adds a clause over the non-constant
+    bits of every expression that excludes that tuple, and the next solve
+    continues from where the backjump left the search rather than from
+    level 0; learnt clauses carry over too.  That is one solve per tuple,
+    and a final UNSAT one unless the expressions have no non-constant
+    bit; each is dumped with every blocking clause so far.  With es empty
+    this is a satisfiability check: it yields () once or not at all.  A
+    complete answer is remembered on limits under es and the frozenset of
+    related, and a later query with that key replays it without a
+    solve."""
+    key = (es, frozenset(related))
+    answer = limits.answers.get(key)
+    if answer is not None:
+        yield from answer
+        return
+    formula, solver, bits = _loaded(es, related, limits)
+    found = []
+    while True:
+        outcome = _solve(formula, solver, limits, label)
+        if outcome.is_unsat:
+            break
+        values = tuple(sum(1 << i for i, lit in enumerate(b)
+                           if outcome.lit_value(lit)) for b in bits)
+        found.append(values)
+        yield values
+        clause = [-lit if (v >> i) & 1 else lit
+                  for b, v in zip(bits, values)
+                  for i, lit in enumerate(b) if abs(lit) != 1]
+        if not clause:
+            break
+        formula.clauses.append(clause)
+        solver.block(clause)
+    # Reached only when the enumeration ran to its end: a consumer that
+    # stops early never resumes the generator past its yield, and a
+    # ResourceOut leaves through _solve.
+    limits.answers[key] = found
 
 
-def pc_model(pc: Iterable[ex.Expr],
-             limits: SolverLimits | None = None) -> dict | None:
-    """A satisfying assignment of the conjunction of pc, or None when it
-    is unsatisfiable.  The assignment maps ("var", name, step) to a value
-    for every variable of pc's non-constant conjuncts; it is the union of
-    one model per independent group."""
-    if limits is None:
-        limits = SolverLimits()
+def _group_sat(group: list[ex.Expr], limits: SolverLimits,
+               label: str) -> bool:
+    """Is one group of conjuncts satisfiable?  Solved at most once per
+    limits."""
+    return bool(list(_solutions((), group, limits, label)))
+
+
+def _query(es: Sequence[ex.Expr], pc: Iterable[ex.Expr],
+           limits: SolverLimits, label: str):
+    """(simplified es, related slice of pc), or None when pc is
+    unsatisfiable.  pc is sliced on the leaves of all of es; each
+    independent group of the rest only has to be satisfiable, and is
+    checked here under label."""
     conjuncts = _symbolic_conjuncts(pc)
     if conjuncts is None:
         return None
-    env: dict = {}
-    for group in _components(conjuncts):
-        model = _group_model(group, limits, "pc-sat")
-        if model is None:
-            return None
-        env.update(model)
-    return env
+    es = tuple(ex.simplify(e) for e in es)
+    related, rest = _slice(frozenset().union(*map(ex.leaf_set, es)),
+                           conjuncts)
+    if not all(_group_sat(g, limits, label) for g in _components(rest)):
+        return None
+    return es, related
 
 
 def pc_sat(pc: Iterable[ex.Expr], limits: SolverLimits | None = None) -> bool:
-    """Is the conjunction of pc satisfiable?"""
-    return pc_model(pc, limits) is not None
+    """Is the conjunction of pc satisfiable?  Each independent group is
+    checked on its own."""
+    if limits is None:
+        limits = SolverLimits()
+    return _query((), pc, limits, "pc-sat") is not None
 
 
 def extends(pc: Iterable[ex.Expr], new: Iterable[ex.Expr],
@@ -314,7 +334,7 @@ def extends(pc: Iterable[ex.Expr], new: Iterable[ex.Expr],
     related, _ = _slice(frozenset().union(*map(ex.leaf_set, added)),
                         conjuncts)
     group = list(dict.fromkeys(related + added))
-    return _group_model(group, limits, "step-feasibility") is not None
+    return _group_sat(group, limits, "step-feasibility")
 
 
 def _check_width(e: ex.Expr) -> None:
@@ -325,57 +345,11 @@ def _check_width(e: ex.Expr) -> None:
 
 def _enumerate(es: Sequence[ex.Expr], pc: Iterable[ex.Expr],
                limits: SolverLimits, label: str):
-    """Yield every distinct tuple (v1, ..., vn) such that pc and every
-    es[i] = vi is satisfiable, via blocking clauses on one solver.
-
-    The query slices pc on the leaves of all of es; each independent
-    group of the rest only has to be satisfiable.  After each model,
-    solver.block adds a clause over the non-constant bits of every
-    expression that excludes that tuple, and the next solve continues
-    from where the backjump left the search rather than from level 0;
-    learnt clauses carry over too.  That is one solve per tuple, and a
-    final UNSAT one unless the expressions have no non-constant bit;
-    each is dumped with every blocking clause so far.  A
-    complete enumeration is remembered on limits under the simplified es
-    and the related slice, and a later query with that key replays it
-    without a solve."""
-    conjuncts = _symbolic_conjuncts(pc)
-    if conjuncts is None:
-        return
-    es = tuple(ex.simplify(e) for e in es)
-    related, rest = _slice(frozenset().union(*map(ex.leaf_set, es)),
-                           conjuncts)
-    if any(_group_model(g, limits, label) is None
-           for g in _components(rest)):
-        return
-    key = (es, frozenset(related))
-    answer = limits.answers.get(key)
-    if answer is not None:
-        yield from answer
-        return
-    enc = _encoder(related, limits)
-    bits = [enc.bits(e) for e in es]
-    formula, solver = _query_solver(enc, limits)
-    found = []
-    while True:
-        outcome = _solve(formula, solver, limits, label)
-        if outcome.is_unsat:
-            break
-        values = tuple(sum(1 << i for i, lit in enumerate(b)
-                           if outcome.lit_value(lit)) for b in bits)
-        found.append(values)
-        yield values
-        clause = [-lit if (v >> i) & 1 else lit
-                  for b, v in zip(bits, values)
-                  for i, lit in enumerate(b) if abs(lit) != 1]
-        if not clause:
-            break
-        formula.clauses.append(clause)
-        solver.block(clause)
-    # Reached only when the enumeration ran to its end: a consumer that
-    # stops early never resumes the generator past its yield, and a
-    # ResourceOut leaves through _solve.
-    limits.answers[key] = found
+    """_solutions of es over the related slice of pc, or nothing when pc
+    is unsatisfiable."""
+    query = _query(es, pc, limits, label)
+    if query is not None:
+        yield from _solutions(*query, limits, label)
 
 
 def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
@@ -433,17 +407,10 @@ def min_value(e: ex.Expr, pc: Iterable[ex.Expr],
     """
     if limits is None:
         limits = SolverLimits()
-    conjuncts = _symbolic_conjuncts(pc)
-    if conjuncts is None:
+    query = _query((e,), pc, limits, "min-value")
+    if query is None:
         return None
-    e = ex.simplify(e)
-    related, rest = _slice(ex.leaf_set(e), conjuncts)
-    if any(_group_model(g, limits, "min-value") is None
-           for g in _components(rest)):
-        return None
-    enc = _encoder(related, limits)
-    bits = enc.bits(e)
-    formula, solver = _query_solver(enc, limits)
+    formula, solver, (bits,) = _loaded(*query, limits)
 
     outcome = _solve(formula, solver, limits, "min-value")
     if outcome.is_unsat:

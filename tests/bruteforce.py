@@ -354,3 +354,20 @@ def per_net_cycle_exprs(c, s, cfg):
     if not extends(s.pc, assumed, cfg.limits):
         return None
     return next_exprs, outs, s.pc + assumed
+
+
+def pinned_witness(c, spec, pc, cfg):
+    """detect._extract_witness the per-variable way: under pc (the source
+    StateId already pinned), the smallest value of each input, then of
+    each non-spec register, in declaration order, each one pinned before
+    the next is minimised.  Returns (inputs, non-spec registers)."""
+    from dctforge.solve import min_value
+    inputs, registers = {}, {}
+    names = ([(name, w, 0, inputs) for name, w in c.inputs]
+             + [(r.name, r.width, -1, registers) for r in c.registers
+                if r.name not in spec.registers])
+    for name, w, step, out in names:
+        v = ex.var(name, w, step)
+        out[name] = min_value(v, pc, limits=cfg.limits)
+        pc = pc + (ex.eq(v, ex.const(w, out[name])),)
+    return inputs, registers

@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 from dctforge import corpus
-from dctforge.cli import main
+from dctforge.cli import _build_parser, main
+from dctforge.engine import ExploreConfig
 from dctforge.rtl import parse_rtl
+from dctforge.solve import SolverLimits
 
 
 def run_cli(args):
@@ -43,6 +45,20 @@ def read_report(path):
 
 def strip_timing(obj):
     return {k: v for k, v in obj.items() if k != "timing_ms"}
+
+
+def test_parser_defaults_equal_library_defaults(ima_path):
+    """The cap and budget flags default to the values a config built
+    without them gets."""
+    fields = ExploreConfig.__dataclass_fields__
+    limits = SolverLimits()
+    for command in ("analyze", "trojan", "stg", "oracle"):
+        args = _build_parser().parse_args(
+            [command, "--circuit", ima_path, "--state", "pcmSq"])
+        assert args.value_cap == fields["value_cap"].default
+        assert args.path_cap == fields["path_cap"].default
+        assert args.conflict_limit == limits.conflict_limit
+        assert args.clause_cap == limits.clause_cap
 
 
 def test_analyze_ima_exit_and_counts(ima_path, tmp_path):

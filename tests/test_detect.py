@@ -6,6 +6,8 @@ import random
 from dataclasses import replace as dc_replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dctforge import corpus, detect, engine
 from dctforge.circuit import Circuit, Register, make_state_spec
@@ -18,6 +20,8 @@ from dctforge.rtl import parse_rtl
 from dctforge.trojanlab import gen_random_fsm
 from dctforge import expr as ex
 
+from bruteforce import (BitPlanes, ExprGen, naive_eval, pinned_witness,
+                        support_leaves)
 from conftest import config_for
 
 
@@ -203,3 +207,49 @@ def test_random_fsm_dct_matches_oracle():
         assert rep.dct == oracle_dct(om), seed
         for edge, w in rep.witnesses.items():
             assert replay_dct_witness(c, cfg.state_spec, edge, w), seed
+
+
+_WITNESS_CIRCUITS = [
+    parse_rtl("circuit w\ninput a:2\ninput b:1\n"
+              "reg s:2 reset 0 next a\nreg r:2 reset 0 next s\n"
+              "reg q:1 reset 0 next b\noutput y:2 = r\n"),
+    parse_rtl("circuit w\ninput a:3\nreg s:2 reset 0 next a[1:0]\n"
+              "output y:2 = s\n"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(_WITNESS_CIRCUITS))
+def test_witness_equals_per_variable_pinning(seed, c):
+    """One min_value over the inputs, then the non-spec registers, gives
+    the witness the per-variable pinning loop gives, and the
+    lexicographically smallest feasible tuple by the bit-plane oracle,
+    on random satisfiable path constraints over those variables and the
+    spec register."""
+    rng = random.Random(seed)
+    cfg = config_for(c, ["s"], depth=1)
+    spec = cfg.state_spec
+    leaves = ([ex.var(name, w, 0) for name, w in c.inputs]
+              + [ex.var(r.name, r.width, -1) for r in c.registers])
+    gen = ExprGen(rng)
+    gen.vars = leaves
+    env = {(v.op,) + v.aux: rng.randrange(1 << v.width) for v in leaves}
+    pc = tuple(gen.gen(rng.randrange(1, 4), 1)
+               for _ in range(rng.randrange(0, 5)))
+    pc = tuple(p if naive_eval(p, env) else ex.not_(p) for p in pc)
+    source = env[("var", "s", -1)]
+    state = engine.SymState({}, pc, 0, 0)
+    got = detect._extract_witness(c, spec, state, source, cfg)
+    pinned = pc + (ex.eq(ex.var("s", 2, -1), ex.const(2, source)),)
+    inputs, free = pinned_witness(c, spec, pinned, cfg)
+    assert got.inputs == inputs
+    assert got.registers == {"s": source, **free}
+    assert list(got.registers) == [r.name for r in c.registers]
+    parts = [v for v in leaves if v.aux != ("s", -1)]
+    whole = parts[0] if len(parts) == 1 else ex.concat(*parts)
+    smallest = min(BitPlanes(support_leaves(whole, *pinned))
+                   .value_set(whole, pinned))
+    flat = 0
+    for p, v in zip(parts, [*inputs.values(), *free.values()]):
+        flat = (flat << p.width) | v
+    assert flat == smallest

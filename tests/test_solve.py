@@ -1,7 +1,7 @@
 """Query layer: incremental all_values/min_value against a rebuild-per-call
 reference and the bit-plane oracle, conflict budgets raising ResourceOut
-from every query, one solver_stats event per dumped query, and the group
-and enumeration memos on SolverLimits."""
+from every query, one solver_stats event per dumped query, and the one
+memo on SolverLimits that group checks and enumerations share."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dctforge.errors import CapExceeded, ResourceOut, WidthMismatch
 from dctforge.sat import SatOutcome, Solver, check_sat
 from dctforge.rtl import parse_rtl
 from dctforge.solve import (SolverLimits, all_values, extends, min_value,
-                            pc_model, pc_sat, transitions)
+                            pc_sat, transitions)
 
 from bruteforce import BitPlanes, ExprGen, naive_eval, support_leaves
 from conftest import config_for
@@ -166,12 +166,10 @@ def test_min_value_raises_resource_out():
         min_value(ex.concat(*xs[:4]), pc, limits=TINY)
 
 
-def test_pc_model_satisfies_every_conjunct():
+def test_pc_sat_constant_conjuncts():
     _, pc = _hard_sat_conjuncts()
-    env = pc_model(pc)
-    assert all(ex.evaluate(c, env) == 1 for c in pc)
-    assert pc_model(pc + (ex.const(1, 0),)) is None
-    assert pc_model((ex.const(1, 1),)) == {}
+    assert not pc_sat(pc + (ex.const(1, 0),))
+    assert pc_sat((ex.const(1, 1),))
 
 
 class _Labels:
@@ -251,7 +249,7 @@ def _satisfiable_pc(seed: int):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
 def test_extends_equals_pc_sat(seed, new_seed):
     """For a satisfiable multi-group pc, extends answers pc + new exactly,
-    with a fresh memo and with one that pc_model already filled."""
+    with a fresh memo and with one that pc_sat already filled."""
     pc = _satisfiable_pc(seed)
     assert pc_sat(pc)
     new = _new_conjuncts(new_seed)
@@ -260,7 +258,7 @@ def test_extends_equals_pc_sat(seed, new_seed):
     assert expected == (planes.truth_plane(pc + new) != 0)
     assert extends(pc, new) == expected
     limits = SolverLimits()
-    pc_model(pc, limits)
+    pc_sat(pc, limits)
     assert extends(pc, new, limits) == expected
 
 
@@ -310,10 +308,6 @@ def test_solver_stats_event_per_dumped_query(ima, caplog):
     assert [e["label"] for e in events] == labels.labels
 
 
-def _satisfies(env, pc) -> bool:
-    return all(ex.evaluate(ex.simplify(c), env) == 1 for c in pc)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_sliced_queries_equal_rebuild_reference(seed):
@@ -326,10 +320,7 @@ def test_sliced_queries_equal_rebuild_reference(seed):
     got = all_values(e, pc, cap=1 << e.width, limits=limits)
     assert got == ref_all_values(e, pc) == values
     assert min_value(e, pc, limits=limits) == ref_min_value(e, pc)
-    env = pc_model(pc, limits)
-    assert (env is None) == (planes.truth_plane(pc) == 0)
-    if env is not None:
-        assert _satisfies(env, pc)
+    assert pc_sat(pc, limits) == (planes.truth_plane(pc) != 0)
 
 
 def test_unsat_group_disjoint_from_query():
@@ -341,7 +332,7 @@ def test_unsat_group_disjoint_from_query():
         assert all_values(v, pc) == set() == ref_all_values(v, pc)
         assert planes.value_set(v, pc) == set()
         assert min_value(v, pc) is None is ref_min_value(v, pc)
-        assert pc_model(pc) is None
+        assert not pc_sat(pc)
     assert all_values(v, related) == {0, 1, 2, 3, 4}
 
 
@@ -379,15 +370,18 @@ def test_each_group_solved_once_per_limits():
     labels = _Labels()
     limits = SolverLimits(dumper=labels)
     for pc in prefixes + prefixes:
-        env = pc_model(pc, limits)
-        assert env is not None and _satisfies(env, pc)
+        assert pc_sat(pc, limits)
     # One new group per added conjunct, none solved twice.
+    assert labels.labels == ["pc-sat"] * len(order)
+    # A feasibility check whose group pc_sat already solved is no solve.
+    last = conjuncts[0][2]
+    assert extends(tuple(c for c in order if c is not last), (last,), limits)
     assert labels.labels == ["pc-sat"] * len(order)
     x0 = ex.var("x0", 3, 0)
     assert all_values(x0, prefixes[-1], cap=8, limits=limits) == {1, 2, 3, 4, 5}
     assert set(labels.labels[len(order):]) == {"all-values"}
     fresh = _Labels()
-    pc_model(prefixes[-1], SolverLimits(dumper=fresh))
+    pc_sat(prefixes[-1], SolverLimits(dumper=fresh))
     assert fresh.labels == ["pc-sat"] * 3
 
 
@@ -436,7 +430,7 @@ def test_transitions_equal_per_destination_queries(seed):
     assert {(d, s) for d, srcs in expected.items() for s in srcs} == \
         {(p >> src.width, p & mask) for p in pairs}
     limits = SolverLimits()
-    pc_model(pc, limits)
+    pc_sat(pc, limits)
     assert transitions(dst, src, pc, cap=cap, limits=limits) == expected
 
 
