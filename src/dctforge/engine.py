@@ -493,7 +493,8 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
     frontier = list(init)
     layer = 0
     last_new_layer = 0
-    final_layer_added = False
+    # Layer 0 adds the initial projections; at depth 0 it is the final one.
+    final_layer_added = cfg.depth == 0 and bool(seen)
 
     while frontier:
         if cfg.depth is not None and layer >= cfg.depth:

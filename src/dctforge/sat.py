@@ -17,18 +17,25 @@ solve() call; search stops with ResourceOut once it is exhausted.  Every
 Sat model is checked against every clause the solver was given and
 against every assumption before it is returned.
 
-The trail rule: a Sat solve() leaves its complete assignment on the
-trail; every other outcome returns at decision level 0.  add_clause and
-solve(assumptions) backtrack to level 0 before they start, which puts
-the solver in the state the old return-at-level-0 rule left it in, so
-their outcomes and models are unchanged.  (A solve() straight after a
-Sat one returns the same model either way: from level 0, with the model
-as every saved phase, the search finds it again without a conflict.)
-block(lits) continues an enumeration without restarting it: it adds a
-clause that the kept assignment falsifies, typically one excluding the
-last model, and backjumps only as far as that clause needs, so the next
-solve() keeps every decision level below it.  All-solutions solvers
-avoid restarts the same way (Grumberg, Schuster & Yadgar, FMCAD 2004).
+enumerate(proj) yields one model per assignment of the projection
+variables proj that extends to a model, with no blocking clause
+(Gebser, Kaufmann & Schaub, "Solution enumeration for projected Boolean
+search problems", CPAIOR 2009; Toda & Soh, "Implementing efficient all
+solutions SAT solvers", JEA 2016).  It decides the projection variables
+before any other, so decision levels 1..P hold projection decisions.
+After each model it backtracks chronologically to the deepest projection
+decision not yet flipped and decides its complement there, as a flipped
+level.  Conflicts learn and backjump as in solve(), but never below the
+deepest flipped level; a conflict at that level flips the next unflipped
+level below it, and restarts go back to it.  A flip is a decision with
+no reason, so nothing learnt depends on one: every learnt clause is
+implied by the clauses alone, and a solver whose enumeration was
+abandoned answers later calls exactly.  The conflict budget applies to
+each model's search.
+
+The trail rule: add_clause, solve and enumerate each backtrack to
+decision level 0 before they start, so no call depends on what the last
+one left on the trail.
 
 check_sat is the one-shot form: one Solver per formula, no assumptions.
 """
@@ -36,7 +43,7 @@ check_sat is the one-shot form: one Solver per formula, no assumptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cnf import CnfFormula
 
@@ -138,35 +145,6 @@ class Solver:
             self._attach(lits[:])
         elif not lits or not self._enqueue(lits[0], None):
             self.ok = False
-
-    def block(self, lits: list[int]) -> None:
-        """Add a clause that the assignment on the trail falsifies, as a
-        Sat solve() leaves it, and backjump only as far as the clause
-        needs.  With one literal at the clause's highest decision level,
-        the solver backtracks to the second-highest level among its
-        literals (0 for a unit) and asserts that literal there; with two
-        or more at the highest level, it backtracks to one level below
-        it, where the clause has two unassigned literals to watch.  A
-        clause false at level 0 makes the solver Unsat for good.  The
-        list is kept for the model check, like add_clause's; duplicate
-        literals are allowed.  Raises AssertionError when the assignment
-        does not falsify the clause."""
-        assign = self.assign
-        if any(assign[l] != -1 for l in lits):
-            raise AssertionError("block needs a clause the assignment falsifies")
-        self.given.append(lits)
-        level = self.level
-        lits = sorted(dict.fromkeys(lits), key=lambda l: -level[abs(l)])
-        top = level[abs(lits[0])] if lits else 0
-        if top == 0:
-            self._backtrack(0)
-            self.ok = False
-        elif len(lits) > 1 and level[abs(lits[1])] == top:
-            self._backtrack(top - 1)
-            self._attach(lits)
-        else:
-            self._backtrack(level[abs(lits[1])] if len(lits) > 1 else 0)
-            self._learn(lits)
 
     def _reduce_at_level0(self, lits: list[int]) -> list[int] | None:
         """lits without its level-0 false literals, or None when the
@@ -314,18 +292,22 @@ class Solver:
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
 
-    def _decide(self) -> int | None:
+    def _decide(self, proj: Sequence[int]) -> int | None:
+        """The unassigned variable of highest activity, ties to the lowest
+        index, in its saved phase: one of proj (sorted) while any of it is
+        unassigned, else any variable; None when every one is assigned."""
         assign = self.assign
         activity = self.activity
-        best = None
-        best_act = -1.0
-        for v in range(1, self.nv + 1):
-            if assign[v] == 0 and activity[v] > best_act:
-                best = v
-                best_act = activity[v]
-        if best is None:
-            return None
-        return best if self.phase[best] else -best
+        for candidates in (proj, range(1, self.nv + 1)):
+            best = None
+            best_act = -1.0
+            for v in candidates:
+                if assign[v] == 0 and activity[v] > best_act:
+                    best = v
+                    best_act = activity[v]
+            if best is not None:
+                return best if self.phase[best] else -best
+        return None
 
     def _attach(self, lits: list[int]) -> int:
         """Store a clause of two or more literals, watching its first two;
@@ -361,14 +343,63 @@ class Solver:
 
     def solve(self, assumptions: Sequence[int] = ()) -> SatOutcome:
         """Sat with a model satisfying every clause and assumption, Unsat,
-        or ResourceOut.  Sat leaves the model's assignment on the trail,
-        for block; any other outcome returns at decision level 0.  With
-        assumptions the search starts from level 0; without, it
-        continues from the trail as the last call or block left it."""
+        or ResourceOut.  The search starts from decision level 0."""
         if not self.ok:
             return _UNSAT
-        if assumptions:
-            self._backtrack(0)
+        self._backtrack(0)
+        return self._search(assumptions, (), [])
+
+    def enumerate(self, proj: Iterable[int]) -> Iterator[SatOutcome]:
+        """One Sat outcome per assignment of the variables proj that
+        extends to a model, each once, then one last outcome: Unsat once
+        none is left, or ResourceOut when one model's search ran out of
+        budget.  Between two outcomes the caller must make no other call
+        on this solver; it may abandon the generator at any time, and the
+        solver stays usable (see the module docstring)."""
+        self._backtrack(0)
+        if not self.ok:
+            yield _UNSAT
+            return
+        proj = sorted(set(proj))
+        flips: list[int] = []
+        while True:
+            outcome = self._search((), proj, flips)
+            yield outcome
+            if not outcome.is_sat:
+                return
+            # Decision levels 1..top hold the projection decisions.
+            top = max((self.level[v] for v in proj), default=0)
+            if not self._flip(flips, top):
+                self._backtrack(0)
+                yield _UNSAT
+                return
+
+    def _flip(self, flips: list[int], level: int) -> bool:
+        """Decide the complement of the deepest decision at or below
+        level that flips (the flipped levels, ascending) does not hold,
+        at its own level, and record that level as flipped.  False when
+        every level down to 1 is flipped."""
+        while flips and flips[-1] == level:
+            flips.pop()
+            level -= 1
+        if level == 0:
+            return False
+        decision = self.trail[self.trail_lim[level - 1]]
+        self._backtrack(level - 1)
+        self.trail_lim.append(len(self.trail))
+        self._enqueue(-decision, None)
+        flips.append(level)
+        return True
+
+    def _search(self, assumptions: Sequence[int], proj: Sequence[int],
+                flips: list[int]) -> SatOutcome:
+        """CDCL from the current trail to the next model, deciding the
+        assumptions first and then proj: Sat, ResourceOut (at level 0),
+        or Unsat.  With flips (enumerate's flipped levels) it never
+        backjumps or restarts below the deepest flipped level, and a
+        conflict at that level flips the next one down; Unsat then means
+        that no flip is left, unless the conflict was at level 0, which
+        makes the clauses unsat for good."""
         n_assumed = len(assumptions)
         conflicts = 0
         restart_idx = 1
@@ -379,14 +410,21 @@ class Solver:
             if confl is not None:
                 conflicts += 1
                 conflicts_since_restart += 1
-                if len(self.trail_lim) == 0:
+                level = len(self.trail_lim)
+                if level == 0:
                     self.ok = False
                     return _UNSAT
                 if conflicts >= self.conflict_limit:
                     self._backtrack(0)
                     return _RESOURCE_OUT
+                floor = flips[-1] if flips else 0
+                if level == floor:
+                    if not self._flip(flips, level):
+                        self._backtrack(0)
+                        return _UNSAT
+                    continue
                 learnt, bt_level = self._analyze(confl)
-                self._backtrack(bt_level)
+                self._backtrack(max(bt_level, floor))
                 self._learn(learnt)
                 self.var_inc /= _VAR_DECAY
                 continue
@@ -394,7 +432,7 @@ class Solver:
                 conflicts_since_restart = 0
                 restart_idx += 1
                 restart_limit = _RESTART_BASE * _luby(restart_idx)
-                self._backtrack(0)
+                self._backtrack(flips[-1] if flips else 0)
                 continue
             decision = None
             while len(self.trail_lim) < n_assumed:
@@ -409,7 +447,7 @@ class Solver:
                     decision = lit
                     break
             if decision is None:
-                decision = self._decide()
+                decision = self._decide(proj)
                 if decision is None:
                     self._check_model(assumptions)
                     model = tuple(self.assign[v] == 1

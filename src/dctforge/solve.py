@@ -3,12 +3,13 @@
 A path constraint is a tuple of width-1 expressions understood as a
 conjunction.  Every query but min_value is answered by one loop,
 _solutions, which encodes a conjunction and a tuple of expressions,
-builds one solver, and after each model blocks that tuple of values on
-the same solver (Solver.block).  The block backjumps only as far as the
-blocking clause needs, so the next solve continues from the decisions the
-clause does not depend on, and learnt clauses carry over from one tuple
-to the next.  all_values enumerates every feasible value of one
-expression under a path constraint.  transitions enumerates pairs of a
+builds one solver, and enumerates the assignments of the expressions'
+bits on it (Solver.enumerate): after each model the search flips its
+last projection decision instead of adding a blocking clause, so each
+tuple costs about one model's search, however many came before, and
+learnt clauses carry over from one tuple to the next.  all_values
+enumerates every feasible value of one expression under a path
+constraint.  transitions enumerates pairs of a
 destination and a source, and returns every destination with the set of
 sources that reach it.  A satisfiability check is the loop over no
 expression: it yields the empty tuple once or not at all.  pc_sat asks
@@ -39,18 +40,22 @@ the frozenset of its conjuncts; those fix the answer, however many
 unrelated conjuncts the path constraint has gained since.  A group check
 stores [()] or [] there, so every query kind shares the group answers.
 The list of value tuples is stored only when the loop ran to its end
-(the last model was blocked to UNSAT, or there was nothing left to
-block); a consumer that stops early with CapExceeded stores nothing.  A
+(the enumeration found no further tuple, or the expressions have no
+non-constant bit); a consumer that stops early with CapExceeded stores
+nothing.  A
 later query with the same key replays the list and solves nothing, so
 it writes no dump and logs no solver_stats event.  The memo lives as
 long as its SolverLimits: one per ExploreConfig, shared by every stage
 and analysis run with that config; a call given no limits gets a fresh
 one.  Sharing is exact, because a key fixes its answer.
 
-Every solve is solver.solve(assumptions) on a solver loaded with the
-query's formula.  Every solver call writes its formula to the dumper, if
-any, and logs a solver_stats debug event under the same label: the label
-of the query that needed the solve.  A conflict budget running out
+Every solver call is one step of an enumeration or one
+solver.solve(assumptions) of min_value, on a solver loaded with the
+query's formula.  Each writes its formula to the dumper, if any, and
+logs a solver_stats debug event under the same label: the label of the
+query that needed it.  An enumeration step's dump adds a clause
+excluding each tuple found before it, so it asks that step's question;
+those clauses are built only for the dumper.  A conflict budget running out
 raises ResourceOut from every query; it is never read as infeasible, and
 never memoised, so the next query solves that group or enumeration
 again.  Results depend only on the query structure, never on CNF
@@ -63,7 +68,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import expr as ex
 from .cnf import DEFAULT_CLAUSE_CAP, CnfFormula, Encoder
@@ -201,22 +206,30 @@ def _raise_if_out(outcome: SatOutcome) -> SatOutcome:
     return outcome
 
 
-def _solve(formula: CnfFormula, solver: Solver, limits: SolverLimits,
-           label: str, assumptions: Sequence[int] = ()):
-    """One call of solver, loaded with formula, under assumptions.  The
-    query goes to the dumper (assumptions as unit clauses) and to a
-    solver_stats debug event, both under label."""
+def _exclusion(bits: Sequence[list[int]], values: tuple[int, ...]) -> list[int]:
+    """The clause over the non-constant bits that excludes values."""
+    return [-lit if (v >> i) & 1 else lit
+            for b, v in zip(bits, values)
+            for i, lit in enumerate(b) if abs(lit) != 1]
+
+
+def _solve(ask, formula: CnfFormula, limits: SolverLimits, label: str,
+           assumptions: Sequence[int] = (), bits: Sequence[list[int]] = (),
+           found: Collection[tuple[int, ...]] = ()):
+    """ask(): one call of a solver loaded with formula, under assumptions,
+    that excludes every tuple of values of bits in found.  The query goes
+    to the dumper (each exclusion a clause, assumptions as unit clauses)
+    and to a solver_stats debug event, both under label."""
     if limits.dumper is not None:
-        dumped = formula
-        if assumptions:
-            dumped = CnfFormula(formula.num_vars, formula.clauses
-                                + [[lit] for lit in assumptions])
-        limits.dumper.dump(dumped, label)
-    outcome = solver.solve(assumptions)
+        limits.dumper.dump(
+            CnfFormula(formula.num_vars, formula.clauses
+                       + [_exclusion(bits, values) for values in found]
+                       + [[lit] for lit in assumptions]), label)
+    outcome = ask()
     if log.isEnabledFor(logging.DEBUG):
         log.debug(json.dumps({"event": "solver_stats", "label": label,
                               "vars": formula.num_vars,
-                              "clauses": len(formula.clauses),
+                              "clauses": len(formula.clauses) + len(found),
                               "assumptions": len(assumptions),
                               "status": outcome.status}, sort_keys=True))
     return _raise_if_out(outcome)
@@ -241,44 +254,43 @@ def _loaded(es: Sequence[ex.Expr], related: list[ex.Expr],
 def _solutions(es: tuple[ex.Expr, ...], related: list[ex.Expr],
                limits: SolverLimits, label: str):
     """Yield every distinct tuple (v1, ..., vn) such that related and
-    every es[i] = vi is satisfiable, via blocking clauses on one solver.
+    every es[i] = vi is satisfiable, from one solver's enumeration over
+    the non-constant bits of es (Solver.enumerate).
 
-    After each model, solver.block adds a clause over the non-constant
-    bits of every expression that excludes that tuple, and the next solve
-    continues from where the backjump left the search rather than from
-    level 0; learnt clauses carry over too.  That is one solve per tuple,
-    and a final UNSAT one unless the expressions have no non-constant
-    bit; each is dumped with every blocking clause so far.  With es empty
-    this is a satisfiability check: it yields () once or not at all.  A
-    complete answer is remembered on limits under es and the frozenset of
-    related, and a later query with that key replays it without a
-    solve."""
+    Each model is one step of the enumeration, and so is the step that
+    finds no further tuple, unless the expressions have no non-constant
+    bit.  Each step is dumped with a clause excluding every tuple found
+    before it, so a dump asks the question that step answered.  With es
+    empty this is a satisfiability check: it yields () once or not at
+    all.  A complete answer is remembered on limits under es and the
+    frozenset of related, and a later query with that key replays it
+    without a solve."""
     key = (es, frozenset(related))
     answer = limits.answers.get(key)
     if answer is not None:
         yield from answer
         return
     formula, solver, bits = _loaded(es, related, limits)
-    found = []
+    proj = [abs(lit) for b in bits for lit in b if abs(lit) != 1]
+    models = solver.enumerate(proj)
+    found: dict[tuple[int, ...], None] = {}
     while True:
-        outcome = _solve(formula, solver, limits, label)
+        outcome = _solve(models.__next__, formula, limits, label,
+                         bits=bits, found=found)
         if outcome.is_unsat:
             break
         values = tuple(sum(1 << i for i, lit in enumerate(b)
                            if outcome.lit_value(lit)) for b in bits)
-        found.append(values)
+        if values in found:
+            raise AssertionError("enumeration repeated a tuple")
+        found[values] = None
         yield values
-        clause = [-lit if (v >> i) & 1 else lit
-                  for b, v in zip(bits, values)
-                  for i, lit in enumerate(b) if abs(lit) != 1]
-        if not clause:
+        if not proj:
             break
-        formula.clauses.append(clause)
-        solver.block(clause)
     # Reached only when the enumeration ran to its end: a consumer that
     # stops early never resumes the generator past its yield, and a
     # ResourceOut leaves through _solve.
-    limits.answers[key] = found
+    limits.answers[key] = list(found)
 
 
 def _group_sat(group: list[ex.Expr], limits: SolverLimits,
@@ -354,7 +366,7 @@ def _enumerate(es: Sequence[ex.Expr], pc: Iterable[ex.Expr],
 
 def all_values(e: ex.Expr, pc: Iterable[ex.Expr], cap: int = DEFAULT_VALUE_CAP,
                limits: SolverLimits | None = None) -> set[int]:
-    """Exactly { v : pc and (e = v) is satisfiable }, via blocking clauses.
+    """Exactly { v : pc and (e = v) is satisfiable }, by enumeration.
 
     Raises CapExceeded once more than cap distinct values are found.
     """
@@ -412,7 +424,7 @@ def min_value(e: ex.Expr, pc: Iterable[ex.Expr],
         return None
     formula, solver, (bits,) = _loaded(*query, limits)
 
-    outcome = _solve(formula, solver, limits, "min-value")
+    outcome = _solve(solver.solve, formula, limits, "min-value")
     if outcome.is_unsat:
         return None
     value = 0
@@ -427,8 +439,9 @@ def min_value(e: ex.Expr, pc: Iterable[ex.Expr],
         if not outcome.lit_value(lit):
             pins.append(-lit)
             continue
-        trial = _solve(formula, solver, limits, "min-value",
-                       pins + [-lit])
+        trial_pins = pins + [-lit]
+        trial = _solve(lambda: solver.solve(trial_pins), formula, limits,
+                       "min-value", trial_pins)
         if trial.is_sat:
             outcome = trial
             pins.append(-lit)

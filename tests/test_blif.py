@@ -11,9 +11,10 @@ from dctforge.detect import compute_dct
 from dctforge.engine import FIXPOINT, ExploreConfig, Mode
 from dctforge.errors import (DuplicateName, ParseError, UndrivenSignal,
                              UnsupportedDirective)
+from dctforge.rtl import parse_rtl
 
 from bruteforce import BitPlanes, support_leaves
-from conftest import config_for, counter_blif
+from conftest import config_for, counter_blif, counter_rtl
 
 
 def test_buffer_cover():
@@ -95,6 +96,20 @@ def test_counter_scale_at_fixpoint():
     rep = compute_dct(c, cfg)
     assert rep.rs == set(range((1 << w) - 2))
     assert rep.dct == {((1 << w) - 1, 0)}
+
+
+def test_rtl_counter_scale_at_fixpoint():
+    """The w=10 RTL counter at fixpoint equals its closed form: RS is
+    {0..K} with K = 2^w - 3, the one DCT is (2^w - 1, 0), and each of the
+    2^w codes goes to itself and to its successor, so stage 2 enumerates
+    2^(w+1) (destination, source) pairs."""
+    w = 10
+    c = parse_rtl(counter_rtl(w))
+    cfg = config_for(c, ["cnt"], depth=FIXPOINT, value_cap=1 << (w + 1))
+    rep = compute_dct(c, cfg)
+    assert rep.rs == set(range((1 << w) - 2))
+    assert rep.dct == {((1 << w) - 1, 0)}
+    assert len(rep.trans) == 1 << (w + 1)
 
 
 def test_unsupported_directive():

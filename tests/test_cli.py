@@ -89,6 +89,22 @@ def test_analyze_counter_exit_zero(counter_path, tmp_path):
     assert rep["rs_count"] == 8
 
 
+def test_analyze_depth_zero_reports_not_converged(tmp_path, caplog):
+    """At --depth 0 the report says depth_converged false and the run
+    warns to increase the depth: state 1 is reachable in one cycle."""
+    circuit = tmp_path / "one_cycle.snl"
+    circuit.write_text("circuit c\ninput a:1\noutput y:1 = r\n"
+                       "reg r:1 reset 0 next a\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    code = run_cli(["analyze", "--circuit", str(circuit), "--state", "r",
+                    "--depth", "0", "--out", str(out)])
+    assert code == 2
+    rep = read_report(out)
+    assert rep["rs"] == [0] and rep["dct"] == [[1, 0]]
+    assert rep["depth_converged"] is False
+    assert "increase depth" in caplog.text
+
+
 def test_usage_error_exit_one(ima_path, capsys):
     with pytest.raises(SystemExit) as info:
         run_cli(["analyze", "--circuit", ima_path])

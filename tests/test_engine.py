@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import random
 from dataclasses import replace as dc_replace
 
@@ -163,6 +164,27 @@ def test_depth_not_converged_flag(ima, ima_cfg):
     deep = explore(ima, [reset_state(ima)], dc_replace(ima_cfg, depth=7),
                    Kind.REACH)
     assert deep.depth_converged
+
+
+ONE_CYCLE = ("circuit c\ninput a:1\noutput y:1 = r\n"
+             "reg r:1 reset 0 next a\n")
+
+
+def test_depth_zero_is_not_converged(caplog):
+    """Depth 0 steps no layer, so the initial projections are its final
+    layer's new states: not converged, with the usual warning.  State 1
+    is indeed reachable in one cycle."""
+    c = parse_rtl(ONE_CYCLE)
+    cfg = config_for(c, ["r"], depth=0)
+    with caplog.at_level(logging.WARNING, logger="dctforge.engine"):
+        meta = explore(c, [reset_state(c)], cfg, Kind.REACH)
+    assert meta.rs == {0}
+    assert not meta.depth_converged
+    assert "new states appeared at the final layer 0; increase depth" \
+        in caplog.text
+    assert not compute_dct(c, cfg).stage1.depth_converged
+    one = explore(c, [reset_state(c)], dc_replace(cfg, depth=1), Kind.REACH)
+    assert one.rs == {0, 1}
 
 
 def test_prune_warning_when_nonspec_feeds_spec(caplog):

@@ -1,5 +1,6 @@
 """Incremental CDCL interface: clauses added between solves, assumptions,
-restarts, and agreement with exhaustive enumeration."""
+restarts, projected model enumeration, and agreement with exhaustive
+enumeration."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import random
 import pytest
 
 from dctforge.cnf import CnfFormula
+from dctforge import sat
 from dctforge.sat import Solver, _luby, check_sat
 
 
@@ -36,8 +38,10 @@ def _pigeonhole(holes: int) -> tuple[int, list[list[int]]]:
     return pigeons * holes, clauses
 
 
-def _random_clause(rng: random.Random, num_vars: int) -> list[int]:
-    size = rng.randrange(1, 4)
+def _random_clause(rng: random.Random, num_vars: int,
+                   size: int | None = None) -> list[int]:
+    if size is None:
+        size = rng.randrange(1, 4)
     lits = rng.sample(range(1, num_vars + 1), min(size, num_vars))
     return [l if rng.random() < 0.5 else -l for l in lits]
 
@@ -179,19 +183,25 @@ def _projections(num_vars: int, clauses, proj) -> set[tuple[bool, ...]]:
             if _satisfies((False,) + bits, clauses)}
 
 
-def test_block_enumeration_agrees_with_brute_force():
-    """The solve/block loop yields each projected assignment once and
-    exactly the brute-force set; every model satisfies every clause given
-    so far.  The projection lists a variable twice and includes one fixed
-    at level 0.  Stopped partway, the solver still answers add_clause and
+@pytest.mark.parametrize("restart_base", [sat._RESTART_BASE, 1],
+                         ids=["default-restarts", "restart-every-conflict"])
+def test_enumeration_agrees_with_brute_force(monkeypatch, restart_base):
+    """enumerate yields each projected assignment once and exactly the
+    brute-force set, and every model satisfies every clause; with
+    restart_base 1 the search restarts after every conflict.  The
+    projection lists a variable twice and includes one fixed at level 0.
+    Stopped partway, the solver still answers add_clause and
     solve(assumptions) as brute force does."""
+    monkeypatch.setattr(sat, "_RESTART_BASE", restart_base)
     rng = random.Random(2026)
-    for round_ in range(120):
-        nv = rng.randrange(3, 13)
+    for round_ in range(160):
+        nv = rng.randrange(4, 12)
         fixed = rng.randrange(1, nv + 1)
         clauses = [[fixed if rng.random() < 0.5 else -fixed]]
-        clauses += [_random_clause(rng, nv)
-                    for _ in range(rng.randrange(1, 3 * nv))]
+        # Random 3-CNF up to past the threshold, so that the search meets
+        # conflicts below and at the flipped levels.
+        clauses += [_random_clause(rng, nv, 3)
+                    for _ in range(rng.randrange(nv, 5 * nv))]
         proj = rng.sample(range(1, nv + 1), rng.randrange(1, nv + 1))
         proj += [proj[0], fixed]
         expected = _projections(nv, clauses, proj)
@@ -199,8 +209,9 @@ def test_block_enumeration_agrees_with_brute_force():
         solver = _loaded(nv, clauses)
         given = [list(cl) for cl in clauses]
         found = []
+        models = solver.enumerate(proj)
         while stop is None or len(found) < stop:
-            out = solver.solve()
+            out = next(models)
             if not out.is_sat:
                 assert out.is_unsat
                 break
@@ -208,13 +219,9 @@ def test_block_enumeration_agrees_with_brute_force():
             values = tuple(out.model[v] for v in proj)
             assert values not in found
             found.append(values)
-            clause = [-v if out.model[v] else v for v in proj]
-            given.append(clause)
-            solver.block(clause)
-            assert solver.given[-1] is clause  # checked against from now on
         if stop is None:
             assert set(found) == expected
-            assert solver.solve().is_unsat
+            assert solver.solve().is_sat == bool(expected)
             continue
         assert set(found) <= expected and len(found) == stop
         for _ in range(4):
@@ -228,50 +235,38 @@ def test_block_enumeration_agrees_with_brute_force():
             assert out.is_sat == _satisfiable(nv, given, assumptions)
             if out.is_sat:
                 assert _satisfies(out.model, given, assumptions)
+        assert {tuple(out.model[v] for v in proj)
+                for out in solver.enumerate(proj) if out.is_sat} == \
+            _projections(nv, given, proj)
 
 
-def test_block_backjumps_only_as_far_as_the_clause_needs():
-    """With no clauses, x1..x3 are decided false at levels 1..3.
-    Blocking (x1, x3), with x3 listed twice, keeps level 1 and asserts
-    x3 there; then blocking (x1, -x3), whose literals share level 1,
-    backtracks to level 0."""
+def test_enumeration_decides_the_projection_first_and_flips_the_last():
+    """With no clauses, x3 (the projection) is decided at level 1 before
+    the lower-indexed x1 and x2; after the model, its level is flipped,
+    and once that is done no unflipped projection level is left."""
     solver = _loaded(3, [])
-    assert solver.solve().model[1:] == (False, False, False)
-    assert [solver.level[v] for v in (1, 2, 3)] == [1, 2, 3]
-    solver.block([3, 1, 3])
-    assert len(solver.trail_lim) == 1
-    assert solver.assign[3] == 1 and solver.level[3] == 1
-    assert solver.assign[2] == 0
-    assert solver.solve().model[1:] == (False, False, True)
-    assert [solver.level[v] for v in (1, 2, 3)] == [1, 2, 1]
-    solver.block([1, -3])
+    models = solver.enumerate([3, 3])
+    first = next(models)
+    assert first.model[1:] == (False, False, False)
+    assert [solver.level[v] for v in (3, 1, 2)] == [1, 2, 3]
+    second = next(models)
+    assert second.model[1:] == (False, False, True)
+    assert solver.level[3] == 1 and solver.reason[3] is None
+    assert next(models).is_unsat
     assert len(solver.trail_lim) == 0
-    assert solver.assign[1] == solver.assign[3] == 0
-    rest = []
-    while (out := solver.solve()).is_sat:
-        rest.append(out.model[1:])
-        solver.block([-v if out.model[v] else v for v in (1, 2, 3)])
-    # (x1, x3) and (x1, -x3) together exclude every model with x1 false.
-    assert sorted(rest) == [(True, b2, b3) for b2 in (False, True)
-                            for b3 in (False, True)]
+    assert next(models, None) is None
 
 
-def test_block_rejects_a_clause_the_assignment_satisfies():
-    solver = _loaded(2, [[1, 2]])
-    out = solver.solve()
-    assert out.is_sat
-    true_lit = 1 if out.model[1] else -1
-    for clause in ([true_lit], [-2 if out.model[2] else 2, true_lit]):
-        with pytest.raises(AssertionError):
-            solver.block(clause)
-    assert solver.given == [[1, 2]]
-    assert solver.solve().model == out.model
-
-
-def test_block_false_at_level_zero_is_unsat_for_good():
-    solver = _loaded(2, [[1], [-1, 2]])
-    assert solver.solve().is_sat
-    solver.block([-1, -2])
-    assert not solver.ok
-    assert solver.solve().is_unsat
-    assert solver.solve([1]).is_unsat
+def test_enumeration_of_an_unsat_formula_stays_unsat():
+    """Unsat at level 0 when loaded, or found so by a conflict at level 0
+    during the enumeration: it yields one Unsat and nothing else, and
+    every later call says Unsat."""
+    nv, php = _pigeonhole(4)
+    for num_vars, clauses in ((2, [[1], [-1, 2], [-2]]), (nv, php)):
+        solver = _loaded(num_vars, clauses)
+        outcomes = list(solver.enumerate(range(1, num_vars + 1)))
+        assert [out.status for out in outcomes] == ["unsat"]
+        assert not solver.ok
+        assert solver.solve().is_unsat
+        assert solver.solve([1]).is_unsat
+        assert [out.status for out in solver.enumerate([1])] == ["unsat"]

@@ -308,6 +308,62 @@ def test_solver_stats_event_per_dumped_query(ima, caplog):
     assert [e["label"] for e in events] == labels.labels
 
 
+def test_enumeration_dumps_and_events(monkeypatch, caplog):
+    """An all_values and a transitions query each write one dump and log
+    one solver_stats event per model, plus one for the step that finds
+    no more, under their labels.  The k-th dump is the query's formula
+    plus k-1 clauses, each excluding one tuple yielded before it, in the
+    order found, so each dump asks its step's question.  Without a
+    dumper no such clause is built, and the events are the same."""
+    v, u = ex.var("v", 3, 0), ex.var("u", 2, 0)
+    pc = (ex.ult(v, ex.const(3, 5)), ex.ne(u, ex.slice_(v, 0, 1)))
+    loaded = []
+    real_loaded = solve._loaded
+
+    def recording_loaded(*args):
+        loaded.append(real_loaded(*args))
+        return loaded[-1]
+
+    def run(dumper):
+        limits = SolverLimits(dumper=dumper)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="dctforge.solve"):
+            all_values(v, pc, cap=8, limits=limits)
+            transitions(v, u, pc, cap=8, limits=limits)
+        events = [json.loads(r.getMessage()) for r in caplog.records
+                  if r.name == "dctforge.solve"]
+        return limits, [e for e in events if e["event"] == "solver_stats"]
+
+    monkeypatch.setattr(solve, "_loaded", recording_loaded)
+    with monkeypatch.context() as m:
+        m.setattr(solve, "_exclusion", None)  # never called without a dumper
+        _, plain_events = run(None)
+    labels = _Labels()
+    limits, events = run(labels)
+    assert events == plain_events
+    assert [e["label"] for e in events] == labels.labels
+    # No rest group: the two queries are the only solver calls.
+    answers = list(limits.answers.values())
+    assert len(answers) == len(loaded[2:]) == 2
+    assert len(answers[0]) == 5 and len(answers[1]) == 15
+    for (formula, _, bits), found, label in zip(
+            loaded[2:], answers, ("all-values", "transitions")):
+        dumps = [f for x, f in zip(labels.labels, labels.formulas)
+                 if x == label]
+        stats = [e for e in events if e["label"] == label]
+        assert len(dumps) == len(stats) == len(found) + 1
+        assert [e["status"] for e in stats] == \
+            ["sat"] * len(found) + ["unsat"]
+        excluding = [[-lit if (x >> i) & 1 else lit
+                      for b, x in zip(bits, values)
+                      for i, lit in enumerate(b) if abs(lit) != 1]
+                     for values in found]
+        for k, (dumped, event) in enumerate(zip(dumps, stats)):
+            assert dumped.clauses == formula.clauses + excluding[:k]
+            assert event["clauses"] == len(dumped.clauses)
+            assert check_sat(dumped).status == event["status"]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_sliced_queries_equal_rebuild_reference(seed):
@@ -555,45 +611,81 @@ def test_resource_out_enumeration_is_solved_again():
     assert not limits.answers
 
 
+def test_free_enumeration_makes_no_conflict(monkeypatch):
+    """all_values of a free 10-bit variable finds its 1,024 values without
+    a single conflict: after each model the enumeration flips its last
+    projection decision, so no search is ever undone.  One blocking
+    clause per value, every later solve propagating through all of them,
+    made hundreds of conflicts here."""
+    conflicts = []
+
+    class CountingConflicts(Solver):
+        def _propagate(self):
+            confl = super()._propagate()
+            if confl is not None:
+                conflicts.append(confl)
+            return confl
+
+    monkeypatch.setattr(solve, "Solver", CountingConflicts)
+    v = ex.var("v", 10, 0)
+    assert all_values(v, (), cap=1024) == set(range(1024))
+    assert conflicts == []
+
+
+def test_repeated_tuple_is_an_error(monkeypatch):
+    """Each tuple an enumeration yields must be new: an enumerator that
+    yields a model twice makes the query raise, never answer."""
+    class Stutter(Solver):
+        def enumerate(self, proj):
+            models = super().enumerate(proj)
+            first = next(models)
+            yield first
+            yield first
+            yield from models
+
+    monkeypatch.setattr(solve, "Solver", Stutter)
+    with pytest.raises(AssertionError, match="repeated a tuple"):
+        all_values(ex.var("v", 2, 0), (), cap=4)
+
+
 def test_resource_out_mid_enumeration_leaves_the_solver_usable(monkeypatch):
     """A budget of one conflict from the first model on raises
     ResourceOut partway through the enumeration and remembers nothing.
-    The solver stays usable: with the budget restored, its solve/block
-    loop finds the values it had not yet found, and no others."""
+    The solver stays usable: with the budget restored, a new enumeration
+    over the same bits finds exactly the expected values, each once."""
     xs, pc = _hard_sat_conjuncts(ratio=3.8)  # 6 values of x0..x3
     e = ex.concat(*xs[:4])
     expected = all_values(e, pc, cap=16)
-    solvers = []
 
     class TinyBudgetAfterFirstModel(Solver):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
-            self.blocked = []
-            solvers.append(self)
+        def enumerate(self, proj):
+            self.models = 0
+            for outcome in super().enumerate(proj):
+                if outcome.is_sat:
+                    self.models += 1
+                    self.conflict_limit = 1
+                yield outcome
 
-        def solve(self, assumptions=()):
-            outcome = super().solve(assumptions)
-            if outcome.is_sat and not self.blocked:
-                self.conflict_limit = 1
-            return outcome
+    loaded = []
 
-        def block(self, lits):
-            super().block(lits)
-            self.blocked.append(lits)
+    def recording_loaded(*args):
+        loaded.append(real_loaded(*args))
+        return loaded[-1]
 
+    real_loaded = solve._loaded
     monkeypatch.setattr(solve, "Solver", TinyBudgetAfterFirstModel)
+    monkeypatch.setattr(solve, "_loaded", recording_loaded)
     limits = SolverLimits()
     with pytest.raises(ResourceOut):
         all_values(e, pc, cap=16, limits=limits)
     assert not limits.answers
-    solver = solvers[-1]
-    assert 1 <= len(solver.blocked) < len(expected)
-    proj = [abs(lit) for lit in solver.blocked[0]]
+    _, solver, (bits,) = loaded[-1]
+    assert 1 <= solver.models < len(expected)
     solver.conflict_limit = solve.DEFAULT_CONFLICT_LIMIT
-    while (outcome := solver.solve()).is_sat:
-        solver.block([-v if outcome.model[v] else v for v in proj])
-    assert outcome.is_unsat
-    assert len(solver.blocked) == len(expected)
+    outcomes = list(Solver.enumerate(solver, [abs(lit) for lit in bits]))
+    assert outcomes[-1].is_unsat
+    values = [_value(outcome, bits) for outcome in outcomes[:-1]]
+    assert len(values) == len(set(values)) and set(values) == expected
 
 
 @settings(max_examples=60, deadline=None)
