@@ -366,7 +366,9 @@ def _add_common(sp, need_state=True):
     sp.add_argument("--assume", action="append",
                     help="1-bit expression conjoined after every cycle")
     sp.add_argument("--out", default=None, help="report/output file path")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="copied into the report's seed field and read "
+                         "nowhere else: every analysis is deterministic")
     sp.add_argument("--value-cap", type=int, default=DEFAULT_VALUE_CAP)
     sp.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
     sp.add_argument("--conflict-limit", type=int,

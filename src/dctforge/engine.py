@@ -10,7 +10,13 @@ cycle is one fused substitute-and-simplify pass over that order
 (expr.substitute_simplify), which builds each node already simplified.
 
 Paths split on Case/Mux controls reachable from the state-spec
-registers' next-state logic; whatever symbolic state
+registers' next-state logic.  Each split node costs one postorder of the
+step's register and output expressions, one slice of the path constraint
+shared by all of the node's guards, which have the scrutinee's leaves
+(solve.extension_check; each guard is still its own group check), and
+one replace-and-simplify walk per feasible alternative
+(expr.replace_simplify), which builds each changed node already
+simplified.  Whatever symbolic state
 remains after splitting is resolved by enumerating the feasible next
 StateId values and pinning each one into the path constraint (this is the
 only splitting mechanism gate-level circuits need, since they carry no
@@ -76,7 +82,8 @@ from .circuit import (Circuit, StateSpec, decode_state, net_topo_order,
 from .errors import (CapExceeded, DctForgeError, PathExplosion,
                      UnknownOutput)
 from .solve import (DEFAULT_VALUE_CAP, SolverLimits, all_values, extends,
-                    live_conjuncts, min_value, transitions)
+                    extension_check, live_conjuncts, min_value,
+                    transitions)
 
 __all__ = ["Mode", "Kind", "FIXPOINT", "ExploreConfig", "SymState",
            "Behavior", "Metadata", "reset_state", "symbolic_state",
@@ -123,8 +130,10 @@ class ExploreConfig:
 class SymState:
     """One symbolic execution path: register valuation, path constraint,
     elapsed cycles.  Invariant: pc is satisfiable.  Stepping relies on
-    it: each split guard is checked with solve.extends, which solves only
-    the slice of pc linked to the guard.
+    it: the guards of one split node share one slice of pc, the
+    conjuncts linked to the node's scrutinee (solve.extension_check), and
+    each guard is solved with that slice alone; the rest of pc is never
+    encoded.
 
     A Reach exploration keeps only the live pc of each frontier state:
     the conjuncts linked through shared leaves to the leaves of regs.
@@ -329,14 +338,15 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
         if node is None:
             resolved.append((nx, oo, pc))
             continue
+        order = ex.postorder([*nx.values(), *oo.values()])
+        feasible = extension_check(pc, cfg.limits)
         for guard, replacement in _alternatives(node, cfg.mode):
             guard_s = ex.simplify(guard)
-            if not extends(pc, (guard_s,), cfg.limits):
+            if not feasible((guard_s,)):
                 continue
-            replaced = [ex.simplify(e) for e in ex.replace_nodes(
-                [*nx.values(), *oo.values()], node, replacement)]
-            nx2 = dict(zip(nx, replaced))
-            oo2 = dict(zip(oo, replaced[len(nx):]))
+            out = ex.replace_simplify(order, {node: replacement})
+            nx2 = {r: out[e] for r, e in nx.items()}
+            oo2 = {o: out[e] for o, e in oo.items()}
             worklist.append((nx2, oo2, pc + (guard_s,)))
             if cfg.mode is Mode.PARTIAL:
                 break

@@ -23,8 +23,8 @@ __all__ = [
     "and_", "or_", "xor", "add", "sub", "eq", "ne", "ult", "shl",
     "mux", "case", "slice_", "concat", "zext",
     "mask", "postorder", "evaluate", "substitute", "replace_node",
-    "replace_nodes", "simplify", "substitute_simplify", "leaf_set", "pp",
-    "and_all", "or_all",
+    "simplify", "substitute_simplify", "replace_simplify",
+    "epoch_normal_form", "leaf_set", "pp", "and_all", "or_all",
 ]
 
 _REPR_TREE_CAP = 200  # tree nodes, shared sub-DAGs counted once per use
@@ -347,12 +347,10 @@ def substitute(e: Expr, env: Mapping[str, Expr]) -> Expr:
     return out[e]
 
 
-def replace_nodes(roots: list[Expr], target: Expr,
-                  replacement: Expr) -> list[Expr]:
-    """replace_node of every root, from one walk over the roots' shared
-    nodes."""
+def replace_node(e: Expr, target: Expr, replacement: Expr) -> Expr:
+    """Rebuild e with every occurrence of the node `target` replaced."""
     out: dict[Expr, Expr] = {target: replacement}
-    for node in postorder(roots):
+    for node in postorder([e]):
         if node in out:
             continue
         if any(out.get(a, a) is not a for a in node.args):
@@ -360,12 +358,7 @@ def replace_nodes(roots: list[Expr], target: Expr,
                             tuple(out.get(a, a) for a in node.args), node.aux)
         else:
             out[node] = node
-    return [out[r] for r in roots]
-
-
-def replace_node(e: Expr, target: Expr, replacement: Expr) -> Expr:
-    """Rebuild e with every occurrence of the node `target` replaced."""
-    return replace_nodes([e], target, replacement)[0]
+    return out[e]
 
 
 def leaf_set(e: Expr) -> frozenset[Expr]:
@@ -569,6 +562,55 @@ def substitute_simplify(order: Iterable[Expr], env: Mapping[str, Expr],
         result.simp = result
         out[node] = result
     return out
+
+
+def replace_simplify(order: Iterable[Expr],
+                     repl: Mapping[Expr, Expr]) -> dict[Expr, Expr]:
+    """simplify(node with every node of `repl` replaced by its value) for
+    every node of `order`, in one walk.
+
+    `order` lists simplified nodes, each once and children before parents
+    (as postorder of simplified roots does), and the values of `repl` are
+    simplified.  A node whose children all stay is kept; every other node
+    is built with the simplifier's local rules from its children's
+    results and marked as its own fixed point, so no unsimplified
+    intermediate node is interned."""
+    out: dict[Expr, Expr] = {}
+    for node in order:
+        result = repl.get(node)
+        if result is None:
+            args = tuple([out[a] for a in node.args])
+            if args == node.args:  # element identity: Expr has no __eq__
+                result = node
+            else:
+                result = _simp_node(node.op, node.width, args, node.aux)
+                result.simp = result
+        out[node] = result
+    return out
+
+
+def epoch_normal_form(roots: list[Expr]) -> list[Expr]:
+    """roots with every Var's step lowered by the smallest Var step among
+    them, when that step is above 0; roots itself otherwise.
+
+    The roots must be simplified.  Moving every variable from step s to
+    step s - m is an injective, width-preserving renaming, so the rebuilt
+    roots (one replace_simplify walk) are simplified too, and any
+    question over them has the answer it has over roots.  Roots with no
+    variable below step 0 that differ only by one shift of every step
+    have the same normal form, node for node: a structural check modulo
+    the epochs of the input variables each cycle brings.  Roots holding
+    a step -1 variable (symbolic_state's free registers) or a step 0 one
+    are left alone, and nothing is interned for them."""
+    leaves = [leaf for r in roots for leaf in leaf_set(r) if leaf.op == "var"]
+    if not leaves:
+        return roots
+    first = min(leaf.aux[1] for leaf in leaves)
+    if first <= 0:
+        return roots
+    out = replace_simplify(postorder(roots), {
+        v: var(v.aux[0], v.width, v.aux[1] - first) for v in leaves})
+    return [out[r] for r in roots]
 
 
 _PREC_MUX = 0

@@ -15,7 +15,9 @@ sources that reach it.  A satisfiability check is the loop over no
 expression: it yields the empty tuple once or not at all.  pc_sat asks
 it of every group of a path constraint, and extends asks it once for
 the exploration's one feasibility question: whether a satisfiable path
-constraint stays satisfiable with new conjuncts added.  min_value finds
+constraint stays satisfiable with new conjuncts added; extension_check
+asks it for many new conjuncts over one path constraint, slicing that
+path constraint once per distinct leaf set.  min_value finds
 the lexicographically smallest feasible value by pinning bits from the
 most significant end down, each pin an assumption on one solver.
 live_conjuncts keeps of a satisfiable path constraint only the slice
@@ -42,12 +44,19 @@ stores [()] or [] there, so every query kind shares the group answers.
 The list of value tuples is stored only when the loop ran to its end
 (the enumeration found no further tuple, or the expressions have no
 non-constant bit); a consumer that stops early with CapExceeded stores
-nothing.  A
-later query with the same key replays the list and solves nothing, so
-it writes no dump and logs no solver_stats event.  The memo lives as
-long as its SolverLimits: one per ExploreConfig, shared by every stage
-and analysis run with that config; a call given no limits gets a fresh
-one.  Sharing is exact, because a key fixes its answer.
+nothing.  A key is matched modulo an epoch shift: each cycle brings
+fresh input variables one step later, so a query often repeats an
+earlier one with every variable's step moved by one constant.  When the
+exact key misses, _solutions looks the query up again in its epoch
+normal form (expr.epoch_normal_form; a query holding a step -1 or step
+0 variable is its own), and stores a complete answer under both keys.
+Renaming variables injectively, width for width, changes no answer.  A
+later query whose exact or shifted key is stored replays the list and
+solves nothing, so it writes no dump and logs no solver_stats event.
+The memo lives as long as its SolverLimits: one per ExploreConfig,
+shared by every stage and analysis run with that config; a call given
+no limits gets a fresh one.  Sharing is exact, because a key fixes its
+answer.
 
 Every solver call is one step of an enumeration or one
 solver.solve(assumptions) of min_value, on a solver loaded with the
@@ -68,7 +77,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from . import expr as ex
 from .cnf import DEFAULT_CLAUSE_CAP, CnfFormula, Encoder
@@ -80,6 +89,7 @@ from .sat import DEFAULT_CONFLICT_LIMIT, SatOutcome, Solver, check_sat
 log = logging.getLogger("dctforge.solve")
 
 __all__ = ["SolverLimits", "CnfDumper", "pc_sat", "extends",
+           "extension_check",
            "live_conjuncts", "all_values", "transitions", "min_value",
            "DEFAULT_VALUE_CAP"]
 
@@ -93,10 +103,12 @@ class SolverLimits:
     its simplified expressions (empty for a satisfiability check) and the
     frozenset of its conjuncts, to the list of value tuples its complete
     enumeration yielded: [()] or [] for a satisfiable or unsatisfiable
-    group.  It holds only what a solve settled, never a ResourceOut, and
-    a key fixes its answer, so any queries may share one SolverLimits: an
-    ExploreConfig carries one, for every stage of every analysis run with
-    that config."""
+    group.  A key is matched modulo an epoch shift (see the module
+    docstring), and a query answered that way, like an exact hit, writes
+    no dump and logs no solver_stats event.  The memo holds only what a
+    solve settled, never a ResourceOut, and a key fixes its answer, so
+    any queries may share one SolverLimits: an ExploreConfig carries
+    one, for every stage of every analysis run with that config."""
 
     def __init__(self, conflict_limit: int = DEFAULT_CONFLICT_LIMIT,
                  clause_cap: int = DEFAULT_CLAUSE_CAP,
@@ -263,10 +275,21 @@ def _solutions(es: tuple[ex.Expr, ...], related: list[ex.Expr],
     before it, so a dump asks the question that step answered.  With es
     empty this is a satisfiability check: it yields () once or not at
     all.  A complete answer is remembered on limits under es and the
-    frozenset of related, and a later query with that key replays it
-    without a solve."""
+    frozenset of related, and under their epoch normal form when it
+    differs, and a later query with either key replays it without a
+    solve."""
     key = (es, frozenset(related))
     answer = limits.answers.get(key)
+    shifted_key = None
+    if answer is None:
+        roots = [*es, *related]
+        normal = ex.epoch_normal_form(roots)
+        if normal is not roots:
+            shifted_key = (tuple(normal[:len(es)]),
+                           frozenset(normal[len(es):]))
+            answer = limits.answers.get(shifted_key)
+            if answer is not None:
+                limits.answers[key] = answer
     if answer is not None:
         yield from answer
         return
@@ -290,7 +313,9 @@ def _solutions(es: tuple[ex.Expr, ...], related: list[ex.Expr],
     # Reached only when the enumeration ran to its end: a consumer that
     # stops early never resumes the generator past its yield, and a
     # ResourceOut leaves through _solve.
-    limits.answers[key] = list(found)
+    limits.answers[key] = answer = list(found)
+    if shifted_key is not None:
+        limits.answers[shifted_key] = answer
 
 
 def _group_sat(group: list[ex.Expr], limits: SolverLimits,
@@ -325,6 +350,37 @@ def pc_sat(pc: Iterable[ex.Expr], limits: SolverLimits | None = None) -> bool:
     return _query((), pc, limits, "pc-sat") is not None
 
 
+def extension_check(pc: Iterable[ex.Expr],
+                    limits: SolverLimits | None = None
+                    ) -> Callable[[Iterable[ex.Expr]], bool]:
+    """A function new -> extends(pc, new, limits), for asking many new
+    conjuncts over one pc: pc is simplified once, and sliced once per
+    distinct leaf set of new.  The guards of one Case/Mux split all have
+    their scrutinee's leaves, so they share one slice; each guard is
+    still its own group check."""
+    if limits is None:
+        limits = SolverLimits()
+    conjuncts = _symbolic_conjuncts(pc)
+    slices: dict[frozenset, list[ex.Expr]] = {}
+
+    def check(new: Iterable[ex.Expr]) -> bool:
+        added = _symbolic_conjuncts(new)
+        if added is None:
+            return False
+        if not added:
+            return True
+        if conjuncts is None:
+            return False
+        leaves = frozenset().union(*map(ex.leaf_set, added))
+        related = slices.get(leaves)
+        if related is None:
+            related = slices[leaves] = _slice(leaves, conjuncts)[0]
+        group = list(dict.fromkeys(related + added))
+        return _group_sat(group, limits, "step-feasibility")
+
+    return check
+
+
 def extends(pc: Iterable[ex.Expr], new: Iterable[ex.Expr],
             limits: SolverLimits | None = None) -> bool:
     """Is pc + new satisfiable, given that pc is?
@@ -333,20 +389,7 @@ def extends(pc: Iterable[ex.Expr], new: Iterable[ex.Expr],
     Only the conjuncts of pc linked to new through shared leaves can make
     new infeasible, so they and new are solved as one group, under the
     label step-feasibility; the rest of pc is never encoded."""
-    if limits is None:
-        limits = SolverLimits()
-    added = _symbolic_conjuncts(new)
-    if added is None:
-        return False
-    if not added:
-        return True
-    conjuncts = _symbolic_conjuncts(pc)
-    if conjuncts is None:
-        return False
-    related, _ = _slice(frozenset().union(*map(ex.leaf_set, added)),
-                        conjuncts)
-    group = list(dict.fromkeys(related + added))
-    return _group_sat(group, limits, "step-feasibility")
+    return extension_check(pc, limits)(new)
 
 
 def _check_width(e: ex.Expr) -> None:

@@ -155,6 +155,22 @@ def test_report_determinism_across_runs_and_jobs(trojan_path, tmp_path):
     assert reports[0] == reports[1] == reports[2]
 
 
+@pytest.mark.parametrize("command, circuit", [("analyze", "ima.snl"),
+                                              ("trojan", "ima_trojan.snl")])
+def test_seed_changes_only_the_seed_field(command, circuit, tmp_path):
+    """Every analysis is deterministic: --seed is copied into the report
+    and changes nothing else."""
+    reports = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"{command}{seed}.json"
+        run_cli([command, "--circuit", str(corpus.corpus_path(circuit)),
+                 "--state", "pcmSq", "--seed", seed, "--out", str(out)])
+        report = strip_timing(read_report(out))
+        assert report.pop("seed") == int(seed)
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 _DOT_NODE = re.compile(r'^\s*(\w+)\s*\[[^\]]*\];$')
 _DOT_EDGE = re.compile(r'^\s*(\w+)\s*->\s*(\w+)\s*(\[[^\]]*\])?;$')
 

@@ -211,25 +211,30 @@ def _replaced(e: ex.Expr, target: ex.Expr, repl: ex.Expr,
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
-def test_replace_nodes_is_replace_node_per_root(seed, depth):
-    """One walk over roots that share nodes gives each root the very node
-    that replace_node gives it alone.  The target is a node of the DAG
-    or not, and the replacement may contain the target."""
+def test_replace_simplify_is_simplify_of_replace_node(seed, depth):
+    """One walk over simplified roots that share nodes gives each root the
+    very node simplify(replace_node(root, target, repl)) gives, and
+    replace_node agrees with the direct recursion.  The target is a node
+    of the DAG or not, and the simplified replacement may contain the
+    target."""
     rng = random.Random(seed)
     gen = ExprGen(rng, n_vars=3, var_width=3)
-    roots = [gen.gen(depth) for _ in range(3)]
+    roots = [ex.simplify(gen.gen(depth)) for _ in range(3)]
     roots.append(ex.concat(roots[0], roots[1]) if rng.random() < 0.5
                  else roots[0])
+    roots[-1] = ex.simplify(roots[-1])
     nodes = ex.postorder(roots)
     target = (rng.choice(nodes) if rng.random() < 0.9
               else gen.gen(depth))
-    repl = rng.choice([gen.gen(rng.randrange(0, depth), target.width)]
-                      + [n for n in nodes if n.width == target.width])
-    got = ex.replace_nodes(roots, target, repl)
-    assert len(got) == len(roots)
-    for root, g in zip(roots, got):
-        assert g is ex.replace_node(root, target, repl)
-        assert g is _replaced(root, target, repl, {})
+    repl = ex.simplify(rng.choice(
+        [gen.gen(rng.randrange(0, depth), target.width)]
+        + [n for n in nodes if n.width == target.width]))
+    out = ex.replace_simplify(nodes, {target: repl})
+    for root in roots:
+        replaced = ex.replace_node(root, target, repl)
+        assert replaced is _replaced(root, target, repl, {})
+        assert out[root] is ex.simplify(replaced)
+        assert out[root].simp is out[root]
 
 
 def test_pp_stable_and_readable():

@@ -1,7 +1,8 @@
 """Query layer: incremental all_values/min_value against a rebuild-per-call
 reference and the bit-plane oracle, conflict budgets raising ResourceOut
 from every query, one solver_stats event per dumped query, and the one
-memo on SolverLimits that group checks and enumerations share."""
+memo on SolverLimits that group checks and enumerations share, matched
+modulo an epoch shift."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dctforge import solve
 from dctforge.cli import main
 from dctforge.cnf import Encoder
 from dctforge.detect import compute_dct
-from dctforge.engine import SymState, step_cycle
+from dctforge.engine import Mode, SymState, step_cycle
 from dctforge.errors import CapExceeded, ResourceOut, WidthMismatch
 from dctforge.sat import SatOutcome, Solver, check_sat
 from dctforge.rtl import parse_rtl
@@ -217,6 +218,25 @@ def test_fresh_guard_never_solves_the_path_constraint():
         assert len(succs) == 2
         assert dumps.labels == ["step-feasibility"] * 2
         assert all(f.num_vars < 5 for f in dumps.formulas)
+
+
+def test_partial_mode_checks_no_guard_after_the_first_feasible():
+    """Partial mode keeps the first feasible alternative of a split, and
+    checks no guard after it.  The first arm's guard (d == 0) is cut by
+    pc, so the second (d == 1) is kept; bfs checks all four guards."""
+    c = parse_rtl("circuit t\ninput d:2\n"
+                  "reg r:2 reset 0 next case(d){ 2'd0: 2'd1; 2'd1: 2'd2; "
+                  "2'd2: 2'd3; default: 2'd0 }\noutput y:2 = r\n")
+    s = SymState({"r": ex.const(2, 0)},
+                 (ex.ne(ex.var("d", 2, 0), ex.const(2, 0)),), 0, 0)
+    for mode, checks, successors in ((Mode.PARTIAL, 2, [2]),
+                                     (Mode.BFS, 4, [2, 3, 0])):
+        labels = _Labels()
+        cfg = config_for(c, ["r"], depth=1, mode=mode,
+                         limits=SolverLimits(dumper=labels))
+        succs = step_cycle(c, s, cfg)
+        assert [x.regs["r"].aux[0] for x in succs] == successors
+        assert labels.labels == ["step-feasibility"] * checks
 
 
 def _new_conjuncts(seed: int):
@@ -716,3 +736,120 @@ def test_memoised_enumerations_equal_fresh_answers(seed):
             {(b >> src.width, b & mask) for b in planes.value_set(both, p)}
         assert all_values(dst, p, cap=1 << dst.width, limits=limits) == \
             set(got)
+
+
+def _epoch_queries(t: int):
+    """(pc, e, (dst, src)) over the variables of two cycles, steps t and
+    t + 1, as a step of an exploration asks them."""
+    x, y, x1 = ex.var("x", 3, t), ex.var("y", 2, t), ex.var("x", 3, t + 1)
+    pc = (ex.ult(x, ex.const(3, 6)), ex.ne(y, ex.slice_(x, 0, 1)),
+          ex.eq(x1, ex.add(x, ex.zext(y, 3))))
+    return pc, x1, (x1, x)
+
+
+def _ask_epoch_queries(t: int, limits: SolverLimits):
+    pc, e, (dst, src) = _epoch_queries(t)
+    return (pc_sat(pc, limits), all_values(e, pc, cap=8, limits=limits),
+            transitions(dst, src, pc, cap=8, limits=limits))
+
+
+@pytest.mark.parametrize("first, later", [(0, 1), (0, 3), (2, 5)])
+def test_epoch_shifted_query_replays_the_memo(first, later, caplog):
+    """A group check, an all_values and a transitions query asked again
+    with every variable later by the same number of steps are answered
+    from the memo: no dump, no solver_stats event, and the answers a
+    fresh SolverLimits gives."""
+    labels = _Labels()
+    limits = SolverLimits(dumper=labels)
+    answers = _ask_epoch_queries(first, limits)
+    dumped = len(labels.labels)
+    assert {"pc-sat", "all-values", "transitions"} <= set(labels.labels)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="dctforge.solve"):
+        again = _ask_epoch_queries(later, limits)
+    assert len(labels.labels) == dumped
+    assert not [r for r in caplog.records if r.name == "dctforge.solve"]
+    assert again == answers == _ask_epoch_queries(later, SolverLimits())
+    assert answers[0] and len(answers[1]) > 1
+
+
+def test_epoch_gap_is_part_of_the_key():
+    """Queries that differ only in the gap between two epochs (x at steps
+    1 and 2, then at steps 1 and 3) have different normal forms, so each
+    is solved."""
+    labels = _Labels()
+    limits = SolverLimits(dumper=labels)
+    normal_forms = []
+    for later in (2, 3):
+        x1, xl = ex.var("x", 2, 1), ex.var("x", 2, later)
+        pc = (ex.ult(xl, x1),)
+        normal_forms.append(ex.epoch_normal_form([xl, *pc]))
+        before = len(labels.labels)
+        assert all_values(xl, pc, cap=4, limits=limits) == {0, 1, 2}
+        assert labels.labels[before:] == ["all-values"] * 4
+    assert normal_forms[0] != normal_forms[1]
+
+
+def test_query_with_a_step_minus_one_variable_interns_nothing():
+    """A query holding a step -1 variable (stage 2's free registers) keeps
+    its exact key: the memo lookup builds no node.  A query whose
+    variables are all later than step 0 interns its normal form."""
+    # Names no other test uses: the intern table is process-wide.
+    r, x = ex.var("intern_r", 2, -1), ex.var("intern_x", 2, 4)
+    cases = [(ex.add(r, x), (ex.ult(x, r),)),
+             (ex.add(x, ex.var("intern_x", 2, 5)),
+              (ex.ult(x, ex.const(2, 3)),))]
+    grew = []
+    for e, pc in cases:
+        e = ex.simplify(e)
+        pc = tuple(ex.simplify(c) for c in pc)
+        before = len(ex._intern_table)
+        all_values(e, pc, cap=4)
+        grew.append(len(ex._intern_table) - before)
+    assert grew[0] == 0 and grew[1] > 0
+
+
+def _later(e: ex.Expr, d: int, memo: dict) -> ex.Expr:
+    """e with every variable d steps later, by plain recursion."""
+    if e not in memo:
+        if e.op == "var":
+            name, step = e.aux
+            memo[e] = ex.var(name, e.width, step + d)
+        else:
+            memo[e] = ex._mk(e.op, e.width,
+                             tuple(_later(a, d, memo) for a in e.args), e.aux)
+    return memo[e]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_epoch_shifted_queries_equal_bruteforce(seed, d):
+    """Random queries, the same with every variable d steps later, with
+    only some conjuncts later (mixed epochs) and that mix later again,
+    all asked on one SolverLimits: every answer equals the bit-plane
+    oracle's."""
+    e, pc = _query(seed, groups=3)
+    dst, src, pair_pc = _pair_query(seed)
+
+    def later(query):
+        memo: dict = {}
+        return tuple(tuple(_later(c, d, memo) for c in part)
+                     if isinstance(part, tuple) else _later(part, d, memo)
+                     for part in query)
+
+    whole = (e, pc, dst, src, pair_pc)
+    mixed = (e, tuple(_later(c, d, {}) if i % 2 else c
+                      for i, c in enumerate(pc)), dst, src, pair_pc)
+    variants = [whole, later(whole), mixed, later(mixed)]
+    limits = SolverLimits()
+    mask = (1 << src.width) - 1
+    for e_, pc_, dst_, src_, pair_pc_ in variants + variants:
+        values = BitPlanes(support_leaves(e_, *pc_)).value_set(e_, pc_)
+        assert all_values(e_, pc_, cap=1 << e_.width, limits=limits) == values
+        assert pc_sat(pc_, limits) == bool(values)
+        pairs = BitPlanes(support_leaves(dst_, src_, *pair_pc_)).value_set(
+            ex.concat(dst_, src_), pair_pc_)
+        got = transitions(dst_, src_, pair_pc_,
+                          cap=1 << max(dst.width, src.width), limits=limits)
+        assert {(x, s) for x, srcs in got.items() for s in srcs} == \
+            {(p >> src.width, p & mask) for p in pairs}
