@@ -5,45 +5,47 @@ activity scores with ties broken by lowest variable index, phase saving
 (initial phase false), and Luby-sequence restarts.  Identical input
 always produces the identical outcome and model.
 
-A Solver is incremental in the style of MiniSat (Een & Sorensson, "An
-Extensible SAT-solver", SAT 2003): clauses may be added between calls to
-solve(), and solve(assumptions) decides the assumption literals first,
-one per decision level.  An assumption found false means Unsat under
-those assumptions only; a conflict at decision level 0 means the clauses
-themselves are unsatisfiable, and every later solve() says so at once.
-Learnt clauses follow from the clauses alone, never from assumptions, so
-they stay valid across calls.  The conflict budget applies to each
-solve() call; search stops with ResourceOut once it is exhausted.  Every
-Sat model is checked against every clause the solver was given and
-against every assumption before it is returned.
+A Solver has two calls.  add_clause adds a clause, also after an
+enumeration, in the style of MiniSat (Een & Sorensson, "An Extensible
+SAT-solver", SAT 2003).  enumerate(proj) yields one model per
+assignment of the projection literals proj that extends to a model,
+with no blocking clause (Gebser, Kaufmann & Schaub, "Solution
+enumeration for projected Boolean search problems", CPAIOR 2009; Toda &
+Soh, "Implementing efficient all solutions SAT solvers", JEA 2016).
 
-enumerate(proj) yields one model per assignment of the projection
-variables proj that extends to a model, with no blocking clause
-(Gebser, Kaufmann & Schaub, "Solution enumeration for projected Boolean
-search problems", CPAIOR 2009; Toda & Soh, "Implementing efficient all
-solutions SAT solvers", JEA 2016).  It decides the projection variables
-before any other, so decision levels 1..P hold projection decisions.
-After each model it backtracks chronologically to the deepest projection
-decision not yet flipped and decides its complement there, as a flipped
-level.  Conflicts learn and backjump as in solve(), but never below the
-deepest flipped level; a conflict at that level flips the next unflipped
-level below it, and restarts go back to it.  A flip is a decision with
-no reason, so nothing learnt depends on one: every learnt clause is
-implied by the clauses alone, and a solver whose enumeration was
-abandoned answers later calls exactly.  The conflict budget applies to
-each model's search.
+It decides proj in the order given, before any other variable: each
+decision is the negation of the first literal of proj whose variable is
+unassigned, so decision levels 1..P hold projection decisions and every
+projection literal is tried false first.  Activity and saved phase pick
+among the other variables only.  After each model it backtracks
+chronologically to the deepest projection decision not yet flipped and
+decides its complement there, as a flipped level.  Conflicts learn and
+backjump, but never below the deepest flipped level; a conflict at that
+level flips the next unflipped level below it, and restarts go back to
+it.  A level is thus flipped to true only once every model with its
+literal false is found, so the models come in ascending lexicographic
+order of proj's literal values, false before true: the first is the
+smallest.  A flip is a decision with no reason, so nothing learnt
+depends on one: every learnt clause is implied by the clauses alone,
+and a solver whose enumeration was abandoned answers later calls
+exactly.  A conflict at decision level 0 means the clauses themselves
+are unsatisfiable, and every later enumeration says so at once.  The
+conflict budget applies to each model's search; the search stops with
+ResourceOut once it is exhausted.  Every Sat model is checked against
+every clause the solver was given before it is returned.
 
-The trail rule: add_clause, solve and enumerate each backtrack to
-decision level 0 before they start, so no call depends on what the last
-one left on the trail.
+The trail rule: add_clause and enumerate each backtrack to decision
+level 0 before they start, so no call depends on what the last one
+left on the trail.
 
-check_sat is the one-shot form: one Solver per formula, no assumptions.
+check_sat is the one-shot form: the first outcome of enumerate(()) on
+one Solver per formula, which is plain CDCL search from level 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .cnf import CnfFormula
 
@@ -118,9 +120,10 @@ class Solver:
         self.ok = True
 
     def add_clause(self, lits: list[int]) -> None:
-        """Add a clause over variables 1..num_vars; call between solves,
-        never during one.  It first backtracks to decision level 0.  The
-        list is kept for the model check, so the caller must not change it.
+        """Add a clause over variables 1..num_vars; never between two
+        outcomes of an enumeration still in use.  It first backtracks to
+        decision level 0.  The list is kept for the model check, so the
+        caller must not change it.
 
         Before the first propagation the clause is stored as given, which
         keeps one-shot solving identical to loading the whole formula up
@@ -293,21 +296,24 @@ class Solver:
         self.qhead = len(self.trail)
 
     def _decide(self, proj: Sequence[int]) -> int | None:
-        """The unassigned variable of highest activity, ties to the lowest
-        index, in its saved phase: one of proj (sorted) while any of it is
-        unassigned, else any variable; None when every one is assigned."""
+        """The negation of the first literal of proj whose variable is
+        unassigned; once none is, the unassigned variable of highest
+        activity, ties to the lowest index, in its saved phase; None when
+        every variable is assigned."""
         assign = self.assign
+        for lit in proj:
+            if assign[lit] == 0:
+                return -lit
         activity = self.activity
-        for candidates in (proj, range(1, self.nv + 1)):
-            best = None
-            best_act = -1.0
-            for v in candidates:
-                if assign[v] == 0 and activity[v] > best_act:
-                    best = v
-                    best_act = activity[v]
-            if best is not None:
-                return best if self.phase[best] else -best
-        return None
+        best = None
+        best_act = -1.0
+        for v in range(1, self.nv + 1):
+            if assign[v] == 0 and activity[v] > best_act:
+                best = v
+                best_act = activity[v]
+        if best is None:
+            return None
+        return best if self.phase[best] else -best
 
     def _attach(self, lits: list[int]) -> int:
         """Store a clause of two or more literals, watching its first two;
@@ -328,7 +334,7 @@ class Solver:
         learnt[1], learnt[watch2] = learnt[watch2], learnt[1]
         self._enqueue(learnt[0], self._attach(learnt))
 
-    def _check_model(self, assumptions: Sequence[int]) -> None:
+    def _check_model(self) -> None:
         assign = self.assign
         for cl in self.given:
             for l in cl:
@@ -336,39 +342,28 @@ class Solver:
                     break
             else:
                 raise AssertionError("solver produced a model violating a clause")
-        for a in assumptions:
-            if assign[a] != 1:
-                raise AssertionError(
-                    "solver produced a model violating an assumption")
 
-    def solve(self, assumptions: Sequence[int] = ()) -> SatOutcome:
-        """Sat with a model satisfying every clause and assumption, Unsat,
-        or ResourceOut.  The search starts from decision level 0."""
-        if not self.ok:
-            return _UNSAT
-        self._backtrack(0)
-        return self._search(assumptions, (), [])
-
-    def enumerate(self, proj: Iterable[int]) -> Iterator[SatOutcome]:
-        """One Sat outcome per assignment of the variables proj that
-        extends to a model, each once, then one last outcome: Unsat once
-        none is left, or ResourceOut when one model's search ran out of
-        budget.  Between two outcomes the caller must make no other call
-        on this solver; it may abandon the generator at any time, and the
-        solver stays usable (see the module docstring)."""
+    def enumerate(self, proj: Sequence[int]) -> Iterator[SatOutcome]:
+        """One Sat outcome per assignment of the literals proj that
+        extends to a model, each once, in ascending lexicographic order
+        of their values in proj's order (false first), then one last
+        outcome: Unsat once none is left, or ResourceOut when one model's
+        search ran out of budget.  proj may repeat a literal or hold a
+        fixed one.  Between two outcomes the caller must make no other
+        call on this solver; it may abandon the generator at any time,
+        and the solver stays usable (see the module docstring)."""
         self._backtrack(0)
         if not self.ok:
             yield _UNSAT
             return
-        proj = sorted(set(proj))
         flips: list[int] = []
         while True:
-            outcome = self._search((), proj, flips)
+            outcome = self._search(proj, flips)
             yield outcome
             if not outcome.is_sat:
                 return
             # Decision levels 1..top hold the projection decisions.
-            top = max((self.level[v] for v in proj), default=0)
+            top = max((self.level[abs(lit)] for lit in proj), default=0)
             if not self._flip(flips, top):
                 self._backtrack(0)
                 yield _UNSAT
@@ -391,16 +386,13 @@ class Solver:
         flips.append(level)
         return True
 
-    def _search(self, assumptions: Sequence[int], proj: Sequence[int],
-                flips: list[int]) -> SatOutcome:
-        """CDCL from the current trail to the next model, deciding the
-        assumptions first and then proj: Sat, ResourceOut (at level 0),
-        or Unsat.  With flips (enumerate's flipped levels) it never
-        backjumps or restarts below the deepest flipped level, and a
-        conflict at that level flips the next one down; Unsat then means
-        that no flip is left, unless the conflict was at level 0, which
-        makes the clauses unsat for good."""
-        n_assumed = len(assumptions)
+    def _search(self, proj: Sequence[int], flips: list[int]) -> SatOutcome:
+        """CDCL from the current trail to the next model, deciding proj
+        first: Sat, ResourceOut (at level 0), or Unsat.  It never
+        backjumps or restarts below the deepest of flips (enumerate's
+        flipped levels), and a conflict at that level flips the next one
+        down; Unsat then means that no flip is left, unless the conflict
+        was at level 0, which makes the clauses unsat for good."""
         conflicts = 0
         restart_idx = 1
         conflicts_since_restart = 0
@@ -434,33 +426,21 @@ class Solver:
                 restart_limit = _RESTART_BASE * _luby(restart_idx)
                 self._backtrack(flips[-1] if flips else 0)
                 continue
-            decision = None
-            while len(self.trail_lim) < n_assumed:
-                lit = assumptions[len(self.trail_lim)]
-                value = self.assign[lit]
-                if value == 1:
-                    self.trail_lim.append(len(self.trail))  # empty level
-                elif value == -1:
-                    self._backtrack(0)
-                    return _UNSAT
-                else:
-                    decision = lit
-                    break
+            decision = self._decide(proj)
             if decision is None:
-                decision = self._decide(proj)
-                if decision is None:
-                    self._check_model(assumptions)
-                    model = tuple(self.assign[v] == 1
-                                  for v in range(self.nv + 1))
-                    return SatOutcome("sat", model=model)
+                self._check_model()
+                model = tuple(self.assign[v] == 1
+                              for v in range(self.nv + 1))
+                return SatOutcome("sat", model=model)
             self.trail_lim.append(len(self.trail))
             self._enqueue(decision, None)
 
 
 def check_sat(formula: CnfFormula,
               conflict_limit: int = DEFAULT_CONFLICT_LIMIT) -> SatOutcome:
-    """Solve a CNF formula; Sat models are checked against every clause."""
+    """Solve a CNF formula: the first outcome of an enumeration over no
+    projection.  Sat models are checked against every clause."""
     solver = Solver(formula.num_vars, conflict_limit)
     for cl in formula.clauses:
         solver.add_clause(cl)
-    return solver.solve()
+    return next(solver.enumerate(()))

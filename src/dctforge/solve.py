@@ -1,28 +1,28 @@
 """Query layer on top of the encoder and the CDCL core.
 
 A path constraint is a tuple of width-1 expressions understood as a
-conjunction.  Every query but min_value is answered by one loop,
-_solutions, which encodes a conjunction and a tuple of expressions,
-builds one solver, and enumerates the assignments of the expressions'
-bits on it (Solver.enumerate): after each model the search flips its
-last projection decision instead of adding a blocking clause, so each
-tuple costs about one model's search, however many came before, and
-learnt clauses carry over from one tuple to the next.  all_values
-enumerates every feasible value of one expression under a path
-constraint.  transitions enumerates pairs of a
-destination and a source, and returns every destination with the set of
-sources that reach it.  A satisfiability check is the loop over no
-expression: it yields the empty tuple once or not at all.  pc_sat asks
-it of every group of a path constraint, and extends asks it once for
-the exploration's one feasibility question: whether a satisfiable path
-constraint stays satisfiable with new conjuncts added; extension_check
-asks it for many new conjuncts over one path constraint, slicing that
-path constraint once per distinct leaf set.  min_value finds
-the lexicographically smallest feasible value by pinning bits from the
-most significant end down, each pin an assumption on one solver.
-live_conjuncts keeps of a satisfiable path constraint only the slice
-around a set of leaves; the exploration uses it to drop the groups no
-register can reach again.
+conjunction.  Every query is answered by one loop, _solutions, which
+encodes a conjunction and a tuple of expressions, builds one solver,
+and enumerates the assignments of the expressions' bits on it
+(Solver.enumerate): after each model the search flips its last
+projection decision instead of adding a blocking clause, so each tuple
+costs about one model's search, however many came before, and learnt
+clauses carry over from one tuple to the next.  The bits are decided
+in a fixed order, each expression's most significant first and 0
+first, so the tuples come in ascending order.  all_values enumerates
+every feasible value of one expression under a path constraint, and
+min_value takes the first, the smallest, and stops.  transitions
+enumerates pairs of a source and a destination, and returns every
+destination with the set of sources that reach it.  A satisfiability
+check is the loop over no expression: it yields the empty tuple once or
+not at all.  pc_sat asks it of every group of a path constraint, and
+extends asks it once for the exploration's one feasibility question:
+whether a satisfiable path constraint stays satisfiable with new
+conjuncts added; extension_check asks it for many new conjuncts over
+one path constraint, slicing that path constraint once per distinct
+leaf set.  live_conjuncts keeps of a satisfiable path constraint only
+the slice around a set of leaves; the exploration uses it to drop the
+groups no register can reach again.
 
 Every query is sliced by constraint independence, as in KLEE.  _slice
 grows the set of leaves a query touches over the simplified conjuncts
@@ -43,8 +43,9 @@ unrelated conjuncts the path constraint has gained since.  A group check
 stores [()] or [] there, so every query kind shares the group answers.
 The list of value tuples is stored only when the loop ran to its end
 (the enumeration found no further tuple, or the expressions have no
-non-constant bit); a consumer that stops early with CapExceeded stores
-nothing.  A key is matched modulo an epoch shift: each cycle brings
+non-constant bit); a consumer that stops early, with CapExceeded or as
+min_value does after its first tuple, stores nothing.  A key is
+matched modulo an epoch shift: each cycle brings
 fresh input variables one step later, so a query often repeats an
 earlier one with every variable's step moved by one constant.  When the
 exact key misses, _solutions looks the query up again in its epoch
@@ -58,18 +59,18 @@ shared by every stage and analysis run with that config; a call given
 no limits gets a fresh one.  Sharing is exact, because a key fixes its
 answer.
 
-Every solver call is one step of an enumeration or one
-solver.solve(assumptions) of min_value, on a solver loaded with the
-query's formula.  Each writes its formula to the dumper, if any, and
-logs a solver_stats debug event under the same label: the label of the
-query that needed it.  An enumeration step's dump adds a clause
-excluding each tuple found before it, so it asks that step's question;
-those clauses are built only for the dumper.  A conflict budget running out
-raises ResourceOut from every query; it is never read as infeasible, and
-never memoised, so the next query solves that group or enumeration
-again.  Results depend only on the query structure, never on CNF
-variable numbering or on the order in which an enumeration found its
-tuples, so reports built from them are reproducible across runs.
+Every solver call is one step of an enumeration, on a solver loaded
+with the query's formula; min_value's own enumeration takes one step.
+Each step writes its formula to the dumper, if any, and logs a
+solver_stats debug event under the same label: the label of the query
+that needed it.  A step's dump adds a clause excluding each tuple found
+before it, so it asks that step's question; those clauses are built
+only for the dumper.  A conflict budget running out raises ResourceOut
+from every query; it is never read as infeasible, and never memoised,
+so the next query solves that group or enumeration again.  Results
+depend only on the query structure, never on CNF variable numbering,
+and every enumeration yields its tuples in ascending order, so reports
+built from them are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import expr as ex
 from .cnf import DEFAULT_CLAUSE_CAP, CnfFormula, Encoder
@@ -211,13 +212,6 @@ def live_conjuncts(pc: Iterable[ex.Expr],
     return tuple(related)
 
 
-def _raise_if_out(outcome: SatOutcome) -> SatOutcome:
-    """outcome itself, unless the solver ran out of budget."""
-    if not outcome.is_sat and not outcome.is_unsat:
-        raise ResourceOut(outcome.limit_name)
-    return outcome
-
-
 def _exclusion(bits: Sequence[list[int]], values: tuple[int, ...]) -> list[int]:
     """The clause over the non-constant bits that excludes values."""
     return [-lit if (v >> i) & 1 else lit
@@ -225,26 +219,28 @@ def _exclusion(bits: Sequence[list[int]], values: tuple[int, ...]) -> list[int]:
             for i, lit in enumerate(b) if abs(lit) != 1]
 
 
-def _solve(ask, formula: CnfFormula, limits: SolverLimits, label: str,
-           assumptions: Sequence[int] = (), bits: Sequence[list[int]] = (),
-           found: Collection[tuple[int, ...]] = ()):
-    """ask(): one call of a solver loaded with formula, under assumptions,
-    that excludes every tuple of values of bits in found.  The query goes
-    to the dumper (each exclusion a clause, assumptions as unit clauses)
-    and to a solver_stats debug event, both under label."""
+def _step(models: Iterator[SatOutcome], formula: CnfFormula,
+          limits: SolverLimits, label: str, bits: Sequence[list[int]],
+          found: Collection[tuple[int, ...]]) -> SatOutcome:
+    """The next outcome of models, an enumeration on a solver loaded with
+    formula, which excludes every tuple of values of bits in found; it
+    raises ResourceOut when the solver ran out of budget.  The query
+    goes to the dumper (each exclusion a clause) and to a solver_stats
+    debug event, both under label."""
     if limits.dumper is not None:
         limits.dumper.dump(
             CnfFormula(formula.num_vars, formula.clauses
-                       + [_exclusion(bits, values) for values in found]
-                       + [[lit] for lit in assumptions]), label)
-    outcome = ask()
+                       + [_exclusion(bits, values) for values in found]),
+            label)
+    outcome = next(models)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(json.dumps({"event": "solver_stats", "label": label,
                               "vars": formula.num_vars,
                               "clauses": len(formula.clauses) + len(found),
-                              "assumptions": len(assumptions),
                               "status": outcome.status}, sort_keys=True))
-    return _raise_if_out(outcome)
+    if not outcome.is_sat and not outcome.is_unsat:
+        raise ResourceOut(outcome.limit_name)
+    return outcome
 
 
 def _loaded(es: Sequence[ex.Expr], related: list[ex.Expr],
@@ -266,8 +262,10 @@ def _loaded(es: Sequence[ex.Expr], related: list[ex.Expr],
 def _solutions(es: tuple[ex.Expr, ...], related: list[ex.Expr],
                limits: SolverLimits, label: str):
     """Yield every distinct tuple (v1, ..., vn) such that related and
-    every es[i] = vi is satisfiable, from one solver's enumeration over
-    the non-constant bits of es (Solver.enumerate).
+    every es[i] = vi is satisfiable, in ascending order, from one
+    solver's enumeration over the non-constant bits of es
+    (Solver.enumerate), each expression's most significant first, the
+    expressions in tuple order.
 
     Each model is one step of the enumeration, and so is the step that
     finds no further tuple, unless the expressions have no non-constant
@@ -294,12 +292,11 @@ def _solutions(es: tuple[ex.Expr, ...], related: list[ex.Expr],
         yield from answer
         return
     formula, solver, bits = _loaded(es, related, limits)
-    proj = [abs(lit) for b in bits for lit in b if abs(lit) != 1]
+    proj = [lit for b in bits for lit in reversed(b) if abs(lit) != 1]
     models = solver.enumerate(proj)
     found: dict[tuple[int, ...], None] = {}
     while True:
-        outcome = _solve(models.__next__, formula, limits, label,
-                         bits=bits, found=found)
+        outcome = _step(models, formula, limits, label, bits, found)
         if outcome.is_unsat:
             break
         values = tuple(sum(1 << i for i, lit in enumerate(b)
@@ -312,7 +309,7 @@ def _solutions(es: tuple[ex.Expr, ...], related: list[ex.Expr],
             break
     # Reached only when the enumeration ran to its end: a consumer that
     # stops early never resumes the generator past its yield, and a
-    # ResourceOut leaves through _solve.
+    # ResourceOut leaves through _step.
     limits.answers[key] = answer = list(found)
     if shifted_key is not None:
         limits.answers[shifted_key] = answer
@@ -443,7 +440,8 @@ def transitions(dst: ex.Expr, src: ex.Expr, pc: Iterable[ex.Expr],
     if limits is None:
         limits = SolverLimits()
     found: dict[int, set[int]] = {}
-    for d, s in _enumerate((dst, src), pc, limits, "transitions"):
+    # Source bits first, so that the destination mostly follows by propagation.
+    for s, d in _enumerate((src, dst), pc, limits, "transitions"):
         sources = found.setdefault(d, set())
         sources.add(s)
         if len(found) > cap or len(sources) > cap:
@@ -455,40 +453,12 @@ def min_value(e: ex.Expr, pc: Iterable[ex.Expr],
               limits: SolverLimits | None = None) -> int | None:
     """Smallest feasible value of e under pc (None when pc is unsat).
 
-    Deterministic regardless of solver internals: bits are pinned to zero
-    from the most significant position whenever still satisfiable.  The
-    pins are assumptions on one solver.  The last model satisfies every
-    pin so far, so a bit it already has at zero needs no solve.
+    It is the first value of e's enumeration, which decides e's bits
+    from the most significant down, 0 first.  The enumeration stops
+    there, so nothing is remembered, but a stored all_values answer is
+    replayed and its first value taken.
     """
     if limits is None:
         limits = SolverLimits()
-    query = _query((e,), pc, limits, "min-value")
-    if query is None:
-        return None
-    formula, solver, (bits,) = _loaded(*query, limits)
-
-    outcome = _solve(solver.solve, formula, limits, "min-value")
-    if outcome.is_unsat:
-        return None
-    value = 0
-    pins: list[int] = []
-    for i in reversed(range(len(bits))):
-        lit = bits[i]
-        if lit == 1:
-            value |= 1 << i
-            continue
-        if lit == -1:
-            continue
-        if not outcome.lit_value(lit):
-            pins.append(-lit)
-            continue
-        trial_pins = pins + [-lit]
-        trial = _solve(lambda: solver.solve(trial_pins), formula, limits,
-                       "min-value", trial_pins)
-        if trial.is_sat:
-            outcome = trial
-            pins.append(-lit)
-        else:
-            pins.append(lit)
-            value |= 1 << i
-    return value
+    first = next(_enumerate((e,), pc, limits, "min-value"), None)
+    return None if first is None else first[0]

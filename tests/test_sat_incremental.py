@@ -1,6 +1,6 @@
-"""Incremental CDCL interface: clauses added between solves, assumptions,
-restarts, projected model enumeration, and agreement with exhaustive
-enumeration."""
+"""Incremental CDCL interface: clauses added between enumerations,
+projection literals decided in order and false first, restarts, per-model
+conflict budgets, and agreement with exhaustive enumeration."""
 
 from __future__ import annotations
 
@@ -14,15 +14,23 @@ from dctforge import sat
 from dctforge.sat import Solver, _luby, check_sat
 
 
-def _satisfies(assign, clauses, assumptions=()) -> bool:
+def _satisfies(assign, clauses) -> bool:
     """assign is a 1-indexed tuple of booleans."""
-    return all(assign[abs(l)] ^ (l < 0) for l in assumptions) and all(
-        any(assign[abs(l)] ^ (l < 0) for l in cl) for cl in clauses)
+    return all(any(assign[abs(l)] ^ (l < 0) for l in cl) for cl in clauses)
 
 
-def _satisfiable(num_vars: int, clauses, assumptions=()) -> bool:
-    return any(_satisfies((False,) + bits, clauses, assumptions)
-               for bits in itertools.product([False, True], repeat=num_vars))
+def _lit_values(assign, proj) -> tuple[bool, ...]:
+    """The value of each literal of proj under the 1-indexed assign."""
+    return tuple(assign[abs(l)] ^ (l < 0) for l in proj)
+
+
+def _projections(num_vars: int, clauses, proj) -> list[tuple[bool, ...]]:
+    """Every projection onto the literals proj of a satisfying
+    assignment, once each, in ascending order."""
+    return sorted({_lit_values((False,) + bits, proj)
+                   for bits in itertools.product([False, True],
+                                                 repeat=num_vars)
+                   if _satisfies((False,) + bits, clauses)})
 
 
 def _pigeonhole(holes: int) -> tuple[int, list[list[int]]]:
@@ -46,11 +54,27 @@ def _random_clause(rng: random.Random, num_vars: int,
     return [l if rng.random() < 0.5 else -l for l in lits]
 
 
+def _random_lits(rng: random.Random, num_vars: int, low: int) -> list[int]:
+    return [v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, num_vars + 1),
+                                rng.randrange(low, num_vars + 1))]
+
+
 def _loaded(num_vars: int, clauses, **kw) -> Solver:
     solver = Solver(num_vars, **kw)
     for cl in clauses:
         solver.add_clause(list(cl))
     return solver
+
+
+def _first(solver: Solver, proj=()) -> sat.SatOutcome:
+    """The first outcome of an enumeration over proj; over no projection
+    it is check_sat's search on an incremental solver."""
+    return next(solver.enumerate(proj))
+
+
+def _statuses(outcomes) -> list[str]:
+    return [out.status for out in outcomes]
 
 
 def test_luby_prefix():
@@ -62,27 +86,39 @@ def test_pigeonhole_6_5_unsat_past_first_restart():
     nv, clauses = _pigeonhole(5)
     assert check_sat(CnfFormula(nv, [list(c) for c in clauses])).is_unsat
     solver = _loaded(nv, clauses)
-    assert solver.solve().is_unsat
-    assert solver.solve().is_unsat  # unsat for good
+    assert _first(solver).is_unsat
+    assert _first(solver).is_unsat  # unsat for good
 
 
 def test_pigeonhole_under_assumptions_then_completed():
-    """Without pigeon 0's at-least-one-hole clause, PHP(6,5) is
-    satisfiable; assuming pigeon 0 into hole 0 leaves PHP(5,4), which is
-    not.  Adding the clause back afterwards makes it unsat for good."""
+    """A projection literal stands where an assumption stood: without
+    pigeon 0's at-least-one-hole clause, PHP(6,5) is satisfiable, and an
+    enumeration over -x1 tries pigeon 0 in hole 0 first.  That leaves
+    PHP(5,4), which is not satisfiable, so the only model has it out of
+    hole 0; over pigeon 0's holes, the only model has it in none.
+    Adding the clause back afterwards makes the formula unsat for
+    good."""
     nv, clauses = _pigeonhole(5)
     solver = _loaded(nv, clauses[1:])
-    assert solver.solve([1]).is_unsat
-    assert solver.solve().is_sat
-    out_of_holes = [-(h + 1) for h in range(5)]
-    assert solver.solve(out_of_holes).is_sat
+    outcomes = list(solver.enumerate([-1]))
+    assert _statuses(outcomes) == ["sat", "unsat"]
+    assert not outcomes[0].model[1]
+    assert _first(solver).is_sat
+    holes = [h + 1 for h in range(5)]
+    outcomes = list(solver.enumerate([-h for h in holes]))
+    assert _statuses(outcomes) == ["sat", "unsat"]
+    assert not any(outcomes[0].model[h] for h in holes)
     solver.add_clause(list(clauses[0]))
-    assert solver.solve(out_of_holes).is_unsat
-    assert solver.solve().is_unsat
+    assert _statuses(solver.enumerate(holes)) == ["unsat"]
+    assert _first(solver).is_unsat
     assert not solver.ok
 
 
 def test_random_incremental_agrees_with_enumeration():
+    """Between clauses added at random, the first model over a random
+    projection (mixed polarities, sometimes a literal and its negation)
+    is the smallest brute-force projection, and Unsat exactly when there
+    is none."""
     rng = random.Random(2024)
     for _ in range(60):
         nv = rng.randrange(3, 12)
@@ -90,80 +126,140 @@ def test_random_incremental_agrees_with_enumeration():
                    for _ in range(rng.randrange(1, 4 * nv))]
         solver = _loaded(nv, clauses)
         for _ in range(8):
-            assumptions = [v if rng.random() < 0.5 else -v
-                           for v in rng.sample(range(1, nv + 1),
-                                               rng.randrange(0, nv + 1))]
-            if assumptions and rng.random() < 0.1:
-                assumptions.append(-assumptions[0])  # contradictory
-            out = solver.solve(assumptions)
+            proj = _random_lits(rng, nv, 0)
+            if proj and rng.random() < 0.1:
+                proj.append(-proj[0])  # contradictory
+            out = _first(solver, proj)
+            expected = _projections(nv, clauses, proj)
             if out.is_sat:
-                assert _satisfies(out.model, clauses, assumptions)
+                assert _satisfies(out.model, clauses)
+                assert _lit_values(out.model, proj) == expected[0]
             else:
                 assert out.is_unsat
-                assert not _satisfiable(nv, clauses, assumptions)
+                assert not expected
             if rng.random() < 0.6:
                 cl = _random_clause(rng, nv)
                 clauses.append(cl)
                 solver.add_clause(list(cl))
-        out = solver.solve()
-        assert out.is_sat == _satisfiable(nv, clauses)
+        out = _first(solver)
+        assert out.is_sat == bool(_projections(nv, clauses, ()))
 
 
-def test_learnt_under_assumptions_do_not_leak():
-    """Hard unsat-under-assumptions queries make the solver learn many
-    clauses over the assumption literals; a later solve without them
-    must still find the formula satisfiable."""
+def test_learnt_clauses_do_not_leak_across_enumerations():
+    """With selector s true the formula is PHP(6,5), with s false it is
+    trivially satisfiable.  An enumeration over -s tries s true first,
+    and one over s flips to it after the s-false model; either refutes
+    PHP(6,5), under a decision or under a flip, and learns many clauses
+    on the way.  Every later call must still find the models with s
+    false, each satisfying every clause."""
     nv, php = _pigeonhole(5)
-    # Selector s guards every pigeon clause: with s assumed true the
-    # formula is PHP(6,5), with s false it is trivially satisfiable.
     s = nv + 1
     clauses = [cl + [-s] for cl in php[:6]] + php[6:]
-    solver = _loaded(nv + 1, clauses)
-    assert solver.solve([s]).is_unsat
-    again = solver.solve()
-    assert again.is_sat
-    for cl in clauses:
-        assert any(again.lit_value(l) for l in cl)
-    assert solver.solve([-s]).is_sat
-    assert solver.solve([s]).is_unsat
+    for proj in ([-s], [s]):
+        solver = _loaded(nv + 1, clauses)
+        outcomes = list(solver.enumerate(proj))
+        assert _statuses(outcomes) == ["sat", "unsat"]
+        assert len(solver.clauses) > len(clauses)  # it learnt
+        for out in (outcomes[0], _first(solver), _first(solver, [-s]),
+                    _first(solver, [s])):
+            assert out.is_sat and not out.model[s]
+            assert _satisfies(out.model, clauses)
+        assert solver.ok
 
 
-def test_false_assumption_at_level_zero():
+def test_projection_literal_fixed_at_level_zero():
+    """A projection literal whose variable is fixed at level 0 is never
+    decided and takes its fixed value in every model; the others are
+    still decided in order, each tried false first."""
     solver = _loaded(3, [[1], [-1, 2]])
-    assert solver.solve([-2]).is_unsat
-    assert solver.solve([3]).is_sat
-    out = solver.solve([-3, 2])
-    assert out.is_sat and out.model[1:] == (True, True, False)
+    outcomes = list(solver.enumerate([-2]))  # x2 true first: it is
+    assert _statuses(outcomes) == ["sat", "unsat"]
+    assert outcomes[0].model[1:] == (True, True, False)
+    outcomes = list(solver.enumerate([2, -3]))
+    assert _statuses(outcomes) == ["sat", "sat", "unsat"]
+    assert [out.model[1:] for out in outcomes[:2]] == \
+        [(True, True, True), (True, True, False)]
 
 
 def test_clauses_added_after_solve_use_level_zero_facts():
     solver = _loaded(4, [[1], [-1, 2]])
-    assert solver.solve().is_sat
+    assert _first(solver).is_sat
     solver.add_clause([-2, 3, 4])   # -2 is false at level 0
     solver.add_clause([1, -4])      # satisfied at level 0
     solver.add_clause([-2, -3])     # reduces to a unit, propagates
-    out = solver.solve()
+    out = _first(solver)
     assert out.is_sat and out.model[1:] == (True, True, False, True)
     solver.add_clause([-4, -1])     # now the level-0 facts conflict
-    assert solver.solve().is_unsat
+    assert _first(solver).is_unsat
     assert not solver.ok
 
 
 def test_duplicate_and_tautological_literals():
     solver = _loaded(2, [[1, 1, -2], [2, -2], [-1, -1]])
-    out = solver.solve()
+    out = _first(solver)
     assert out.is_sat and out.model[1:] == (False, False)
 
 
+class _CountingConflicts(Solver):
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.conflicts = 0
+
+    def _propagate(self):
+        confl = super()._propagate()
+        if confl is not None:
+            self.conflicts += 1
+        return confl
+
+
+def _steps(num_vars, clauses, proj, conflict_limit):
+    """(outcomes, conflicts of each step) of one whole enumeration."""
+    solver = _CountingConflicts(num_vars, conflict_limit)
+    for cl in clauses:
+        solver.add_clause(list(cl))
+    outcomes, conflicts = [], []
+    for out in solver.enumerate(proj):
+        outcomes.append(out)
+        conflicts.append(solver.conflicts - sum(conflicts))
+    return outcomes, conflicts
+
+
 def test_conflict_budget_per_solve_call():
+    """The budget applies to each step of an enumeration, each one call
+    of next() on it.  PHP(7,6) runs out at once, and again on the next
+    call, and the solver stays usable.  On random 3-CNF with models, a
+    budget one above the most conflicts any step needs lets the
+    enumeration run to its end, although its steps add up to more; a
+    budget equal to it ends the first step that needs that many with
+    ResourceOut, after the same models as before."""
     nv, clauses = _pigeonhole(6)
     solver = _loaded(nv, clauses, conflict_limit=20)
-    out = solver.solve()
+    out = _first(solver)
     assert out.status == "resource-out"
     assert out.limit_name == "conflict-budget"
-    # The budget is per call and the solver stays usable.
-    assert solver.solve([1, 7]).is_unsat  # pigeons 0 and 1 share hole 0
-    assert solver.solve().status == "resource-out"
+    assert _first(solver).status == "resource-out"
+    solver.add_clause([1])
+    solver.add_clause([7])  # pigeons 0 and 1 share hole 0
+    assert _first(solver).is_unsat
+
+    rng = random.Random(31)
+    exercised = 0
+    for _ in range(30):
+        nv = rng.randrange(10, 16)
+        clauses = [_random_clause(rng, nv, 3) for _ in range(4 * nv)]
+        proj = _random_lits(rng, nv, 1)
+        outcomes, conflicts = _steps(nv, clauses, proj,
+                                     sat.DEFAULT_CONFLICT_LIMIT)
+        most = max(conflicts)
+        if len(outcomes) < 2 or most < 2:
+            continue  # no model, or no step needs a conflict
+        exercised += sum(conflicts) > most + 1
+        assert _steps(nv, clauses, proj, most + 1) == (outcomes, conflicts)
+        stop = conflicts.index(most)
+        cut, _ = _steps(nv, clauses, proj, most)
+        assert cut[:stop] == outcomes[:stop]
+        assert _statuses(cut[stop:]) == ["resource-out"]
+    assert exercised >= 3
 
 
 def test_check_sat_equals_one_shot_solver():
@@ -172,26 +268,23 @@ def test_check_sat_equals_one_shot_solver():
         nv = rng.randrange(5, 40)
         clauses = [_random_clause(rng, nv) for _ in range(3 * nv)]
         one_shot = check_sat(CnfFormula(nv, [list(c) for c in clauses]))
-        direct = _loaded(nv, clauses).solve()
+        direct = _first(_loaded(nv, clauses))
         assert one_shot == direct
-
-
-def _projections(num_vars: int, clauses, proj) -> set[tuple[bool, ...]]:
-    """Every projection onto proj of a satisfying assignment."""
-    return {tuple(bits[v - 1] for v in proj)
-            for bits in itertools.product([False, True], repeat=num_vars)
-            if _satisfies((False,) + bits, clauses)}
+        if one_shot.is_sat:
+            assert _satisfies(one_shot.model, clauses)
 
 
 @pytest.mark.parametrize("restart_base", [sat._RESTART_BASE, 1],
                          ids=["default-restarts", "restart-every-conflict"])
 def test_enumeration_agrees_with_brute_force(monkeypatch, restart_base):
-    """enumerate yields each projected assignment once and exactly the
-    brute-force set, and every model satisfies every clause; with
+    """enumerate yields each projected assignment once, in ascending
+    order of the projection literals' values, so exactly the sorted
+    brute-force list, and every model satisfies every clause; with
     restart_base 1 the search restarts after every conflict.  The
-    projection lists a variable twice and includes one fixed at level 0.
-    Stopped partway, the solver still answers add_clause and
-    solve(assumptions) as brute force does."""
+    projection mixes polarities, lists a literal twice and includes a
+    variable fixed at level 0.  Stopped partway, it has yielded a prefix
+    of that list, and the solver still answers add_clause and new
+    enumerations as brute force does."""
     monkeypatch.setattr(sat, "_RESTART_BASE", restart_base)
     rng = random.Random(2026)
     for round_ in range(160):
@@ -202,8 +295,8 @@ def test_enumeration_agrees_with_brute_force(monkeypatch, restart_base):
         # conflicts below and at the flipped levels.
         clauses += [_random_clause(rng, nv, 3)
                     for _ in range(rng.randrange(nv, 5 * nv))]
-        proj = rng.sample(range(1, nv + 1), rng.randrange(1, nv + 1))
-        proj += [proj[0], fixed]
+        proj = _random_lits(rng, nv, 1)
+        proj += [proj[0], fixed if rng.random() < 0.5 else -fixed]
         expected = _projections(nv, clauses, proj)
         stop = rng.randrange(len(expected) + 1) if round_ % 2 else None
         solver = _loaded(nv, clauses)
@@ -216,27 +309,24 @@ def test_enumeration_agrees_with_brute_force(monkeypatch, restart_base):
                 assert out.is_unsat
                 break
             assert _satisfies(out.model, given)
-            values = tuple(out.model[v] for v in proj)
-            assert values not in found
-            found.append(values)
+            found.append(_lit_values(out.model, proj))
+        assert found == expected[:stop]
         if stop is None:
-            assert set(found) == expected
-            assert solver.solve().is_sat == bool(expected)
+            assert _first(solver).is_sat == bool(expected)
             continue
-        assert set(found) <= expected and len(found) == stop
         for _ in range(4):
             cl = _random_clause(rng, nv)
             given.append(cl)
             solver.add_clause(list(cl))
-            assumptions = [v if rng.random() < 0.5 else -v
-                           for v in rng.sample(range(1, nv + 1),
-                                               rng.randrange(1, nv + 1))]
-            out = solver.solve(assumptions)
-            assert out.is_sat == _satisfiable(nv, given, assumptions)
+            other = _random_lits(rng, nv, 1)
+            out = _first(solver, other)
+            expected = _projections(nv, given, other)
+            assert out.is_sat == bool(expected)
             if out.is_sat:
-                assert _satisfies(out.model, given, assumptions)
-        assert {tuple(out.model[v] for v in proj)
-                for out in solver.enumerate(proj) if out.is_sat} == \
+                assert _satisfies(out.model, given)
+                assert _lit_values(out.model, other) == expected[0]
+        assert [_lit_values(out.model, proj)
+                for out in solver.enumerate(proj) if out.is_sat] == \
             _projections(nv, given, proj)
 
 
@@ -267,6 +357,6 @@ def test_enumeration_of_an_unsat_formula_stays_unsat():
         outcomes = list(solver.enumerate(range(1, num_vars + 1)))
         assert [out.status for out in outcomes] == ["unsat"]
         assert not solver.ok
-        assert solver.solve().is_unsat
-        assert solver.solve([1]).is_unsat
-        assert [out.status for out in solver.enumerate([1])] == ["unsat"]
+        assert _first(solver).is_unsat
+        assert _first(solver, [-1]).is_unsat
+        assert _statuses(solver.enumerate([1])) == ["unsat"]

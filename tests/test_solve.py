@@ -282,23 +282,38 @@ def test_extends_equals_pc_sat(seed, new_seed):
     assert extends(pc, new, limits) == expected
 
 
-class _OutOfBudgetUnderAssumptions(Solver):
-    """Solves plainly, but runs out of budget whenever assumptions are
-    given, as a hard bit pin would."""
-
-    def solve(self, assumptions=()):
-        if assumptions:
-            return SatOutcome("resource-out", limit_name="conflict-budget")
-        return super().solve(assumptions)
-
-
-def test_min_value_pinning_raises_resource_out(monkeypatch):
+def test_min_value_is_the_first_step_of_one_enumeration(monkeypatch):
+    """min_value takes the first value of its enumeration and stops: it
+    writes one dump, stores nothing in the memo, and a later all_values
+    on the same limits still finds every value.  After that all_values,
+    min_value replays the stored answer, whose first value is the
+    smallest, and writes no dump.  A solver whose enumeration runs out
+    of budget at once makes min_value raise ResourceOut and store
+    nothing."""
     v = ex.var("v", 3, 0)
-    pc = (ex.ne(v, ex.const(3, 0)),)
-    assert min_value(v, pc) == 1
-    monkeypatch.setattr(solve, "Solver", _OutOfBudgetUnderAssumptions)
+    pc = (ex.ne(ex.slice_(v, 1, 2), ex.const(2, 0)),
+          ex.ne(v, ex.const(3, 3)))  # the values 4 to 7 and 2
+    labels = _Labels()
+    limits = SolverLimits(dumper=labels)
+    assert min_value(v, pc, limits=limits) == 2 == ref_min_value(v, pc)
+    assert labels.labels == ["min-value"]
+    assert not limits.answers
+    assert all_values(v, pc, limits=limits) == {2, 4, 5, 6, 7}
+    [answer] = limits.answers.values()
+    assert answer == [(2,), (4,), (5,), (6,), (7,)]
+    dumps = len(labels.labels)
+    assert min_value(v, pc, limits=limits) == 2
+    assert len(labels.labels) == dumps
+
+    class OutOfBudgetAtOnce(Solver):
+        def enumerate(self, proj):
+            yield SatOutcome("resource-out", limit_name="conflict-budget")
+
+    monkeypatch.setattr(solve, "Solver", OutOfBudgetAtOnce)
+    limits = SolverLimits()
     with pytest.raises(ResourceOut):
-        min_value(v, pc)
+        min_value(v, pc, limits=limits)
+    assert not limits.answers
 
 
 def test_cli_tiny_conflict_limit_exits_one_without_report(tmp_path, capsys):
