@@ -369,11 +369,23 @@ def _add_common(sp, need_state=True):
     sp.add_argument("--seed", type=int, default=0,
                     help="copied into the report's seed field and read "
                          "nowhere else: every analysis is deterministic")
-    sp.add_argument("--value-cap", type=int, default=DEFAULT_VALUE_CAP)
-    sp.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
+    sp.add_argument("--value-cap", type=int, default=DEFAULT_VALUE_CAP,
+                    help="most distinct values one enumeration may find "
+                         "(StateIds, sources, output values); more is an "
+                         "error (default %(default)s)")
+    sp.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP,
+                    help="most successors one step may make, and most "
+                         "stage-3 start states; it does not bound the "
+                         "path count, which bfs reports exactly however "
+                         "large (default %(default)s)")
     sp.add_argument("--conflict-limit", type=int,
-                    default=DEFAULT_CONFLICT_LIMIT)
-    sp.add_argument("--clause-cap", type=int, default=DEFAULT_CLAUSE_CAP)
+                    default=DEFAULT_CONFLICT_LIMIT,
+                    help="SAT conflict budget of one solver query; running "
+                         "out is an error, never 'infeasible' "
+                         "(default %(default)s)")
+    sp.add_argument("--clause-cap", type=int, default=DEFAULT_CLAUSE_CAP,
+                    help="most CNF clauses one encoded query may have "
+                         "(default %(default)s)")
     sp.add_argument("--dump-cnf", default=None, metavar="DIR",
                     help="write one DIMACS file per solver query")
 

@@ -29,7 +29,10 @@ next-state cone once instead of once per destination.
 
 Exploration modes:
 
-* BFS          -- full breadth-first exploration, layer by layer.
+* BFS          -- full breadth-first exploration, layer by layer.  Its
+                  work grows with the distinct (registers, live pc)
+                  states per layer, not with the paths: see "Path
+                  counts" below.
 * BFS_PRUNE    -- BFS, but a successor whose projected state set was
                   already encountered is terminated after its metadata is
                   recorded; justified by monotonicity of bounded cut
@@ -60,6 +63,18 @@ query (see SymState), so while the registers stay concrete a path
 constraint does not grow with depth.  A States exploration keeps every
 conjunct: its frontier's path constraints feed the DCT witnesses and
 constraint dumps.
+
+Path counts: a frontier entry is one state and the number of paths that
+reach it.  Successors of one layer with the same content (register
+values in register order, pc after the live-conjunct trim, num_steps and
+var_epoch) merge into the first one's entry, in first-occurrence order,
+and their counts add up.  _step reads nothing else of a state and the
+answers memo is exact, so each entry is stepped, projected and recorded
+once, and the steps this saves would only replay memoised answers.
+paths_explored still counts paths (a Python int, which can pass 2^63).
+Under BFS_PRUNE a successor with a new StateId keeps one path and the
+others count as pruned.  Metadata.sym_states lists one state per path,
+the copies of an entry side by side.
 
 Depth may be an explicit cycle count or FIXPOINT, which runs until a
 layer discovers no new StateId (that closing layer also guarantees every
@@ -457,6 +472,12 @@ def _prune_soundness_warning(c: Circuit, spec: StateSpec,
                     ", ".join(whats))
 
 
+def _content(s: SymState) -> tuple:
+    """Everything _step reads of s: states with equal contents have equal
+    successors, projections and behaviors."""
+    return (tuple(s.regs.items()), s.pc, s.num_steps, s.var_epoch)
+
+
 def _record_behaviors(res: _StepResult, dst: int, cfg: ExploreConfig,
                       rbs: set[Behavior]) -> None:
     succ = res.state
@@ -500,7 +521,12 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
         seen |= project(s, spec, cfg)
     meta = Metadata(kind=kind, rs=set(seen) if kind is Kind.REACH else set(),
                     trans=set(), rbs=set(), sym_states=[])
-    frontier = list(init)
+    # Frontier entries are [state, paths], keyed by content (see "Path
+    # counts" in the module docstring).
+    entries: dict[tuple, list] = {}
+    for s in init:
+        entries.setdefault(_content(s), [s, 0])[1] += 1
+    frontier = list(entries.values())
     layer = 0
     last_new_layer = 0
     # Layer 0 adds the initial projections; at depth 0 it is the final one.
@@ -510,16 +536,17 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
         if cfg.depth is not None and layer >= cfg.depth:
             break
         layer += 1
-        step_results = [_step(c, st, cfg, plan) for st in frontier]
-        meta.paths_explored += len(frontier)
-        if layer == 1 and cfg.assumes and not any(step_results):
+        step_results = [(_step(c, st, cfg, plan), paths)
+                        for st, paths in frontier]
+        meta.paths_explored += sum(paths for _, paths in frontier)
+        if layer == 1 and cfg.assumes and not any(r for r, _ in step_results):
             log.warning("the assumptions cut every successor of the "
                         "initial states: %s",
                         "; ".join(ex.pp(a) for a in cfg.assumes))
 
-        new_frontier: list[SymState] = []
+        entries = {}
         layer_added = False
-        for results in step_results:
+        for results, paths in step_results:
             for res in results:
                 succ = res.state
                 proj = project(succ, spec, cfg)
@@ -534,22 +561,28 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
                 new_ids = proj - seen
                 if new_ids:
                     layer_added = True
-                if cfg.mode is Mode.BFS_PRUNE and not new_ids:
-                    meta.paths_pruned += 1
-                    _log_event(event="path_pruned", layer=layer,
-                               state=sorted(proj))
-                    continue
+                kept = paths
+                if cfg.mode is Mode.BFS_PRUNE:
+                    # The paths of one entry project alike: one of them
+                    # keeps a new StateId, the others are pruned.
+                    kept = 1 if new_ids else 0
+                    if paths > kept:
+                        meta.paths_pruned += paths - kept
+                        _log_event(event="path_pruned", layer=layer,
+                                   paths=paths - kept, state=sorted(proj))
+                    if not kept:
+                        continue
                 seen |= proj
                 if kind is Kind.REACH:
                     leaves = frozenset().union(
                         *map(ex.leaf_set, succ.regs.values()))
                     succ = dc_replace(succ,
                                       pc=live_conjuncts(succ.pc, leaves))
-                new_frontier.append(succ)
-                _log_event(event="path_spawned", layer=layer,
+                entries.setdefault(_content(succ), [succ, 0])[1] += kept
+                _log_event(event="path_spawned", layer=layer, paths=kept,
                            state=sorted(proj), num_steps=succ.num_steps,
                            pc_conjuncts=len(succ.pc))
-        frontier = new_frontier
+        frontier = list(entries.values())
         if layer_added:
             last_new_layer = layer
         if cfg.depth is None and not layer_added:
@@ -566,7 +599,8 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
             log.warning("new states appeared at the final layer %d; "
                         "increase depth or use fixpoint mode", layer)
     if kind is Kind.STATES:
-        meta.sym_states = frontier
+        meta.sym_states = [st for st, paths in frontier
+                           for _ in range(paths)]
     _log_event(event="explore_done", layers=layer,
                paths=meta.paths_explored, pruned=meta.paths_pruned)
     return meta

@@ -371,3 +371,84 @@ def pinned_witness(c, spec, pc, cfg):
         out[name] = min_value(v, pc, limits=cfg.limits)
         pc = pc + (ex.eq(v, ex.const(w, out[name])),)
     return inputs, registers
+
+
+def per_path_explore(c, init, cfg, kind):
+    """engine.explore with one frontier entry per path: every path is
+    stepped, projected and recorded on its own, and each path_spawned or
+    path_pruned debug event stands for one path.  The reference that the
+    merging frontier of engine.explore is checked against."""
+    from dataclasses import replace as dc_replace
+    from dctforge import engine
+    from dctforge.engine import Kind, Metadata, Mode
+    from dctforge.errors import DctForgeError
+    from dctforge.solve import live_conjuncts
+    if not init:
+        raise DctForgeError("explore needs at least one initial state")
+    spec = cfg.state_spec
+    plan = engine._build_plan(c, cfg)
+    seen = set()
+    for s in init:
+        seen |= engine.project(s, spec, cfg)
+    meta = Metadata(kind=kind, rs=set(seen) if kind is Kind.REACH else set(),
+                    trans=set(), rbs=set(), sym_states=[])
+    frontier = list(init)
+    layer = 0
+    last_new_layer = 0
+    final_layer_added = cfg.depth == 0 and bool(seen)
+
+    while frontier:
+        if cfg.depth is not None and layer >= cfg.depth:
+            break
+        layer += 1
+        step_results = [engine._step(c, st, cfg, plan) for st in frontier]
+        meta.paths_explored += len(frontier)
+        new_frontier = []
+        layer_added = False
+        for results in step_results:
+            for res in results:
+                succ = res.state
+                proj = engine.project(succ, spec, cfg)
+                if kind is Kind.REACH:
+                    meta.rs |= proj
+                    for d in sorted(proj):
+                        engine._record_behaviors(res, d, cfg, meta.rbs)
+                else:
+                    for s1 in res.src_vals:
+                        for s2 in sorted(proj):
+                            meta.trans.add((s1, s2))
+                new_ids = proj - seen
+                if new_ids:
+                    layer_added = True
+                if cfg.mode is Mode.BFS_PRUNE and not new_ids:
+                    meta.paths_pruned += 1
+                    engine._log_event(event="path_pruned", layer=layer,
+                                      paths=1, state=sorted(proj))
+                    continue
+                seen |= proj
+                if kind is Kind.REACH:
+                    leaves = frozenset().union(
+                        *map(ex.leaf_set, succ.regs.values()))
+                    succ = dc_replace(succ,
+                                      pc=live_conjuncts(succ.pc, leaves))
+                new_frontier.append(succ)
+                engine._log_event(event="path_spawned", layer=layer, paths=1,
+                                  state=sorted(proj),
+                                  num_steps=succ.num_steps,
+                                  pc_conjuncts=len(succ.pc))
+        frontier = new_frontier
+        if layer_added:
+            last_new_layer = layer
+        if cfg.depth is None and not layer_added:
+            break
+        if cfg.depth is not None and layer >= cfg.depth:
+            final_layer_added = layer_added
+            break
+
+    if cfg.depth is None:
+        meta.discovered_diameter = last_new_layer
+    else:
+        meta.depth_converged = not final_layer_added
+    if kind is Kind.STATES:
+        meta.sym_states = frontier
+    return meta

@@ -436,3 +436,24 @@ def test_cli_flag_fuzz_no_traceback(command, ima_path, tmp_path, capsys,
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 3), (argv, code)
             assert "Traceback" not in err, (argv, err)
+
+
+_LIMIT_HELP = {"--value-cap": "most distinct values one enumeration",
+               "--path-cap": "does not bound the path count",
+               "--conflict-limit": "SAT conflict budget of one solver query",
+               "--clause-cap": "most CNF clauses one encoded query"}
+
+
+@pytest.mark.parametrize("command", ["analyze", "trojan", "stg", "oracle",
+                                     "inject"])
+def test_help_describes_each_limit(command, capsys):
+    """--help explains each numeric limit; --path-cap says it bounds
+    neither the path count nor what bfs reports."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, phrase in _LIMIT_HELP.items():
+        metavar = flag.lstrip("-").replace("-", "_").upper()
+        entry = text.split(f" {flag} {metavar} ", 1)[1].split(" --", 1)[0]
+        assert phrase in entry, flag
