@@ -128,7 +128,8 @@ def test_bfs_dumps_and_solver_events_unchanged(case, tmp_path, caplog):
 
 def _counting_step(monkeypatch):
     """Wrap engine._step; the returned list collects, per call, the
-    config's depth and the number of successors."""
+    config's depth, the layer the successors join (the state's num_steps
+    plus one) and the number of successors."""
     calls = []
     real = engine._step
 
@@ -198,9 +199,10 @@ def _events_of(fn, c, init, cfg, kind, caplog):
                          ids=lambda m: m.value)
 def test_path_events_sum_to_successor_paths(mode, monkeypatch, caplog):
     """Per layer, the paths fields of the spawned and pruned events sum to
-    the layer's successor paths (one reference event per path), and there
-    is at most one event per successor entry, two when a pruned entry
-    also spawns."""
+    the layer's successor paths (one reference event per path).  There is
+    one event per successor of an entry, or two under bfs-prune when a
+    successor with a new StateId stands for several paths: one spawned,
+    the rest pruned."""
     for name, c, state_regs, assumes in _CASES:
         cfg = config_for(c, state_regs, depth=3, mode=mode, assumes=assumes)
         init = [reset_state(c), reset_state(c)]
