@@ -19,9 +19,8 @@ from .engine import (FIXPOINT, Behavior, ExploreConfig, Kind, Metadata, Mode,
 from .errors import (CapExceeded, CombinationalCycle, DctForgeError,
                      DuplicateName, InfeasibleParams, InvalidCircuit,
                      ParseError, PathExplosion, ResourceOut,
-                     StageThreeExplosion, TooLargeForOracle, UndrivenSignal,
-                     UnknownOutput, UnknownSignal, UnsupportedDirective,
-                     WidthMismatch)
+                     TooLargeForOracle, UndrivenSignal, UnknownOutput,
+                     UnknownSignal, UnsupportedDirective, WidthMismatch)
 from .rtl import parse_rtl
 from .sat import SatOutcome, check_sat
 from .cnf import CnfFormula, bit_blast

@@ -349,12 +349,11 @@ def cmd_inject(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp, need_state=True):
+def _add_common(sp):
     sp.add_argument("--circuit", required=True,
                     help="circuit file (.snl RTL format, or .blif)")
-    if need_state:
-        sp.add_argument("--state", required=True,
-                        help="ordered comma-separated state registers")
+    sp.add_argument("--state", required=True,
+                    help="ordered comma-separated state registers")
     sp.add_argument("--depth", default="7",
                     help="clock cycles for forward exploration, or 'fixpoint'")
     sp.add_argument("--mode", default="bfs-prune",
@@ -374,10 +373,9 @@ def _add_common(sp, need_state=True):
                          "(StateIds, sources, output values); more is an "
                          "error (default %(default)s)")
     sp.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP,
-                    help="most successors one step may make, and most "
-                         "stage-3 start states; it does not bound the "
-                         "path count, which bfs reports exactly however "
-                         "large (default %(default)s)")
+                    help="most successors one step may make; it does not "
+                         "bound the path count, which bfs reports exactly "
+                         "however large (default %(default)s)")
     sp.add_argument("--conflict-limit", type=int,
                     default=DEFAULT_CONFLICT_LIMIT,
                     help="SAT conflict budget of one solver query; running "

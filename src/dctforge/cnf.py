@@ -4,9 +4,9 @@ Variable 1 is a reserved constant forced true, so constant bits encode as
 the literals 1 and -1 and every gate helper can treat constants, shared
 literals, and fresh variables uniformly.  Adders and subtractors use
 ripple-carry form; comparisons use a borrow chain; shifts by a symbolic
-amount become mux stages.  bit_map records, for every encoded expression
-bit, the CNF literal carrying it (possibly negative, possibly the
-constant literal).
+amount become mux stages.  bit_blast's formula carries a bit_map: for
+every encoded expression bit, the CNF literal carrying it (possibly
+negative, possibly the constant literal).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class Encoder:
         self.clauses: list[list[int]] = [[1]]
         self.num_vars = 1
         self._bits: dict[ex.Expr, list[int]] = {}
-        self.bit_map: dict[tuple[ex.Expr, int], int] = {}
 
     @property
     def TRUE(self) -> int:
@@ -201,8 +200,6 @@ class Encoder:
             if node in self._bits:
                 continue
             self._bits[node] = self._encode(node)
-            for i, lit in enumerate(self._bits[node]):
-                self.bit_map[(node, i)] = lit
         return self._bits[root]
 
     def _encode(self, node: ex.Expr) -> list[int]:
@@ -273,7 +270,7 @@ class Encoder:
         raise AssertionError(op)
 
     def to_formula(self) -> CnfFormula:
-        return CnfFormula(self.num_vars, self.clauses, dict(self.bit_map))
+        return CnfFormula(self.num_vars, self.clauses)
 
 
 def bit_blast(e: ex.Expr, pc, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfFormula:
@@ -285,4 +282,6 @@ def bit_blast(e: ex.Expr, pc, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfFormul
     for conj in pc:
         enc.assert_lit(enc.bits(conj)[0])
     enc.assert_lit(enc.bits(e)[0])
-    return enc.to_formula()
+    bit_map = {(node, i): lit for node, bits in enc._bits.items()
+               for i, lit in enumerate(bits)}
+    return CnfFormula(enc.num_vars, enc.clauses, bit_map)

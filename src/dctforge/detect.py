@@ -5,7 +5,7 @@ source StateId is unreachable from reset while its destination is
 reachable.  compute_dct runs two stages: a bounded forward exploration
 from reset for the reachable set, then a single fully symbolic cycle for
 the transition relation.  detect_trojan adds a third stage that resumes
-exploration from the stage-2 frontier states whose projection is a DCT
+exploration from the stage-2 frontier states whose StateId is a DCT
 destination, keeping their full register valuations (so any side effect
 a trigger accumulated is preserved) and, like stage 1, only the live
 part of each path constraint (see engine), and reports behavior tuples
@@ -32,10 +32,10 @@ from .circuit import (Circuit, StateSpec, decode_state, net_topo_order,
                       state_concat_expr)
 from .engine import (Behavior, ExploreConfig, Kind, Metadata, Mode, SymState,
                      explore, project, reset_state, symbolic_state)
-from .errors import StageThreeExplosion, TooLargeForOracle
+from .errors import TooLargeForOracle
 # Nothing here calls pc_sat; it stays importable as detect.pc_sat, the
 # name perfbench/tracing.py wraps.
-from .solve import extends, min_value, pc_sat  # noqa: F401
+from .solve import min_value, pc_sat  # noqa: F401
 
 __all__ = ["DctWitness", "DctReport", "TrojanReport", "Verdict",
            "compute_dct", "detect_trojan", "diff_behaviors",
@@ -103,22 +103,23 @@ def _source_var_expr(c: Circuit, spec: StateSpec) -> ex.Expr:
 
 
 def _extract_witness(c: Circuit, spec: StateSpec, state: SymState,
-                     source: int, cfg: ExploreConfig) -> DctWitness:
+                     source: int, cfg: ExploreConfig) -> DctWitness | None:
     """Deterministic witness: pin the source StateId, then take the
     lexicographically smallest feasible tuple of the inputs and the
     non-spec registers, in declaration order, as one min_value over
-    their concatenation (the first input most significant)."""
+    their concatenation (the first input most significant, the pinned
+    source least).  None when no path of state starts at source."""
     src_expr = _source_var_expr(c, spec)
     pc = state.pc + (ex.eq(src_expr, ex.const(spec.total_width, source)),)
     registers = dict(decode_state(c, spec, source))
     free = [r for r in c.registers if r.name not in registers]
     parts = ([ex.var(name, w, 0) for name, w in c.inputs]
              + [ex.var(r.name, r.width, -1) for r in free])
-    value = 0
-    if parts:
-        whole = parts[0] if len(parts) == 1 else ex.concat(*parts)
-        value = min_value(whole, pc, limits=cfg.limits)
-    shift = sum(p.width for p in parts)
+    whole = ex.concat(*parts, src_expr) if parts else src_expr
+    value = min_value(whole, pc, limits=cfg.limits)
+    if value is None:
+        return None
+    shift = whole.width
     values = []
     for p in parts:
         shift -= p.width
@@ -132,37 +133,39 @@ def _stage2_config(cfg: ExploreConfig) -> ExploreConfig:
     return dc_replace(cfg, depth=1, mode=Mode.BFS)
 
 
-def _run_stages(c: Circuit, cfg: ExploreConfig) -> tuple[Metadata, Metadata]:
+def _run_stages(c: Circuit, cfg: ExploreConfig
+                ) -> tuple[Metadata, Metadata, dict[int, list[SymState]]]:
+    """Stages 1 and 2, and the stage-2 frontier grouped by StateId in
+    frontier order.  Each frontier state has its spec registers pinned,
+    so it projects to exactly one StateId."""
     stage1 = explore(c, [reset_state(c)], cfg, Kind.REACH)
-    stage2 = explore(c, [symbolic_state(c, cfg.state_spec)],
-                     _stage2_config(cfg), Kind.STATES)
-    return stage1, stage2
+    s2cfg = _stage2_config(cfg)
+    stage2 = explore(c, [symbolic_state(c, cfg.state_spec)], s2cfg,
+                     Kind.STATES)
+    by_state: dict[int, list[SymState]] = {}
+    for st in stage2.sym_states:
+        (d,) = project(st, cfg.state_spec, s2cfg)
+        by_state.setdefault(d, []).append(st)
+    return stage1, stage2, by_state
 
 
 def _build_dct_report(c: Circuit, cfg: ExploreConfig, stage1: Metadata,
-                      stage2: Metadata) -> DctReport:
-    spec = cfg.state_spec
+                      stage2: Metadata,
+                      by_state: dict[int, list[SymState]]) -> DctReport:
     rs = set(stage1.rs)
     trans = set(stage2.trans)
     dct = {(a, b) for (a, b) in trans if a not in rs and b in rs}
     dest = {b for _, b in dct}
     witnesses: dict[tuple[int, int], DctWitness] = {}
     dumps: dict[tuple[int, int], str] = {}
-    src_expr = _source_var_expr(c, spec)
-    s2cfg = _stage2_config(cfg)
     for edge in sorted(dct):
         a, b = edge
-        for st in stage2.sym_states:
-            if project(st, spec, s2cfg) != {b}:
-                continue
-            # st.pc is satisfiable (a SymState invariant), so the pin
-            # only needs the slice of st.pc it shares variables with.
-            pin = ex.eq(src_expr, ex.const(spec.total_width, a))
-            if not extends(st.pc, (pin,), cfg.limits):
-                continue
-            witnesses[edge] = _extract_witness(c, spec, st, a, cfg)
-            dumps[edge] = "\n".join(ex.pp(conj) for conj in st.pc)
-            break
+        for st in by_state[b]:
+            witness = _extract_witness(c, cfg.state_spec, st, a, cfg)
+            if witness is not None:
+                witnesses[edge] = witness
+                dumps[edge] = "\n".join(ex.pp(conj) for conj in st.pc)
+                break
     return DctReport(rs, trans, dct, dest, witnesses, dumps, stage1, stage2)
 
 
@@ -171,8 +174,7 @@ def compute_dct(c: Circuit, cfg: ExploreConfig) -> DctReport:
     cycle for the transition relation, then the unreachable-to-reachable
     filter.  Each DCT edge carries a concrete witness and the
     pretty-printed path constraint of the path that produced it."""
-    stage1, stage2 = _run_stages(c, cfg)
-    return _build_dct_report(c, cfg, stage1, stage2)
+    return _build_dct_report(c, cfg, *_run_stages(c, cfg))
 
 
 def diff_behaviors(base: set[Behavior], probe: set[Behavior]) -> set[Behavior]:
@@ -185,30 +187,16 @@ def detect_trojan(c: Circuit, cfg: ExploreConfig) -> TrojanReport:
     """Three-stage detection.  Stage 3 starts from stage-2 frontier states
     projecting into a DCT destination and reports every behavior tuple not
     observed in stage 1."""
-    stage1, stage2 = _run_stages(c, cfg)
-    report = _build_dct_report(c, cfg, stage1, stage2)
+    stage1, stage2, by_state = _run_stages(c, cfg)
+    report = _build_dct_report(c, cfg, stage1, stage2, by_state)
     if not report.dct:
         return TrojanReport(report, set(stage1.rbs), {}, Verdict.NO_DCT)
-
-    spec = cfg.state_spec
-    s2cfg = _stage2_config(cfg)
-    selected: list[tuple[int, SymState]] = []
-    for st in stage2.sym_states:
-        proj = project(st, spec, s2cfg)
-        if len(proj) == 1:
-            d = next(iter(proj))
-            if d in report.dest:
-                selected.append((d, st))
-    if len(selected) > cfg.path_cap:
-        raise StageThreeExplosion(len(selected), cfg.path_cap)
 
     per_dest: dict[int, tuple[set[Behavior], set[Behavior]]] = {}
     stage3_paths = 0
     for d in sorted(report.dest):
         rbs_d: set[Behavior] = set()
-        for dd, st in selected:
-            if dd != d:
-                continue
+        for st in by_state[d]:
             meta = explore(c, [dc_replace(st, num_steps=0)], cfg, Kind.REACH)
             rbs_d |= meta.rbs
             stage3_paths += meta.paths_explored

@@ -20,10 +20,12 @@ simplified.  Whatever symbolic state
 remains after splitting is resolved by enumerating the feasible next
 StateId values and pinning each one into the path constraint (this is the
 only splitting mechanism gate-level circuits need, since they carry no
-Case/Mux nodes at all).  The step also records, for each successor, the
-pre-step StateIds that reach it.  When both the source and the
-destination are symbolic, as in the one fully symbolic step of stage 2,
-a branch's successors and their sources come from one pair query
+Case/Mux nodes at all).  Each successor carries the StateId it was
+pinned to and the pre-step StateIds that reach it, so exploration
+records both as the step decided them and calls project only on its
+initial states.  When both the source and the destination are
+symbolic, as in the one fully symbolic step of stage 2, a branch's
+successors and their sources come from one pair query
 (solve.transitions, labelled "transitions"), which encodes the branch's
 next-state cone once instead of once per destination.
 
@@ -33,8 +35,8 @@ Exploration modes:
                   work grows with the distinct (registers, live pc)
                   states per layer, not with the paths: see "Path
                   counts" below.
-* BFS_PRUNE    -- BFS, but a successor whose projected state set was
-                  already encountered is terminated after its metadata is
+* BFS_PRUNE    -- BFS, but a successor whose StateId was already
+                  encountered is terminated after its metadata is
                   recorded; justified by monotonicity of bounded cut
                   reachability, and unsound only when registers outside
                   the state spec feed the state-spec logic or a monitored
@@ -58,7 +60,7 @@ frontier with only the conjuncts of its path constraint that are linked
 through shared leaves, directly or through other conjuncts, to the
 leaves of its register expressions (solve.live_conjuncts).  The step
 that produced it still reads the full path constraint for its
-projection and behaviors.  The dropped groups can never meet a later
+StateIds and behaviors.  The dropped groups can never meet a later
 query (see SymState), so while the registers stay concrete a path
 constraint does not grow with depth.  A States exploration keeps every
 conjunct: its frontier's path constraints feed the DCT witnesses and
@@ -69,8 +71,8 @@ reach it.  Successors of one layer with the same content (register
 values in register order, pc after the live-conjunct trim, num_steps and
 var_epoch) merge into the first one's entry, in first-occurrence order,
 and their counts add up.  _step reads nothing else of a state and the
-answers memo is exact, so each entry is stepped, projected and recorded
-once, and the steps this saves would only replay memoised answers.
+answers memo is exact, so each entry is stepped and recorded once, and
+the steps this saves would only replay memoised answers.
 paths_explored still counts paths (a Python int, which can pass 2^63).
 Under BFS_PRUNE a successor with a new StateId keeps one path and the
 others count as pruned.  Metadata.sym_states lists one state per path,
@@ -214,7 +216,9 @@ def _distinct_var_concat(e: ex.Expr) -> bool:
 
 
 def project(s: SymState, spec: StateSpec, cfg: ExploreConfig) -> set[int]:
-    """Feasible StateId values of the spec registers under s.pc."""
+    """Feasible StateId values of the spec registers under s.pc.  A
+    step's successors come with theirs (_StepResult.dst), so explore
+    projects only its initial states."""
     concat = ex.simplify(state_concat_expr(spec, dict(s.regs)))
     if concat.op == "const":
         return {concat.aux[0]}
@@ -228,6 +232,7 @@ def project(s: SymState, spec: StateSpec, cfg: ExploreConfig) -> set[int]:
 @dataclass
 class _StepResult:
     state: SymState
+    dst: int                        # the StateId state's spec is pinned to
     src_expr: ex.Expr               # pre-step spec concatenation
     src_vals: list[int]             # its feasible values under state.pc
     out_exprs: dict[str, ex.Expr]   # monitored outputs, pre-edge sample
@@ -397,7 +402,7 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
             results.append(_StepResult(
                 SymState(regs3, _pinned(pc, concat, v), s.num_steps + 1,
                          s.var_epoch + 1),
-                src_expr, succs[v], oo))
+                v, src_expr, succs[v], oo))
         if len(results) > cfg.path_cap:
             raise PathExplosion(len(results), cfg.path_cap)
     return results
@@ -529,12 +534,13 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
     frontier = list(entries.values())
     layer = 0
     last_new_layer = 0
-    # Layer 0 adds the initial projections; at depth 0 it is the final one.
-    final_layer_added = cfg.depth == 0 and bool(seen)
+    # Layer 0 adds the initial projections.  A layer that adds a StateId
+    # keeps a path to it, so the frontier is empty only after a layer
+    # that added none.
+    layer_added = bool(seen)
 
-    while frontier:
-        if cfg.depth is not None and layer >= cfg.depth:
-            break
+    while frontier and (layer_added if cfg.depth is None
+                        else layer < cfg.depth):
         layer += 1
         step_results = [(_step(c, st, cfg, plan), paths)
                         for st, paths in frontier]
@@ -548,31 +554,26 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
         layer_added = False
         for results, paths in step_results:
             for res in results:
-                succ = res.state
-                proj = project(succ, spec, cfg)
+                succ, dst = res.state, res.dst
                 if kind is Kind.REACH:
-                    meta.rs |= proj
-                    for d in sorted(proj):
-                        _record_behaviors(res, d, cfg, meta.rbs)
+                    meta.rs.add(dst)
+                    _record_behaviors(res, dst, cfg, meta.rbs)
                 else:
-                    for s1 in res.src_vals:
-                        for s2 in sorted(proj):
-                            meta.trans.add((s1, s2))
-                new_ids = proj - seen
-                if new_ids:
-                    layer_added = True
+                    meta.trans.update((s1, dst) for s1 in res.src_vals)
+                new = dst not in seen
+                layer_added |= new
                 kept = paths
                 if cfg.mode is Mode.BFS_PRUNE:
-                    # The paths of one entry project alike: one of them
-                    # keeps a new StateId, the others are pruned.
-                    kept = 1 if new_ids else 0
+                    # The paths of one entry reach the same StateId: one
+                    # of them keeps a new one, the others are pruned.
+                    kept = 1 if new else 0
                     if paths > kept:
                         meta.paths_pruned += paths - kept
                         _log_event(event="path_pruned", layer=layer,
-                                   paths=paths - kept, state=sorted(proj))
+                                   paths=paths - kept, state=[dst])
                     if not kept:
                         continue
-                seen |= proj
+                seen.add(dst)
                 if kind is Kind.REACH:
                     leaves = frozenset().union(
                         *map(ex.leaf_set, succ.regs.values()))
@@ -580,22 +581,17 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
                                       pc=live_conjuncts(succ.pc, leaves))
                 entries.setdefault(_content(succ), [succ, 0])[1] += kept
                 _log_event(event="path_spawned", layer=layer, paths=kept,
-                           state=sorted(proj), num_steps=succ.num_steps,
+                           state=[dst], num_steps=succ.num_steps,
                            pc_conjuncts=len(succ.pc))
         frontier = list(entries.values())
         if layer_added:
             last_new_layer = layer
-        if cfg.depth is None and not layer_added:
-            break
-        if cfg.depth is not None and layer >= cfg.depth:
-            final_layer_added = layer_added
-            break
 
     if cfg.depth is None:
         meta.discovered_diameter = last_new_layer
     else:
-        meta.depth_converged = not final_layer_added
-        if final_layer_added:
+        meta.depth_converged = not layer_added
+        if layer_added:
             log.warning("new states appeared at the final layer %d; "
                         "increase depth or use fixpoint mode", layer)
     if kind is Kind.STATES:

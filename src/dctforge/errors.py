@@ -86,11 +86,6 @@ class PathExplosion(DctForgeError):
         super().__init__(f"one step produced {count} successors (cap {cap})")
 
 
-class StageThreeExplosion(DctForgeError):
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"stage-3 frontier has {count} states (cap {cap})")
-
-
 class TooLargeForOracle(DctForgeError):
     def __init__(self, bits: int, cap: int):
         super().__init__(f"{bits} state+input bits exceed oracle cap of {cap}")

@@ -24,15 +24,16 @@ leaf set.  live_conjuncts keeps of a satisfiable path constraint only
 the slice around a set of leaves; the exploration uses it to drop the
 groups no register can reach again.
 
-Every query is sliced by constraint independence, as in KLEE.  _slice
-grows the set of leaves a query touches over the simplified conjuncts
-until no further conjunct shares one; the conjuncts it took are the
-related slice, the rest share no variable with it.  _query, the one
-prologue of all_values, transitions, min_value and pc_sat, slices the
-path constraint on the leaves of the query's expressions (none, for
-pc_sat) and checks that every independent group of the rest (a
-union-find over their leaves) is satisfiable; only the related slice
-is encoded with the expressions.  extends slices around the new
+Every query is sliced by constraint independence, as in KLEE.
+_partition is one union-find over the simplified conjuncts and the
+leaves a query touches: the conjuncts linked to those leaves, directly
+or through other conjuncts, are the related slice, and the rest fall
+into independent groups that share no variable with it or with each
+other.  _query, the one prologue of all_values, transitions, min_value
+and pc_sat, partitions the path constraint on the leaves of the query's
+expressions (none, for pc_sat) and checks that every group of the rest
+is satisfiable; only the related slice is encoded with the
+expressions.  extends slices around the new
 conjuncts and checks that one group: its caller guarantees the old path
 constraint is satisfiable, so the rest is too.
 
@@ -152,11 +153,17 @@ def _symbolic_conjuncts(pc: Iterable[ex.Expr]) -> list[ex.Expr] | None:
     return list(dict.fromkeys(out))
 
 
-def _components(conjuncts: list[ex.Expr]) -> list[list[ex.Expr]]:
-    """Distinct conjuncts partitioned into groups that share no leaf,
-    not even through other conjuncts.  Groups are in order of their first
-    conjunct, and members keep their input order."""
-    parent = list(range(len(conjuncts)))
+def _partition(leaves: frozenset, conjuncts: list[ex.Expr]
+               ) -> tuple[list[ex.Expr], list[list[ex.Expr]]]:
+    """(related, rest_groups): the conjuncts that share a leaf with
+    leaves, directly or through other conjuncts, and the others split
+    into groups that share no leaf, not even through other conjuncts.
+    One union-find over the conjuncts and the query (index n, linked to
+    every conjunct that touches leaves).  related keeps the order of
+    conjuncts; groups are in order of their first conjunct, and members
+    keep that order too."""
+    n = len(conjuncts)
+    parent = list(range(n + 1))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -164,35 +171,22 @@ def _components(conjuncts: list[ex.Expr]) -> list[list[ex.Expr]]:
             i = parent[i]
         return i
 
-    owner: dict[ex.Expr, int] = {}
+    owner: dict[ex.Expr, int] = dict.fromkeys(leaves, n)
     for i, c in enumerate(conjuncts):
         for leaf in ex.leaf_set(c):
-            j = owner.setdefault(leaf, i)
-            ri, rj = find(i), find(j)
+            ri, rj = find(i), find(owner.setdefault(leaf, i))
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
+    query = find(n)
+    related: list[ex.Expr] = []
     groups: dict[int, list[ex.Expr]] = {}
     for i, c in enumerate(conjuncts):
-        groups.setdefault(find(i), []).append(c)
-    return list(groups.values())
-
-
-def _slice(leaves: frozenset, conjuncts: list[ex.Expr]):
-    """(related, rest): the conjuncts that share a leaf with leaves,
-    directly or through other related conjuncts, and all the others.
-    Both keep the order of conjuncts."""
-    wanted = set(leaves)
-    taken = [False] * len(conjuncts)
-    grown = True
-    while grown:
-        grown = False
-        for i, c in enumerate(conjuncts):
-            if not taken[i] and not ex.leaf_set(c).isdisjoint(wanted):
-                taken[i] = grown = True
-                wanted |= ex.leaf_set(c)
-    related = [c for c, t in zip(conjuncts, taken) if t]
-    rest = [c for c, t in zip(conjuncts, taken) if not t]
-    return related, rest
+        root = find(i)
+        if root == query:
+            related.append(c)
+        else:
+            groups.setdefault(root, []).append(c)
+    return related, list(groups.values())
 
 
 def live_conjuncts(pc: Iterable[ex.Expr],
@@ -208,7 +202,7 @@ def live_conjuncts(pc: Iterable[ex.Expr],
     conjuncts = _symbolic_conjuncts(pc)
     if conjuncts is None:
         return (ex.const(1, 0),)
-    related, _ = _slice(leaves, conjuncts)
+    related, _ = _partition(leaves, conjuncts)
     return tuple(related)
 
 
@@ -332,9 +326,9 @@ def _query(es: Sequence[ex.Expr], pc: Iterable[ex.Expr],
     if conjuncts is None:
         return None
     es = tuple(ex.simplify(e) for e in es)
-    related, rest = _slice(frozenset().union(*map(ex.leaf_set, es)),
-                           conjuncts)
-    if not all(_group_sat(g, limits, label) for g in _components(rest)):
+    related, rest = _partition(frozenset().union(*map(ex.leaf_set, es)),
+                               conjuncts)
+    if not all(_group_sat(g, limits, label) for g in rest):
         return None
     return es, related
 
@@ -371,7 +365,7 @@ def extension_check(pc: Iterable[ex.Expr],
         leaves = frozenset().union(*map(ex.leaf_set, added))
         related = slices.get(leaves)
         if related is None:
-            related = slices[leaves] = _slice(leaves, conjuncts)[0]
+            related = slices[leaves] = _partition(leaves, conjuncts)[0]
         group = list(dict.fromkeys(related + added))
         return _group_sat(group, limits, "step-feasibility")
 

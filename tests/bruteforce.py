@@ -452,3 +452,42 @@ def per_path_explore(c, init, cfg, kind):
     if kind is Kind.STATES:
         meta.sym_states = frontier
     return meta
+
+
+def slice_then_components(leaves, conjuncts):
+    """solve._partition in two passes: grow the related slice around
+    leaves until no further conjunct shares a leaf with it, then split
+    the rest with a union-find over their leaves.  Returns (related,
+    rest groups): related in the order of conjuncts, the groups in order
+    of their first conjunct with members in that order."""
+    wanted = set(leaves)
+    taken = [False] * len(conjuncts)
+    grown = True
+    while grown:
+        grown = False
+        for i, c in enumerate(conjuncts):
+            if not taken[i] and not ex.leaf_set(c).isdisjoint(wanted):
+                taken[i] = grown = True
+                wanted |= ex.leaf_set(c)
+    related = [c for c, t in zip(conjuncts, taken) if t]
+    rest = [c for c, t in zip(conjuncts, taken) if not t]
+
+    parent = list(range(len(rest)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner = {}
+    for i, c in enumerate(rest):
+        for leaf in ex.leaf_set(c):
+            j = owner.setdefault(leaf, i)
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i, c in enumerate(rest):
+        groups.setdefault(find(i), []).append(c)
+    return related, list(groups.values())

@@ -219,13 +219,16 @@ _WITNESS_CIRCUITS = [
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(_WITNESS_CIRCUITS))
-def test_witness_equals_per_variable_pinning(seed, c):
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(_WITNESS_CIRCUITS),
+       st.booleans())
+def test_witness_equals_per_variable_pinning(seed, c, any_source):
     """One min_value over the inputs, then the non-spec registers, gives
     the witness the per-variable pinning loop gives, and the
     lexicographically smallest feasible tuple by the bit-plane oracle,
     on random satisfiable path constraints over those variables and the
-    spec register."""
+    spec register.  With any_source the source is any StateId, and the
+    witness is None exactly when the oracle finds the pinned path
+    constraint unsatisfiable."""
     rng = random.Random(seed)
     cfg = config_for(c, ["s"], depth=1)
     spec = cfg.state_spec
@@ -238,9 +241,14 @@ def test_witness_equals_per_variable_pinning(seed, c):
                for _ in range(rng.randrange(0, 5)))
     pc = tuple(p if naive_eval(p, env) else ex.not_(p) for p in pc)
     source = env[("var", "s", -1)]
+    if any_source:
+        source = rng.randrange(1 << spec.total_width)
     state = engine.SymState({}, pc, 0, 0)
     got = detect._extract_witness(c, spec, state, source, cfg)
     pinned = pc + (ex.eq(ex.var("s", 2, -1), ex.const(2, source)),)
+    if not BitPlanes(support_leaves(*leaves)).truth_plane(pinned):
+        assert got is None
+        return
     inputs, free = pinned_witness(c, spec, pinned, cfg)
     assert got.inputs == inputs
     assert got.registers == {"s": source, **free}
@@ -253,3 +261,29 @@ def test_witness_equals_per_variable_pinning(seed, c):
     for p, v in zip(parts, [*inputs.values(), *free.values()]):
         flat = (flat << p.width) | v
     assert flat == smallest
+
+
+@pytest.mark.parametrize("analysis", [compute_dct, detect_trojan])
+def test_stage2_states_projected_once_per_analysis(ima, ima_cfg, analysis,
+                                                   monkeypatch):
+    """detect groups the stage-2 frontier by StateId once: on ima, with
+    two DCT edges into one destination, each stage-2 state is projected
+    once per analysis, for the witnesses and stage 3 alike."""
+    projected = []
+
+    def counted(s, spec, cfg):
+        projected.append(s)
+        return engine.project(s, spec, cfg)
+
+    monkeypatch.setattr(detect, "project", counted)
+    report = analysis(ima, ima_cfg)
+    if analysis is detect_trojan:
+        assert report.verdict is Verdict.CLEAN
+        report = report.dct
+    assert report.dct == {(6, 0), (7, 0)}
+    assert set(report.witnesses) == report.dct
+    stage2 = report.stage2.sym_states
+    assert len(stage2) == 8
+    assert len(projected) == len(stage2)
+    assert all(any(s is t for t in stage2) for s in projected)
+    assert len({id(s) for s in projected}) == len(projected)

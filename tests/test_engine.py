@@ -254,6 +254,33 @@ output z:2 = st
                       "under-approximate"]
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("depth", [0, 3, FIXPOINT])
+def test_explore_projects_only_initial_states(ima, ima_gate, mode, depth,
+                                              monkeypatch):
+    """Each successor comes with the StateId its step pinned, so explore
+    calls project once per initial state and never on a successor, in
+    both Kinds and from reset, a doubled reset or the symbolic state."""
+    projected = []
+
+    def counted(s, spec, cfg):
+        projected.append(s)
+        return project(s, spec, cfg)
+
+    monkeypatch.setattr(engine, "project", counted)
+    for c, regs in ((ima, ["pcmSq"]), (ima_gate, ["q2", "q1", "q0"])):
+        cfg = config_for(c, regs, depth=depth, mode=mode)
+        for init, kind, run_cfg in (
+                ([reset_state(c)], Kind.REACH, cfg),
+                ([reset_state(c), reset_state(c)], Kind.REACH, cfg),
+                ([symbolic_state(c, cfg.state_spec)], Kind.STATES,
+                 dc_replace(cfg, depth=1))):
+            projected.clear()
+            meta = explore(c, init, run_cfg, kind)
+            assert projected == init
+            assert (meta.paths_explored > 0) == (run_cfg.depth != 0)
+
+
 def test_path_explosion_cap(ima, ima_cfg):
     tiny = dc_replace(ima_cfg, path_cap=1)
     with pytest.raises(PathExplosion):

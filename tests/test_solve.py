@@ -27,7 +27,8 @@ from dctforge.rtl import parse_rtl
 from dctforge.solve import (SolverLimits, all_values, extends, min_value,
                             pc_sat, transitions)
 
-from bruteforce import BitPlanes, ExprGen, naive_eval, support_leaves
+from bruteforce import (BitPlanes, ExprGen, naive_eval,
+                        slice_then_components, support_leaves)
 from conftest import config_for
 
 
@@ -412,6 +413,28 @@ def test_sliced_queries_equal_rebuild_reference(seed):
     assert got == ref_all_values(e, pc) == values
     assert min_value(e, pc, limits=limits) == ref_min_value(e, pc)
     assert pc_sat(pc, limits) == (planes.truth_plane(pc) != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_partition_equals_slice_then_components(seed):
+    """solve._partition, one union-find, splits a conjunct list as the
+    grow-until-no-change slice plus a union-find over the rest does:
+    the same related slice and the same groups, in the same orders.
+    Each conjunct draws on one or two of six variables, so groups chain
+    through shared ones, and the query's leaves may include variables
+    no conjunct touches."""
+    rng = random.Random(seed)
+    pool = [ex.var(f"p{i}", 2, 0) for i in range(6)]
+    untouched = [ex.var("z", 2, 0), ex.ref("r", 1)]
+    gen = ExprGen(rng)
+    conjuncts = []
+    for _ in range(rng.randrange(0, 9)):
+        gen.vars = rng.sample(pool, rng.randrange(1, 3))
+        conjuncts.append(gen.gen(rng.randrange(0, 3), 1))
+    leaves = frozenset(rng.sample(pool + untouched, rng.randrange(0, 4)))
+    assert (solve._partition(leaves, conjuncts)
+            == slice_then_components(leaves, conjuncts))
 
 
 def test_unsat_group_disjoint_from_query():
