@@ -32,7 +32,10 @@ exactly.  A conflict at decision level 0 means the clauses themselves
 are unsatisfiable, and every later enumeration says so at once.  The
 conflict budget applies to each model's search; the search stops with
 ResourceOut once it is exhausted.  Every Sat model is checked against
-every clause the solver was given before it is returned.
+every clause the solver was given before it is returned.  The first
+model after an add_clause scans them all; a later one re-reads only the
+clauses whose true literal the backtracking since the last model may
+have undone (_check_model).
 
 The trail rule: add_clause and enumerate each backtrack to decision
 level 0 before they start, so no call depends on what the last one
@@ -118,6 +121,11 @@ class Solver:
         self.qhead = 0
         self.var_inc = 1.0
         self.ok = True
+        # _check_model's state: the given clauses by the level of a true
+        # literal at the last model (None until a model follows the last
+        # add_clause), and the lowest level _backtrack reached since.
+        self._sat_by_level: list[list[list[int]]] | None = None
+        self._undone = 0
 
     def add_clause(self, lits: list[int]) -> None:
         """Add a clause over variables 1..num_vars; never between two
@@ -132,6 +140,7 @@ class Solver:
         literals already propagated."""
         self._backtrack(0)
         self.given.append(lits)
+        self._sat_by_level = None
         if not self.ok:
             return
         seen = set(lits)
@@ -283,6 +292,8 @@ class Solver:
     def _backtrack(self, target_level: int) -> None:
         if len(self.trail_lim) <= target_level:
             return
+        if target_level < self._undone:
+            self._undone = target_level
         split = self.trail_lim[target_level]
         assign = self.assign
         for lit in self.trail[split:]:
@@ -335,13 +346,51 @@ class Solver:
         self._enqueue(learnt[0], self._attach(learnt))
 
     def _check_model(self) -> None:
+        """Raise AssertionError unless the total assignment satisfies
+        every given clause.
+
+        The first model after an add_clause is a plain scan of every
+        given clause, so a query that stops after one model pays no more.
+        From the next model on, each scan files the clause it reads under
+        the decision level of the true literal it found.  _backtrack
+        undoes whole levels from the top, so when the lowest level it
+        reached since the last model is B, every assignment at level B or
+        below is still on the trail with its value, and every clause filed
+        at those levels is still satisfied by the same literal.  Only the
+        clauses filed above B are read again and refiled.  The check thus
+        fails exactly when a full scan would: it skips only clauses it has
+        seen true under assignments that have not changed since."""
         assign = self.assign
-        for cl in self.given:
-            for l in cl:
-                if assign[l] == 1:
-                    break
-            else:
-                raise AssertionError("solver produced a model violating a clause")
+        by_level = self._sat_by_level
+        if by_level is None:
+            for cl in self.given:
+                for l in cl:
+                    if assign[l] == 1:
+                        break
+                else:
+                    raise AssertionError(
+                        "solver produced a model violating a clause")
+            # Nothing is filed yet: one bucket holds every clause, and
+            # _undone -1 makes the next model read it all.
+            self._sat_by_level = [self.given]
+            self._undone = -1
+            return
+        level = self.level
+        top = len(self.trail_lim)
+        keep = self._undone + 1
+        stale = by_level[keep:]
+        by_level[keep:] = [[] for _ in range(keep, top + 1)]
+        for clauses in stale:
+            for cl in clauses:
+                for l in cl:
+                    if assign[l] == 1:
+                        by_level[level[l if l > 0 else -l]].append(cl)
+                        break
+                else:
+                    self._sat_by_level = None
+                    raise AssertionError(
+                        "solver produced a model violating a clause")
+        self._undone = top
 
     def enumerate(self, proj: Sequence[int]) -> Iterator[SatOutcome]:
         """One Sat outcome per assignment of the literals proj that
@@ -429,8 +478,7 @@ class Solver:
             decision = self._decide(proj)
             if decision is None:
                 self._check_model()
-                model = tuple(self.assign[v] == 1
-                              for v in range(self.nv + 1))
+                model = tuple([v == 1 for v in self.assign[:self.nv + 1]])
                 return SatOutcome("sat", model=model)
             self.trail_lim.append(len(self.trail))
             self._enqueue(decision, None)
