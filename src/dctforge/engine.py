@@ -75,8 +75,38 @@ answers memo is exact, so each entry is stepped and recorded once, and
 the steps this saves would only replay memoised answers.
 paths_explored still counts paths (a Python int, which can pass 2^63).
 Under BFS_PRUNE a successor with a new StateId keeps one path and the
-others count as pruned.  Metadata.sym_states lists one state per path,
-the copies of an entry side by side.
+others count as pruned; the kept successors of one layer have distinct
+StateIds, so they never share content, and only the initial states are
+merged.  Metadata.sym_states lists one state per path, the copies of an
+entry side by side.
+
+Concrete kernel: in a Reach exploration, a state whose registers are all
+constants and whose pc is empty is stepped by plain simulation when the
+circuit and config allow it.  explore asks _build_plan for a kernel when
+the plan holds no Case or Mux node (so a step has exactly one branch),
+the config has no assumptions, the spec and every monitored output are
+at most solve.ALL_VALUES_WIDTH_CAP bits wide, and the plan reads at most
+KERNEL_INPUT_BITS input bits.  The kernel (kernel.Kernel) is one
+Python function generated from the plan's order and compiled with
+`compile`, on its first use; its source holds only generated names and
+integer literals.  One is kept per circuit and config object (as the
+prune warning is), so detect_trojan's stage-3 explorations reuse stage
+1's.  _step runs it once per assignment of the live inputs and groups
+the assignments by next StateId, in ascending order: each group is one
+successor, with its spec registers decoded from the StateId, every
+other register at its one next value, an empty pc, the source StateId,
+and each monitored output's values, which _record_behaviors takes as
+they are.  Under
+PARTIAL only the smallest StateId is kept, as min_value would pick.
+_step takes the symbolic step instead when a destination has more than
+one valuation of the registers outside the spec, when there are more
+destinations than value_cap or path_cap, or when an output has more
+than value_cap values on one destination, so every CapExceeded and
+PathExplosion comes from the symbolic step.  With one branch, the
+symbolic step's successors are the distinct next StateIds, and the
+live-conjunct trim leaves their pc empty whenever their registers are
+constants, so the kernel changes no answer.  step_cycle, and every plan
+built without the kernel, stays symbolic.
 
 Depth may be an explicit cycle count or FIXPOINT, which runs until a
 layer discovers no new StateId (that closing layer also guarantees every
@@ -91,16 +121,19 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from . import expr as ex
 from .circuit import (Circuit, StateSpec, decode_state, net_topo_order,
                       state_concat_expr)
 from .errors import (CapExceeded, DctForgeError, PathExplosion,
                      UnknownOutput)
-from .solve import (DEFAULT_VALUE_CAP, SolverLimits, all_values, extends,
-                    extension_check, live_conjuncts, min_value,
-                    transitions)
+from .solve import (ALL_VALUES_WIDTH_CAP, DEFAULT_VALUE_CAP, SolverLimits,
+                    all_values, extends, extension_check, live_conjuncts,
+                    min_value, transitions)
+
+if TYPE_CHECKING:
+    from .kernel import Kernel
 
 __all__ = ["Mode", "Kind", "FIXPOINT", "ExploreConfig", "SymState",
            "Behavior", "Metadata", "reset_state", "symbolic_state",
@@ -110,6 +143,10 @@ log = logging.getLogger("dctforge.engine")
 
 FIXPOINT = None  # depth sentinel
 DEFAULT_PATH_CAP = 4096
+# The most live input bits the concrete kernel enumerates in one step;
+# a plan that reads more keeps the symbolic step (see "Concrete kernel"
+# in the module docstring).
+KERNEL_INPUT_BITS = 9
 
 
 class Mode(Enum):
@@ -137,6 +174,10 @@ class ExploreConfig:
     # config object; a replaced config starts empty.
     _prune_warned: list = field(default_factory=list, init=False,
                                 compare=False, repr=False)
+    # (circuit, Kernel or None) per circuit a Reach exploration has
+    # planned under this config object, kept the same way.
+    _kernels: list = field(default_factory=list, init=False,
+                           compare=False, repr=False)
 
     def __post_init__(self):
         if self.depth is not None and self.depth < 0:
@@ -236,6 +277,9 @@ class _StepResult:
     src_expr: ex.Expr               # pre-step spec concatenation
     src_vals: list[int]             # its feasible values under state.pc
     out_exprs: dict[str, ex.Expr]   # monitored outputs, pre-edge sample
+    # Each monitored output's values on this step, when the concrete
+    # kernel computed them (out_exprs is then empty).
+    out_vals: dict[str, list[int]] | None = None
 
 
 def _first_split_node(roots: list[ex.Expr]) -> ex.Expr | None:
@@ -289,6 +333,7 @@ class _StepPlan:
     assume_order: tuple[ex.Expr, ...]
     links: dict[str, ex.Expr]
     outputs: tuple[tuple[str, ex.Expr], ...]
+    kernel: Kernel | None = None
 
 
 def _node_order(roots: list[ex.Expr]) -> tuple[ex.Expr, ...]:
@@ -298,7 +343,11 @@ def _node_order(roots: list[ex.Expr]) -> tuple[ex.Expr, ...]:
     return tuple(ex.postorder(roots[::-1]))
 
 
-def _build_plan(c: Circuit, cfg: ExploreConfig) -> _StepPlan:
+def _build_plan(c: Circuit, cfg: ExploreConfig,
+                kernel: bool = False) -> _StepPlan:
+    """The step plan of c under cfg; with kernel, also the concrete
+    kernel of c and cfg when they qualify for one (explore asks for it
+    in Reach explorations only)."""
     nets = [e for _, _, e in net_topo_order(c)]
     out_all = c.output_exprs()
     outputs = []
@@ -309,8 +358,43 @@ def _build_plan(c: Circuit, cfg: ExploreConfig) -> _StepPlan:
     order = _node_order(nets + [r.next for r in c.registers]
                         + [e for _, e in outputs])
     assume_order = _node_order(nets + list(cfg.assumes)) if cfg.assumes else ()
-    return _StepPlan(order, assume_order, {n: e for n, _, e in c.nets},
+    plan = _StepPlan(order, assume_order, {n: e for n, _, e in c.nets},
                      tuple(outputs))
+    if not kernel:
+        return plan
+    for cached, k in cfg._kernels:
+        if cached is c:
+            return dc_replace(plan, kernel=k)
+    k = None
+    live = _kernel_inputs(c, cfg, plan)
+    if live is not None:
+        from .kernel import Kernel  # only now: see kernel.py's docstring
+        k = Kernel(c, cfg.state_spec, plan.outputs, plan.order, plan.links,
+                   live)
+    cfg._kernels.append((c, k))
+    return dc_replace(plan, kernel=k)
+
+
+def _kernel_inputs(c: Circuit, cfg: ExploreConfig,
+                   plan: _StepPlan) -> list[tuple[str, int]] | None:
+    """The live inputs of plan, the inputs it reads, when c and cfg
+    qualify for a concrete kernel; None when the plan splits (a Case or
+    Mux node), cfg has assumptions, a monitored output is wider than
+    all_values takes, or the plan reads more than KERNEL_INPUT_BITS input
+    bits.  No spec is wider than all_values takes (STATE_WIDTH_CAP)."""
+    if cfg.assumes or any(e.width > ALL_VALUES_WIDTH_CAP
+                          for _, e in plan.outputs):
+        return None
+    read: set[str] = set()
+    for node in plan.order:
+        if node.op in ("case", "mux"):
+            return None
+        if node.op == "ref":
+            read.add(node.aux[0])
+    live = [(name, w) for name, w in c.inputs if name in read]
+    if sum(w for _, w in live) > KERNEL_INPUT_BITS:
+        return None
+    return live
 
 
 _Cycle = tuple[dict[str, ex.Expr], dict[str, ex.Expr], tuple[ex.Expr, ...]]
@@ -340,8 +424,49 @@ def _cycle_exprs(c: Circuit, s: SymState, cfg: ExploreConfig,
     return next_exprs, outs, s.pc + assumed
 
 
+def _kernel_step(c: Circuit, s: SymState, cfg: ExploreConfig,
+                 kernel: Kernel) -> list[_StepResult] | None:
+    """_step from a constant state with an empty pc, by the kernel; None
+    when _step has to take the symbolic step instead: a destination with
+    more than one valuation of the registers outside the spec, more
+    destinations than the value or path cap, or an output with more than
+    value_cap values on one destination."""
+    if kernel.fn is None:
+        _log_event(event="kernel_built", nodes=kernel.build())
+    by_dst = kernel.step({name: e.aux[0] for name, e in s.regs.items()})
+    dsts = sorted(by_dst)
+    if cfg.mode is Mode.PARTIAL:
+        dsts = dsts[:1]
+    if len(dsts) > min(cfg.value_cap, cfg.path_cap):
+        return None
+    spec = cfg.state_spec
+    src_expr = ex.simplify(state_concat_expr(spec, dict(s.regs)))
+    results = []
+    for v in dsts:
+        others, outs = by_dst[v]
+        if len(others) > 1 or any(len(vals) > cfg.value_cap
+                                  for vals in outs):
+            return None
+        values = decode_state(c, spec, v)
+        values.update(zip(kernel.others, others.pop()))
+        regs3 = {r.name: ex.const(r.width, values[r.name])
+                 for r in c.registers}
+        results.append(_StepResult(
+            SymState(regs3, (), s.num_steps + 1, s.var_epoch + 1), v,
+            src_expr, [src_expr.aux[0]], {},
+            {name: sorted(vals)
+             for name, vals in zip(cfg.monitored_outputs, outs)}))
+    kernel.steps += 1
+    return results
+
+
 def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
           plan: _StepPlan) -> list[_StepResult]:
+    if (plan.kernel is not None and not s.pc
+            and all(e.op == "const" for e in s.regs.values())):
+        results = _kernel_step(c, s, cfg, plan.kernel)
+        if results is not None:
+            return results
     spec = cfg.state_spec
     cycle = _cycle_exprs(c, s, cfg, plan)
     if cycle is None:
@@ -488,6 +613,10 @@ def _record_behaviors(res: _StepResult, dst: int, cfg: ExploreConfig,
     succ = res.state
     src_vals = res.src_vals
     for out in cfg.monitored_outputs:
+        if res.out_vals is not None:
+            rbs.update(Behavior(src_vals[0], dst, out, v)
+                       for v in res.out_vals[out])
+            continue
         oe = res.out_exprs[out]
         if len(src_vals) == 1:
             queries = [(src_vals[0], succ.pc)]
@@ -515,7 +644,8 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
     if not init:
         raise DctForgeError("explore needs at least one initial state")
     spec = cfg.state_spec
-    plan = _build_plan(c, cfg)
+    plan = _build_plan(c, cfg, kernel=kind is Kind.REACH)
+    steps_before = plan.kernel.steps if plan.kernel is not None else 0
     if (cfg.mode is Mode.BFS_PRUNE
             and not any(c is warned for warned in cfg._prune_warned)):
         cfg._prune_warned.append(c)
@@ -550,7 +680,10 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
                         "initial states: %s",
                         "; ".join(ex.pp(a) for a in cfg.assumes))
 
-        entries = {}
+        # Under BFS_PRUNE every kept successor has a new StateId, so no
+        # two of them share content and nothing merges.
+        merged: dict[tuple, list] = {}
+        kept_entries: list[list] = []
         layer_added = False
         for results, paths in step_results:
             for res in results:
@@ -579,11 +712,14 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
                         *map(ex.leaf_set, succ.regs.values()))
                     succ = dc_replace(succ,
                                       pc=live_conjuncts(succ.pc, leaves))
-                entries.setdefault(_content(succ), [succ, 0])[1] += kept
+                if cfg.mode is Mode.BFS_PRUNE:
+                    kept_entries.append([succ, kept])
+                else:
+                    merged.setdefault(_content(succ), [succ, 0])[1] += kept
                 _log_event(event="path_spawned", layer=layer, paths=kept,
                            state=[dst], num_steps=succ.num_steps,
                            pc_conjuncts=len(succ.pc))
-        frontier = list(entries.values())
+        frontier = kept_entries or list(merged.values())
         if layer_added:
             last_new_layer = layer
 
@@ -597,6 +733,9 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
     if kind is Kind.STATES:
         meta.sym_states = [st for st, paths in frontier
                            for _ in range(paths)]
+    kernel_steps = (plan.kernel.steps - steps_before
+                    if plan.kernel is not None else 0)
     _log_event(event="explore_done", layers=layer,
-               paths=meta.paths_explored, pruned=meta.paths_pruned)
+               paths=meta.paths_explored, pruned=meta.paths_pruned,
+               kernel_steps=kernel_steps)
     return meta

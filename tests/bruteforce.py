@@ -377,7 +377,8 @@ def per_path_explore(c, init, cfg, kind):
     """engine.explore with one frontier entry per path: every path is
     stepped, projected and recorded on its own, and each path_spawned or
     path_pruned debug event stands for one path.  The reference that the
-    merging frontier of engine.explore is checked against."""
+    merging frontier of engine.explore is checked against.  Its plan has
+    no concrete kernel, so every step it takes is symbolic."""
     from dataclasses import replace as dc_replace
     from dctforge import engine
     from dctforge.engine import Kind, Metadata, Mode
