@@ -15,7 +15,7 @@ from .detect import (DctReport, DctWitness, TrojanReport, Verdict,
                      oracle_analyze, oracle_dct, replay_dct_witness)
 from .engine import (FIXPOINT, Behavior, ExploreConfig, Kind, Metadata, Mode,
                      SymState, explore, project, reset_state, step_cycle,
-                     symbolic_state)
+                     symbolic_state, symbolic_step)
 from .errors import (CapExceeded, CombinationalCycle, DctForgeError,
                      DuplicateName, InfeasibleParams, InvalidCircuit,
                      ParseError, PathExplosion, ResourceOut,

@@ -11,10 +11,11 @@ a trigger accumulated is preserved) and, like stage 1, only the live
 part of each path constraint (see engine), and reports behavior tuples
 absent from the stage-1 baseline.
 
-The forward stages honor the configured exploration mode; stage 2 always
-runs full BFS, since the single symbolic step must produce the complete
-transition relation and the complete frontier regardless of how stage 1
-was scheduled.
+Stages 1 and 3 honor the configured exploration mode.  Stage 2 is one
+symbolic step (engine.symbolic_step), which keeps every successor
+whatever the mode, since it must produce the complete transition
+relation and the complete set of stage-3 starting states however stage
+1 was scheduled.
 
 oracle_analyze is the independent ground truth: exhaustive concrete
 simulation over full register valuations, feasible only for small
@@ -24,17 +25,17 @@ circuits, used to cross-check the symbolic engine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass
 from enum import Enum
 
 from . import expr as ex
 from .circuit import (Circuit, StateSpec, decode_state, net_topo_order,
                       state_concat_expr)
-from .engine import (Behavior, ExploreConfig, Kind, Metadata, Mode, SymState,
-                     explore, project, reset_state, symbolic_state)
+# Nothing here calls project or pc_sat; they stay importable as
+# detect.project and detect.pc_sat, the names perfbench/tracing.py wraps.
+from .engine import (Behavior, ExploreConfig, Kind, Metadata,  # noqa: F401
+                     SymState, explore, project, reset_state, symbolic_step)
 from .errors import TooLargeForOracle
-# Nothing here calls pc_sat; it stays importable as detect.pc_sat, the
-# name perfbench/tracing.py wraps.
 from .solve import min_value, pc_sat  # noqa: F401
 
 __all__ = ["DctWitness", "DctReport", "TrojanReport", "Verdict",
@@ -129,24 +130,11 @@ def _extract_witness(c: Circuit, spec: StateSpec, state: SymState,
     return DctWitness(source, inputs, registers)
 
 
-def _stage2_config(cfg: ExploreConfig) -> ExploreConfig:
-    return dc_replace(cfg, depth=1, mode=Mode.BFS)
-
-
 def _run_stages(c: Circuit, cfg: ExploreConfig
                 ) -> tuple[Metadata, Metadata, dict[int, list[SymState]]]:
-    """Stages 1 and 2, and the stage-2 frontier grouped by StateId in
-    frontier order.  Each frontier state has its spec registers pinned,
-    so it projects to exactly one StateId."""
-    stage1 = explore(c, [reset_state(c)], cfg, Kind.REACH)
-    s2cfg = _stage2_config(cfg)
-    stage2 = explore(c, [symbolic_state(c, cfg.state_spec)], s2cfg,
-                     Kind.STATES)
-    by_state: dict[int, list[SymState]] = {}
-    for st in stage2.sym_states:
-        (d,) = project(st, cfg.state_spec, s2cfg)
-        by_state.setdefault(d, []).append(st)
-    return stage1, stage2, by_state
+    """Stages 1 and 2, and the stage-2 states grouped by StateId in step
+    order."""
+    return (explore(c, [reset_state(c)], cfg), *symbolic_step(c, cfg))
 
 
 def _build_dct_report(c: Circuit, cfg: ExploreConfig, stage1: Metadata,
@@ -197,7 +185,7 @@ def detect_trojan(c: Circuit, cfg: ExploreConfig) -> TrojanReport:
     for d in sorted(report.dest):
         rbs_d: set[Behavior] = set()
         for st in by_state[d]:
-            meta = explore(c, [dc_replace(st, num_steps=0)], cfg, Kind.REACH)
+            meta = explore(c, [st], cfg)
             rbs_d |= meta.rbs
             stage3_paths += meta.paths_explored
         per_dest[d] = (rbs_d, diff_behaviors(rbs_d, stage1.rbs))

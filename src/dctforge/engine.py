@@ -24,10 +24,10 @@ Case/Mux nodes at all).  Each successor carries the StateId it was
 pinned to and the pre-step StateIds that reach it, so exploration
 records both as the step decided them and calls project only on its
 initial states.  When both the source and the destination are
-symbolic, as in the one fully symbolic step of stage 2, a branch's
-successors and their sources come from one pair query
-(solve.transitions, labelled "transitions"), which encodes the branch's
-next-state cone once instead of once per destination.
+symbolic, as in symbolic_step, a branch's successors and their sources
+come from one pair query (solve.transitions, labelled "transitions"),
+which encodes the branch's next-state cone once instead of once per
+destination.
 
 Exploration modes:
 
@@ -49,26 +49,27 @@ Exploration modes:
                   downstream don't-care reports may contain false
                   positives; the mode exists to demonstrate that.
 
-Metadata kinds: Reach records the reachable StateId set and the observed
-behavior tuples (source, destination, output, value) with outputs sampled
-as functions of the pre-edge state and the cycle's inputs; States records
-the transition relation and returns the surviving frontier so later
-stages can resume from it with all side effects intact.
+Metadata kinds: explore records Reach, the reachable StateId set and
+the observed behavior tuples (source, destination, output, value) with
+outputs sampled as functions of the pre-edge state and the cycle's
+inputs.  symbolic_step, stage 2's one step from symbolic_state, records
+States: the transition relation and the successors, so later stages can
+resume from them with all side effects intact.
 
-Live path constraints: in a Reach exploration a successor joins the
+Live path constraints: in an exploration a successor joins the
 frontier with only the conjuncts of its path constraint that are linked
 through shared leaves, directly or through other conjuncts, to the
 leaves of its register expressions (solve.live_conjuncts).  The step
 that produced it still reads the full path constraint for its
 StateIds and behaviors.  The dropped groups can never meet a later
 query (see SymState), so while the registers stay concrete a path
-constraint does not grow with depth.  A States exploration keeps every
-conjunct: its frontier's path constraints feed the DCT witnesses and
+constraint does not grow with depth.  symbolic_step keeps every
+conjunct: its successors' path constraints feed the DCT witnesses and
 constraint dumps.
 
 Path counts: a frontier entry is one state and the number of paths that
 reach it.  Successors of one layer with the same content (register
-values in register order, pc after the live-conjunct trim, num_steps and
+values in register order, pc after the live-conjunct trim, and
 var_epoch) merge into the first one's entry, in first-occurrence order,
 and their counts add up.  _step reads nothing else of a state and the
 answers memo is exact, so each entry is stepped and recorded once, and
@@ -77,10 +78,9 @@ paths_explored still counts paths (a Python int, which can pass 2^63).
 Under BFS_PRUNE a successor with a new StateId keeps one path and the
 others count as pruned; the kept successors of one layer have distinct
 StateIds, so they never share content, and only the initial states are
-merged.  Metadata.sym_states lists one state per path, the copies of an
-entry side by side.
+merged.
 
-Concrete kernel: in a Reach exploration, a state whose registers are all
+Concrete kernel: in an exploration, a state whose registers are all
 constants and whose pc is empty is stepped by plain simulation when the
 circuit and config allow it.  explore asks _build_plan for a kernel when
 the plan holds no Case or Mux node (so a step has exactly one branch),
@@ -105,8 +105,9 @@ than value_cap values on one destination, so every CapExceeded and
 PathExplosion comes from the symbolic step.  With one branch, the
 symbolic step's successors are the distinct next StateIds, and the
 live-conjunct trim leaves their pc empty whenever their registers are
-constants, so the kernel changes no answer.  step_cycle, and every plan
-built without the kernel, stays symbolic.
+constants, so the kernel changes no answer.  step_cycle and
+symbolic_step, which build their plans without the kernel, stay
+symbolic.
 
 Depth may be an explicit cycle count or FIXPOINT, which runs until a
 layer discovers no new StateId (that closing layer also guarantees every
@@ -126,8 +127,7 @@ from typing import TYPE_CHECKING, Mapping
 from . import expr as ex
 from .circuit import (Circuit, StateSpec, decode_state, net_topo_order,
                       state_concat_expr)
-from .errors import (CapExceeded, DctForgeError, PathExplosion,
-                     UnknownOutput)
+from .errors import DctForgeError, PathExplosion, UnknownOutput
 from .solve import (ALL_VALUES_WIDTH_CAP, DEFAULT_VALUE_CAP, SolverLimits,
                     all_values, extends, extension_check, live_conjuncts,
                     min_value, transitions)
@@ -137,7 +137,7 @@ if TYPE_CHECKING:
 
 __all__ = ["Mode", "Kind", "FIXPOINT", "ExploreConfig", "SymState",
            "Behavior", "Metadata", "reset_state", "symbolic_state",
-           "step_cycle", "project", "explore"]
+           "step_cycle", "project", "explore", "symbolic_step"]
 
 log = logging.getLogger("dctforge.engine")
 
@@ -174,8 +174,8 @@ class ExploreConfig:
     # config object; a replaced config starts empty.
     _prune_warned: list = field(default_factory=list, init=False,
                                 compare=False, repr=False)
-    # (circuit, Kernel or None) per circuit a Reach exploration has
-    # planned under this config object, kept the same way.
+    # (circuit, Kernel or None) per circuit an exploration has planned
+    # under this config object, kept the same way.
     _kernels: list = field(default_factory=list, init=False,
                            compare=False, repr=False)
 
@@ -187,13 +187,13 @@ class ExploreConfig:
 @dataclass(frozen=True, eq=False)
 class SymState:
     """One symbolic execution path: register valuation, path constraint,
-    elapsed cycles.  Invariant: pc is satisfiable.  Stepping relies on
-    it: the guards of one split node share one slice of pc, the
-    conjuncts linked to the node's scrutinee (solve.extension_check), and
-    each guard is solved with that slice alone; the rest of pc is never
-    encoded.
+    and the step of the next cycle's input variables.  Invariant: pc is
+    satisfiable.  Stepping relies on it: the guards of one split node
+    share one slice of pc, the conjuncts linked to the node's scrutinee
+    (solve.extension_check), and each guard is solved with that slice
+    alone; the rest of pc is never encoded.
 
-    A Reach exploration keeps only the live pc of each frontier state:
+    An exploration keeps only the live pc of each frontier state:
     the conjuncts linked through shared leaves to the leaves of regs.
     That changes no answer:
     - every later query is built from regs, from fresh input variables
@@ -206,7 +206,6 @@ class SymState:
     - so every answer, and every report, stays byte-identical."""
     regs: Mapping[str, ex.Expr]
     pc: tuple[ex.Expr, ...]
-    num_steps: int
     var_epoch: int
 
 
@@ -235,7 +234,7 @@ class Metadata:
 def reset_state(c: Circuit) -> SymState:
     """All registers at their reset values, empty path constraint."""
     regs = {r.name: ex.const(r.width, r.reset_value) for r in c.registers}
-    return SymState(regs, (), 0, 0)
+    return SymState(regs, (), 0)
 
 
 def symbolic_state(c: Circuit, spec: StateSpec) -> SymState:
@@ -243,17 +242,7 @@ def symbolic_state(c: Circuit, spec: StateSpec) -> SymState:
     variable, so one step from here covers every possible source state
     including trigger side effects in non-spec registers."""
     regs = {r.name: ex.var(r.name, r.width, -1) for r in c.registers}
-    return SymState(regs, (), 0, 0)
-
-
-def _distinct_var_concat(e: ex.Expr) -> bool:
-    """True when e is a single Var or a concatenation of distinct Vars."""
-    if e.op == "var":
-        return True
-    if e.op != "concat":
-        return False
-    return (all(a.op == "var" for a in e.args)
-            and len({a.aux for a in e.args}) == len(e.args))
+    return SymState(regs, (), 0)
 
 
 def project(s: SymState, spec: StateSpec, cfg: ExploreConfig) -> set[int]:
@@ -263,10 +252,6 @@ def project(s: SymState, spec: StateSpec, cfg: ExploreConfig) -> set[int]:
     concat = ex.simplify(state_concat_expr(spec, dict(s.regs)))
     if concat.op == "const":
         return {concat.aux[0]}
-    if not s.pc and _distinct_var_concat(concat):
-        if (1 << concat.width) > cfg.value_cap:
-            raise CapExceeded(cfg.value_cap)
-        return set(range(1 << concat.width))
     return all_values(concat, s.pc, cap=cfg.value_cap, limits=cfg.limits)
 
 
@@ -346,8 +331,8 @@ def _node_order(roots: list[ex.Expr]) -> tuple[ex.Expr, ...]:
 def _build_plan(c: Circuit, cfg: ExploreConfig,
                 kernel: bool = False) -> _StepPlan:
     """The step plan of c under cfg; with kernel, also the concrete
-    kernel of c and cfg when they qualify for one (explore asks for it
-    in Reach explorations only)."""
+    kernel of c and cfg when they qualify for one (explore asks for it;
+    step_cycle and symbolic_step do not)."""
     nets = [e for _, _, e in net_topo_order(c)]
     out_all = c.output_exprs()
     outputs = []
@@ -452,7 +437,7 @@ def _kernel_step(c: Circuit, s: SymState, cfg: ExploreConfig,
         regs3 = {r.name: ex.const(r.width, values[r.name])
                  for r in c.registers}
         results.append(_StepResult(
-            SymState(regs3, (), s.num_steps + 1, s.var_epoch + 1), v,
+            SymState(regs3, (), s.var_epoch + 1), v,
             src_expr, [src_expr.aux[0]], {},
             {name: sorted(vals)
              for name, vals in zip(cfg.monitored_outputs, outs)}))
@@ -525,8 +510,7 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
                 else:
                     regs3[r.name] = nx[r.name]
             results.append(_StepResult(
-                SymState(regs3, _pinned(pc, concat, v), s.num_steps + 1,
-                         s.var_epoch + 1),
+                SymState(regs3, _pinned(pc, concat, v), s.var_epoch + 1),
                 v, src_expr, succs[v], oo))
         if len(results) > cfg.path_cap:
             raise PathExplosion(len(results), cfg.path_cap)
@@ -605,7 +589,15 @@ def _prune_soundness_warning(c: Circuit, spec: StateSpec,
 def _content(s: SymState) -> tuple:
     """Everything _step reads of s: states with equal contents have equal
     successors, projections and behaviors."""
-    return (tuple(s.regs.items()), s.pc, s.num_steps, s.var_epoch)
+    return (tuple(s.regs.items()), s.pc, s.var_epoch)
+
+
+def _warn_if_assumptions_cut(cfg: ExploreConfig) -> None:
+    """Called when the initial states have no successor: say so when the
+    assumptions are why."""
+    if cfg.assumes:
+        log.warning("the assumptions cut every successor of the initial "
+                    "states: %s", "; ".join(ex.pp(a) for a in cfg.assumes))
 
 
 def _record_behaviors(res: _StepResult, dst: int, cfg: ExploreConfig,
@@ -633,18 +625,17 @@ def _record_behaviors(res: _StepResult, dst: int, cfg: ExploreConfig,
                 rbs.add(Behavior(s1, dst, out, v))
 
 
-def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
-            kind: Kind) -> Metadata:
-    """Worklist exploration per the configured mode; see the module
-    docstring for the semantics of each mode and metadata kind.  Under
-    BFS_PRUNE, the first exploration of c with cfg warns about the
-    registers outside the spec that pruning ignores; later ones (such
-    as detect_trojan's stage-3 explorations after stage 1) would repeat
-    the same warning, so they skip it."""
+def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig) -> Metadata:
+    """Worklist exploration per the configured mode (see the module
+    docstring), recording a Reach Metadata.  Under BFS_PRUNE, the first
+    exploration of c with cfg warns about the registers outside the spec
+    that pruning ignores; later ones (such as detect_trojan's stage-3
+    explorations after stage 1) would repeat the same warning, so they
+    skip it."""
     if not init:
         raise DctForgeError("explore needs at least one initial state")
     spec = cfg.state_spec
-    plan = _build_plan(c, cfg, kernel=kind is Kind.REACH)
+    plan = _build_plan(c, cfg, kernel=True)
     steps_before = plan.kernel.steps if plan.kernel is not None else 0
     if (cfg.mode is Mode.BFS_PRUNE
             and not any(c is warned for warned in cfg._prune_warned)):
@@ -654,8 +645,8 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
     seen: set[int] = set()
     for s in init:
         seen |= project(s, spec, cfg)
-    meta = Metadata(kind=kind, rs=set(seen) if kind is Kind.REACH else set(),
-                    trans=set(), rbs=set(), sym_states=[])
+    meta = Metadata(kind=Kind.REACH, rs=set(seen), trans=set(), rbs=set(),
+                    sym_states=[])
     # Frontier entries are [state, paths], keyed by content (see "Path
     # counts" in the module docstring).
     entries: dict[tuple, list] = {}
@@ -675,10 +666,8 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
         step_results = [(_step(c, st, cfg, plan), paths)
                         for st, paths in frontier]
         meta.paths_explored += sum(paths for _, paths in frontier)
-        if layer == 1 and cfg.assumes and not any(r for r, _ in step_results):
-            log.warning("the assumptions cut every successor of the "
-                        "initial states: %s",
-                        "; ".join(ex.pp(a) for a in cfg.assumes))
+        if layer == 1 and not any(r for r, _ in step_results):
+            _warn_if_assumptions_cut(cfg)
 
         # Under BFS_PRUNE every kept successor has a new StateId, so no
         # two of them share content and nothing merges.
@@ -688,11 +677,8 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
         for results, paths in step_results:
             for res in results:
                 succ, dst = res.state, res.dst
-                if kind is Kind.REACH:
-                    meta.rs.add(dst)
-                    _record_behaviors(res, dst, cfg, meta.rbs)
-                else:
-                    meta.trans.update((s1, dst) for s1 in res.src_vals)
+                meta.rs.add(dst)
+                _record_behaviors(res, dst, cfg, meta.rbs)
                 new = dst not in seen
                 layer_added |= new
                 kept = paths
@@ -707,18 +693,15 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
                     if not kept:
                         continue
                 seen.add(dst)
-                if kind is Kind.REACH:
-                    leaves = frozenset().union(
-                        *map(ex.leaf_set, succ.regs.values()))
-                    succ = dc_replace(succ,
-                                      pc=live_conjuncts(succ.pc, leaves))
+                leaves = frozenset().union(
+                    *map(ex.leaf_set, succ.regs.values()))
+                succ = dc_replace(succ, pc=live_conjuncts(succ.pc, leaves))
                 if cfg.mode is Mode.BFS_PRUNE:
                     kept_entries.append([succ, kept])
                 else:
                     merged.setdefault(_content(succ), [succ, 0])[1] += kept
                 _log_event(event="path_spawned", layer=layer, paths=kept,
-                           state=[dst], num_steps=succ.num_steps,
-                           pc_conjuncts=len(succ.pc))
+                           state=[dst], pc_conjuncts=len(succ.pc))
         frontier = kept_entries or list(merged.values())
         if layer_added:
             last_new_layer = layer
@@ -730,12 +713,30 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig,
         if layer_added:
             log.warning("new states appeared at the final layer %d; "
                         "increase depth or use fixpoint mode", layer)
-    if kind is Kind.STATES:
-        meta.sym_states = [st for st, paths in frontier
-                           for _ in range(paths)]
     kernel_steps = (plan.kernel.steps - steps_before
                     if plan.kernel is not None else 0)
     _log_event(event="explore_done", layers=layer,
                paths=meta.paths_explored, pruned=meta.paths_pruned,
                kernel_steps=kernel_steps)
     return meta
+
+
+def symbolic_step(c: Circuit, cfg: ExploreConfig
+                  ) -> tuple[Metadata, dict[int, list[SymState]]]:
+    """One BFS step from symbolic_state(c, cfg.state_spec), whatever
+    cfg.mode: stage 2 of detect.  Returns its States Metadata (each
+    result's sources times its destination as trans, and the successors
+    in step order with every conjunct of their pc) and the successors
+    grouped by the StateId their step pinned, in step order."""
+    results = _step(c, symbolic_state(c, cfg.state_spec),
+                    dc_replace(cfg, mode=Mode.BFS), _build_plan(c, cfg))
+    if not results:
+        _warn_if_assumptions_cut(cfg)
+    meta = Metadata(kind=Kind.STATES, rs=set(), trans=set(), rbs=set(),
+                    sym_states=[res.state for res in results],
+                    paths_explored=1)
+    by_state: dict[int, list[SymState]] = {}
+    for res in results:
+        meta.trans.update((s1, res.dst) for s1 in res.src_vals)
+        by_state.setdefault(res.dst, []).append(res.state)
+    return meta, by_state

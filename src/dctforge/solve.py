@@ -45,16 +45,18 @@ stores [()] or [] there, so every query kind shares the group answers.
 The list of value tuples is stored only when the loop ran to its end
 (the enumeration found no further tuple, or the expressions have no
 non-constant bit); a consumer that stops early, with CapExceeded or as
-min_value does after its first tuple, stores nothing.  A key is
-matched modulo an epoch shift: each cycle brings
-fresh input variables one step later, so a query often repeats an
-earlier one with every variable's step moved by one constant.  When the
-exact key misses, _solutions looks the query up again in its epoch
-normal form (expr.epoch_normal_form; a query holding a step -1 or step
-0 variable is its own), and stores a complete answer under both keys.
-Renaming variables injectively, width for width, changes no answer.  A
-later query whose exact or shifted key is stored replays the list and
-solves nothing, so it writes no dump and logs no solver_stats event.
+min_value does after its first tuple, stores nothing.  A group check's
+key is matched modulo an epoch shift: each cycle brings fresh input
+variables one step later, so a group often repeats an earlier one with
+every variable's step moved by one constant.  When a group check's
+exact key misses, _solutions looks it up again in its epoch normal form
+(expr.epoch_normal_form; a group holding a step -1 or step 0 variable
+is its own), and stores its answer under both keys.  Renaming variables
+injectively, width for width, changes no answer.  Enumerations are
+looked up by their exact key only: on the benchmark workloads their
+shifted keys never hit.  A later query whose key is stored replays the
+list and solves nothing, so it writes no dump and logs no solver_stats
+event.
 The memo lives as long as its SolverLimits: one per ExploreConfig,
 shared by every stage and analysis run with that config; a call given
 no limits gets a fresh one.  Sharing is exact, because a key fixes its
@@ -105,12 +107,13 @@ class SolverLimits:
     its simplified expressions (empty for a satisfiability check) and the
     frozenset of its conjuncts, to the list of value tuples its complete
     enumeration yielded: [()] or [] for a satisfiable or unsatisfiable
-    group.  A key is matched modulo an epoch shift (see the module
-    docstring), and a query answered that way, like an exact hit, writes
-    no dump and logs no solver_stats event.  The memo holds only what a
-    solve settled, never a ResourceOut, and a key fixes its answer, so
-    any queries may share one SolverLimits: an ExploreConfig carries
-    one, for every stage of every analysis run with that config."""
+    group.  A group check's key is matched modulo an epoch shift (see
+    the module docstring), and a query answered that way, like an exact
+    hit, writes no dump and logs no solver_stats event.  The memo holds
+    only what a solve settled, never a ResourceOut, and a key fixes its
+    answer, so any queries may share one SolverLimits: an ExploreConfig
+    carries one, for every stage of every analysis run with that
+    config."""
 
     def __init__(self, conflict_limit: int = DEFAULT_CONFLICT_LIMIT,
                  clause_cap: int = DEFAULT_CLAUSE_CAP,
@@ -267,18 +270,16 @@ def _solutions(es: tuple[ex.Expr, ...], related: list[ex.Expr],
     before it, so a dump asks the question that step answered.  With es
     empty this is a satisfiability check: it yields () once or not at
     all.  A complete answer is remembered on limits under es and the
-    frozenset of related, and under their epoch normal form when it
-    differs, and a later query with either key replays it without a
-    solve."""
+    frozenset of related, and, for a satisfiability check, under their
+    epoch normal form when it differs; a later query with either key
+    replays it without a solve."""
     key = (es, frozenset(related))
     answer = limits.answers.get(key)
     shifted_key = None
-    if answer is None:
-        roots = [*es, *related]
-        normal = ex.epoch_normal_form(roots)
-        if normal is not roots:
-            shifted_key = (tuple(normal[:len(es)]),
-                           frozenset(normal[len(es):]))
+    if answer is None and not es:
+        normal = ex.epoch_normal_form(related)
+        if normal is not related:
+            shifted_key = ((), frozenset(normal))
             answer = limits.answers.get(shifted_key)
             if answer is not None:
                 limits.answers[key] = answer

@@ -374,11 +374,14 @@ def pinned_witness(c, spec, pc, cfg):
 
 
 def per_path_explore(c, init, cfg, kind):
-    """engine.explore with one frontier entry per path: every path is
-    stepped, projected and recorded on its own, and each path_spawned or
-    path_pruned debug event stands for one path.  The reference that the
-    merging frontier of engine.explore is checked against.  Its plan has
-    no concrete kernel, so every step it takes is symbolic."""
+    """A worklist exploration with one frontier entry per path: every
+    path is stepped, projected and recorded on its own, and each
+    path_spawned or path_pruned debug event stands for one path.  With
+    Kind.REACH it is the reference that the merging frontier of
+    engine.explore is checked against; with Kind.STATES, from the
+    symbolic state at depth 1 under BFS, the reference for
+    engine.symbolic_step.  Its plan has no concrete kernel, so every
+    step it takes is symbolic."""
     from dataclasses import replace as dc_replace
     from dctforge import engine
     from dctforge.engine import Kind, Metadata, Mode
@@ -435,7 +438,6 @@ def per_path_explore(c, init, cfg, kind):
                 new_frontier.append(succ)
                 engine._log_event(event="path_spawned", layer=layer, paths=1,
                                   state=sorted(proj),
-                                  num_steps=succ.num_steps,
                                   pc_conjuncts=len(succ.pc))
         frontier = new_frontier
         if layer_added:

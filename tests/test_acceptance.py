@@ -17,7 +17,7 @@ from dctforge.circuit import make_state_spec
 from dctforge.cnf import bit_blast
 from dctforge.detect import (Verdict, compute_dct, detect_trojan,
                              oracle_analyze, oracle_dct, replay_dct_witness)
-from dctforge.engine import ExploreConfig, Kind, Mode, explore, reset_state
+from dctforge.engine import ExploreConfig, Mode, explore, reset_state
 from dctforge.sat import check_sat
 from dctforge.trojanlab import gen_random_fsm
 
@@ -196,8 +196,7 @@ def test_criterion_9_monotonicity():
             cfg = config_for(c, state_regs_for(name), depth=1)
             prev: set[int] = set()
             for k in range(0, depth_for(name) + 1):
-                meta = explore(c, [reset_state(c)], dc_replace(cfg, depth=k),
-                               Kind.REACH)
+                meta = explore(c, [reset_state(c)], dc_replace(cfg, depth=k))
                 assert prev <= meta.rs, (name, k)
                 prev = meta.rs
 

@@ -14,7 +14,7 @@ from dctforge.circuit import Circuit, Register, make_state_spec
 from dctforge.detect import (Verdict, compute_dct, detect_trojan,
                              diff_behaviors, oracle_analyze, oracle_dct,
                              replay_dct_witness)
-from dctforge.engine import Behavior, Kind, Mode, explore, reset_state
+from dctforge.engine import Behavior, Mode, explore, reset_state
 from dctforge.errors import TooLargeForOracle
 from dctforge.rtl import parse_rtl
 from dctforge.trojanlab import gen_random_fsm
@@ -96,9 +96,9 @@ def test_prune_warning_once_per_analysis(ima_trojan, caplog, monkeypatch):
     warns again."""
     reach = []
 
-    def counting(circuit, init, config, kind):
-        reach.append(kind)
-        return engine.explore(circuit, init, config, kind)
+    def counting(circuit, init, config):
+        reach.append(circuit)
+        return engine.explore(circuit, init, config)
 
     def warned():
         return [r.getMessage() for r in caplog.records
@@ -112,12 +112,12 @@ def test_prune_warning_once_per_analysis(ima_trojan, caplog, monkeypatch):
             m.setattr(detect, "explore", counting)
             tr = detect_trojan(ima_trojan, cfg)
         assert tr.verdict is Verdict.TROJAN_DETECTED
-        assert reach.count(Kind.REACH) == 4
+        assert len(reach) == 4
         assert warned() == once
         detect_trojan(ima_trojan, cfg)
         assert warned() == once
         explore(ima_trojan, [reset_state(ima_trojan)],
-                config_for(ima_trojan, ["pcmSq"], depth=7), Kind.REACH)
+                config_for(ima_trojan, ["pcmSq"], depth=7))
         assert warned() == once * 2
         detect_trojan(ima_trojan, dc_replace(cfg, depth=6))
         assert warned() == once * 3
@@ -243,7 +243,7 @@ def test_witness_equals_per_variable_pinning(seed, c, any_source):
     source = env[("var", "s", -1)]
     if any_source:
         source = rng.randrange(1 << spec.total_width)
-    state = engine.SymState({}, pc, 0, 0)
+    state = engine.SymState({}, pc, 0)
     got = detect._extract_witness(c, spec, state, source, cfg)
     pinned = pc + (ex.eq(ex.var("s", 2, -1), ex.const(2, source)),)
     if not BitPlanes(support_leaves(*leaves)).truth_plane(pinned):
@@ -266,16 +266,21 @@ def test_witness_equals_per_variable_pinning(seed, c, any_source):
 @pytest.mark.parametrize("analysis", [compute_dct, detect_trojan])
 def test_stage2_states_projected_once_per_analysis(ima, ima_cfg, analysis,
                                                    monkeypatch):
-    """detect groups the stage-2 frontier by StateId once: on ima, with
-    two DCT edges into one destination, each stage-2 state is projected
-    once per analysis, for the witnesses and stage 3 alike."""
+    """symbolic_step groups the stage-2 states by the StateId their step
+    pinned, so on ima, with two DCT edges into one destination, detect
+    projects no stage-2 state, for the witnesses or for stage 3.  Stage
+    3's explorations start from the states of that destination, and
+    explore projects each once, as its initial state; compute_dct
+    projects none of them."""
     projected = []
+    real = engine.project
 
     def counted(s, spec, cfg):
         projected.append(s)
-        return engine.project(s, spec, cfg)
+        return real(s, spec, cfg)
 
     monkeypatch.setattr(detect, "project", counted)
+    monkeypatch.setattr(engine, "project", counted)
     report = analysis(ima, ima_cfg)
     if analysis is detect_trojan:
         assert report.verdict is Verdict.CLEAN
@@ -284,6 +289,10 @@ def test_stage2_states_projected_once_per_analysis(ima, ima_cfg, analysis,
     assert set(report.witnesses) == report.dct
     stage2 = report.stage2.sym_states
     assert len(stage2) == 8
-    assert len(projected) == len(stage2)
-    assert all(any(s is t for t in stage2) for s in projected)
-    assert len({id(s) for s in projected}) == len(projected)
+    again = [s for s in projected if any(s is t for t in stage2)]
+    starts = (engine.symbolic_step(ima, ima_cfg)[1][0]
+              if analysis is detect_trojan else [])
+    assert [engine._content(s) for s in again] == \
+        [engine._content(s) for s in starts]
+    # The rest is stage 1's initial state.
+    assert len(projected) == 1 + len(again)

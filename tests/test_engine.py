@@ -12,9 +12,10 @@ from dctforge import corpus, detect, engine
 from dctforge import expr as ex
 from dctforge.blif import parse_blif
 from dctforge.circuit import Circuit, Register, make_state_spec
-from dctforge.detect import compute_dct, oracle_analyze
-from dctforge.engine import (FIXPOINT, ExploreConfig, Kind, Mode, explore,
-                             project, reset_state, step_cycle, symbolic_state)
+from dctforge.detect import compute_dct, oracle_analyze, oracle_dct
+from dctforge.engine import (FIXPOINT, ExploreConfig, Mode, explore, project,
+                             reset_state, step_cycle, symbolic_state,
+                             symbolic_step)
 from dctforge.errors import CapExceeded, PathExplosion
 from dctforge.rtl import parse_rtl
 from dctforge.solve import SolverLimits, pc_sat
@@ -32,7 +33,6 @@ def test_reset_state_ima(ima):
     s = reset_state(ima)
     assert s.regs["pcmSq"] is ex.const(3, 0)
     assert s.pc == ()
-    assert s.num_steps == 0
 
 
 def test_reset_state_no_registers():
@@ -63,12 +63,10 @@ def test_step_from_reset_splits_on_input(ima, ima_cfg):
     projections = sorted(sorted(project(s, ima_cfg.state_spec, ima_cfg))
                          for s in succs)
     assert projections == [[0], [1]]
-    assert all(s.num_steps == 1 for s in succs)
 
 
 def test_step_symbolic_reaches_dct_edges(ima, ima_cfg):
-    meta = explore(ima, [symbolic_state(ima, ima_cfg.state_spec)],
-                   dc_replace(ima_cfg, depth=1, mode=Mode.BFS), Kind.STATES)
+    meta, _ = symbolic_step(ima, ima_cfg)
     assert {(6, 0), (7, 0)} <= meta.trans
 
 
@@ -83,8 +81,7 @@ def test_step_self_loop_single_successor():
 def test_project_examples(ima, ima_cfg):
     spec = ima_cfg.state_spec
     assert project(reset_state(ima), spec, ima_cfg) == {0}
-    meta = explore(ima, [symbolic_state(ima, spec)],
-                   dc_replace(ima_cfg, depth=1, mode=Mode.BFS), Kind.STATES)
+    meta, _ = symbolic_step(ima, ima_cfg)
     pcm = ex.var("pcmSq", 3, -1)
     default_arm = ex.or_(ex.eq(pcm, ex.const(3, 6)), ex.eq(pcm, ex.const(3, 7)))
     default_succs = [s for s in meta.sym_states
@@ -94,7 +91,7 @@ def test_project_examples(ima, ima_cfg):
 
 
 def test_explore_ima_reach(ima, ima_cfg):
-    meta = explore(ima, [reset_state(ima)], ima_cfg, Kind.REACH)
+    meta = explore(ima, [reset_state(ima)], ima_cfg)
     assert meta.rs == {0, 1, 2, 3, 4, 5}
     assert behavior_tuples(meta) == {
         (0, 0, "outValid", 0), (0, 1, "outValid", 0), (1, 2, "outValid", 0),
@@ -103,19 +100,17 @@ def test_explore_ima_reach(ima, ima_cfg):
 
 
 def test_explore_depth_zero_returns_init_projections(ima, ima_cfg):
-    meta = explore(ima, [reset_state(ima)], dc_replace(ima_cfg, depth=0),
-                   Kind.REACH)
+    meta = explore(ima, [reset_state(ima)], dc_replace(ima_cfg, depth=0))
     assert meta.rs == {0}
     assert meta.paths_explored == 0
 
 
 def test_states_mode_returns_frontier(ima, ima_cfg):
-    meta = explore(ima, [symbolic_state(ima, ima_cfg.state_spec)],
-                   dc_replace(ima_cfg, depth=1, mode=Mode.BFS), Kind.STATES)
+    meta, by_state = symbolic_step(ima, ima_cfg)
     assert len(meta.sym_states) == 8  # 6 used arms (one splits in two) + default
     assert len(meta.trans) == 9
-    for s in meta.sym_states:
-        assert s.num_steps == 1
+    grouped = [s for group in by_state.values() for s in group]
+    assert sorted(map(id, grouped)) == sorted(map(id, meta.sym_states))
 
 
 def test_monotonicity_of_bounded_reachability(ima, ima_cfg, counter,
@@ -124,16 +119,16 @@ def test_monotonicity_of_bounded_reachability(ima, ima_cfg, counter,
         prev: set[int] = set()
         for depth in range(0, 9):
             meta = explore(circuit, [reset_state(circuit)],
-                           dc_replace(cfg, depth=depth), Kind.REACH)
+                           dc_replace(cfg, depth=depth))
             assert prev <= meta.rs
             prev = meta.rs
 
 
 def test_prune_equivalent_to_bfs_and_cheaper(ima, ima_cfg):
     bfs = explore(ima, [reset_state(ima)],
-                  dc_replace(ima_cfg, mode=Mode.BFS), Kind.REACH)
+                  dc_replace(ima_cfg, mode=Mode.BFS))
     prune = explore(ima, [reset_state(ima)],
-                    dc_replace(ima_cfg, mode=Mode.BFS_PRUNE), Kind.REACH)
+                    dc_replace(ima_cfg, mode=Mode.BFS_PRUNE))
     assert bfs.rs == prune.rs
     assert behavior_tuples(bfs) == behavior_tuples(prune)
     assert prune.paths_explored < bfs.paths_explored
@@ -141,16 +136,15 @@ def test_prune_equivalent_to_bfs_and_cheaper(ima, ima_cfg):
 
 def test_partial_rs_subset_of_bfs(ima, ima_cfg):
     partial = explore(ima, [reset_state(ima)],
-                      dc_replace(ima_cfg, mode=Mode.PARTIAL), Kind.REACH)
+                      dc_replace(ima_cfg, mode=Mode.PARTIAL))
     bfs = explore(ima, [reset_state(ima)],
-                  dc_replace(ima_cfg, mode=Mode.BFS), Kind.REACH)
+                  dc_replace(ima_cfg, mode=Mode.BFS))
     assert partial.rs <= bfs.rs
     assert partial.rs == {0}  # the else-first single path never leaves idle
 
 
 def test_fixpoint_reports_diameter(ima, ima_cfg):
-    meta = explore(ima, [reset_state(ima)], dc_replace(ima_cfg, depth=FIXPOINT),
-                   Kind.REACH)
+    meta = explore(ima, [reset_state(ima)], dc_replace(ima_cfg, depth=FIXPOINT))
     assert meta.rs == {0, 1, 2, 3, 4, 5}
     assert meta.discovered_diameter == 5
     # The closing layer still recorded state 5's outgoing behavior.
@@ -158,11 +152,9 @@ def test_fixpoint_reports_diameter(ima, ima_cfg):
 
 
 def test_depth_not_converged_flag(ima, ima_cfg):
-    shallow = explore(ima, [reset_state(ima)], dc_replace(ima_cfg, depth=3),
-                      Kind.REACH)
+    shallow = explore(ima, [reset_state(ima)], dc_replace(ima_cfg, depth=3))
     assert not shallow.depth_converged
-    deep = explore(ima, [reset_state(ima)], dc_replace(ima_cfg, depth=7),
-                   Kind.REACH)
+    deep = explore(ima, [reset_state(ima)], dc_replace(ima_cfg, depth=7))
     assert deep.depth_converged
 
 
@@ -177,13 +169,13 @@ def test_depth_zero_is_not_converged(caplog):
     c = parse_rtl(ONE_CYCLE)
     cfg = config_for(c, ["r"], depth=0)
     with caplog.at_level(logging.WARNING, logger="dctforge.engine"):
-        meta = explore(c, [reset_state(c)], cfg, Kind.REACH)
+        meta = explore(c, [reset_state(c)], cfg)
     assert meta.rs == {0}
     assert not meta.depth_converged
     assert "new states appeared at the final layer 0; increase depth" \
         in caplog.text
     assert not compute_dct(c, cfg).stage1.depth_converged
-    one = explore(c, [reset_state(c)], dc_replace(cfg, depth=1), Kind.REACH)
+    one = explore(c, [reset_state(c)], dc_replace(cfg, depth=1))
     assert one.rs == {0, 1}
 
 
@@ -198,7 +190,7 @@ output y:2 = st
     c = parse_rtl(src)
     cfg = config_for(c, ["st"], depth=4)
     with caplog.at_level("WARNING", logger="dctforge.engine"):
-        explore(c, [reset_state(c)], cfg, Kind.REACH)
+        explore(c, [reset_state(c)], cfg)
     assert any("outside the state spec" in r.message for r in caplog.records)
 
 
@@ -222,8 +214,7 @@ output y:1 = tick == 2'd3
         (b.src, b.dst, b.output, b.value) for b in om.rbs}
     assert len(bfs.rbs) == 6
     with caplog.at_level("WARNING", logger="dctforge.engine"):
-        explore(c, [reset_state(c)], config_for(c, ["s"], depth=6),
-                Kind.REACH)
+        explore(c, [reset_state(c)], config_for(c, ["s"], depth=6))
     warned = [r.getMessage() for r in caplog.records
               if "outside the state spec" in r.getMessage()]
     assert warned == ["register 'tick' outside the state spec feeds output "
@@ -243,10 +234,9 @@ output z:2 = st
 """
     c = parse_rtl(src)
     with caplog.at_level("WARNING", logger="dctforge.engine"):
-        explore(c, [reset_state(c)], config_for(c, ["st"], depth=1),
-                Kind.REACH)
+        explore(c, [reset_state(c)], config_for(c, ["st"], depth=1))
         explore(c, [reset_state(c)],
-                config_for(c, ["st"], depth=1, mode=Mode.BFS), Kind.REACH)
+                config_for(c, ["st"], depth=1, mode=Mode.BFS))
     warned = [r.getMessage() for r in caplog.records
               if "outside the state spec" in r.getMessage()]
     assert warned == ["register 'mode' outside the state spec feeds "
@@ -259,8 +249,8 @@ output z:2 = st
 def test_explore_projects_only_initial_states(ima, ima_gate, mode, depth,
                                               monkeypatch):
     """Each successor comes with the StateId its step pinned, so explore
-    calls project once per initial state and never on a successor, in
-    both Kinds and from reset, a doubled reset or the symbolic state."""
+    calls project once per initial state and never on a successor, from
+    reset, a doubled reset or the symbolic state."""
     projected = []
 
     def counted(s, spec, cfg):
@@ -270,13 +260,13 @@ def test_explore_projects_only_initial_states(ima, ima_gate, mode, depth,
     monkeypatch.setattr(engine, "project", counted)
     for c, regs in ((ima, ["pcmSq"]), (ima_gate, ["q2", "q1", "q0"])):
         cfg = config_for(c, regs, depth=depth, mode=mode)
-        for init, kind, run_cfg in (
-                ([reset_state(c)], Kind.REACH, cfg),
-                ([reset_state(c), reset_state(c)], Kind.REACH, cfg),
-                ([symbolic_state(c, cfg.state_spec)], Kind.STATES,
+        for init, run_cfg in (
+                ([reset_state(c)], cfg),
+                ([reset_state(c), reset_state(c)], cfg),
+                ([symbolic_state(c, cfg.state_spec)],
                  dc_replace(cfg, depth=1))):
             projected.clear()
-            meta = explore(c, init, run_cfg, kind)
+            meta = explore(c, init, run_cfg)
             assert projected == init
             assert (meta.paths_explored > 0) == (run_cfg.depth != 0)
 
@@ -284,8 +274,7 @@ def test_explore_projects_only_initial_states(ima, ima_gate, mode, depth,
 def test_path_explosion_cap(ima, ima_cfg):
     tiny = dc_replace(ima_cfg, path_cap=1)
     with pytest.raises(PathExplosion):
-        explore(ima, [symbolic_state(ima, ima_cfg.state_spec)],
-                dc_replace(tiny, depth=1, mode=Mode.BFS), Kind.STATES)
+        symbolic_step(ima, tiny)
 
 
 def test_assumes_restrict_next_state():
@@ -298,7 +287,7 @@ output y:2 = r
     c = parse_rtl(src)
     cfg = config_for(c, ["r"], depth=1,
                      assumes=(ex.ult(ex.ref("r", 2), ex.const(2, 2)),))
-    meta = explore(c, [reset_state(c)], cfg, Kind.REACH)
+    meta = explore(c, [reset_state(c)], cfg)
     assert meta.rs == {0, 1}
 
 
@@ -351,13 +340,12 @@ def test_engine_matches_oracle_on_random_fsms():
         spec = make_state_spec(c, ["st"])
         depth = 1 << spec.total_width
         cfg = config_for(c, ["st"], depth=depth)
-        meta = explore(c, [reset_state(c)], cfg, Kind.REACH)
+        meta = explore(c, [reset_state(c)], cfg)
         om = oracle_analyze(c, spec, depth)
         assert meta.rs == om.rs, seed
         assert behavior_tuples(meta) == {(b.src, b.dst, b.output, b.value)
                                          for b in om.rbs}, seed
-        s2 = explore(c, [symbolic_state(c, spec)],
-                     dc_replace(cfg, depth=1, mode=Mode.BFS), Kind.STATES)
+        s2, _ = symbolic_step(c, cfg)
         assert s2.trans == om.trans, seed
 
 
@@ -374,7 +362,7 @@ def test_unsatisfiable_assume_warns(ima, caplog):
     the result as it was, and say so on the engine's logger."""
     never = config_for(ima, ["pcmSq"], depth=3, assumes=(ex.const(1, 0),))
     with caplog.at_level("WARNING", logger="dctforge.engine"):
-        meta = explore(ima, [reset_state(ima)], never, Kind.REACH)
+        meta = explore(ima, [reset_state(ima)], never)
     assert meta.rs == {0}
     assert meta.trans == set() and meta.rbs == set()
     warned = [r.getMessage() for r in caplog.records
@@ -386,7 +374,7 @@ def test_unsatisfiable_assume_warns(ima, caplog):
     some = config_for(ima, ["pcmSq"], depth=3,
                       assumes=(ex.ult(st, ex.const(3, 3)),))
     with caplog.at_level("WARNING", logger="dctforge.engine"):
-        explore(ima, [reset_state(ima)], some, Kind.REACH)
+        explore(ima, [reset_state(ima)], some)
     assert not any("cut every successor" in r.getMessage()
                    for r in caplog.records)
 
@@ -480,9 +468,11 @@ def test_fused_step_matches_per_net_reference(assume, monkeypatch):
 
 @pytest.mark.parametrize("assume", [False, True])
 def test_net_order_built_once_per_explore(ima_gate, assume, monkeypatch):
-    """compute_dct orders the nets once per explore call, not once per
-    step, and evaluates cycles without substitute or output_exprs."""
-    calls = {"net_topo_order": 0, "explore": 0, "substitute": 0}
+    """compute_dct orders the nets once per stage (an explore and a
+    symbolic_step call), not once per step, and evaluates cycles without
+    substitute or output_exprs."""
+    calls = {"net_topo_order": 0, "explore": 0, "symbolic_step": 0,
+             "substitute": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -493,21 +483,23 @@ def test_net_order_built_once_per_explore(ima_gate, assume, monkeypatch):
     monkeypatch.setattr(engine, "net_topo_order",
                         counted("net_topo_order", engine.net_topo_order))
     monkeypatch.setattr(detect, "explore", counted("explore", detect.explore))
+    monkeypatch.setattr(detect, "symbolic_step",
+                        counted("symbolic_step", detect.symbolic_step))
     monkeypatch.setattr(ex, "substitute", counted("substitute", ex.substitute))
     assumes = ((ex.not_(ex.and_(ex.ref("q2", 1), ex.ref("n0", 1))),)
                if assume else ())
     cfg = config_for(ima_gate, ["q2", "q1", "q0"], depth=7, assumes=assumes)
     report = compute_dct(ima_gate, cfg)
-    assert report.paths_explored > calls["explore"] == 2
-    assert calls["net_topo_order"] <= calls["explore"]
+    assert calls["explore"] == calls["symbolic_step"] == 1
+    assert report.paths_explored > 2
+    assert calls["net_topo_order"] <= 2
     assert calls["substitute"] == 0
 
 
 def _stage2(c, state_regs, **kw):
     """Stage 2 as compute_dct runs it: one BFS step from the fully
     symbolic state."""
-    cfg = config_for(c, state_regs, depth=1, mode=Mode.BFS, **kw)
-    return explore(c, [symbolic_state(c, cfg.state_spec)], cfg, Kind.STATES)
+    return symbolic_step(c, config_for(c, state_regs, **kw))[0]
 
 
 @pytest.mark.parametrize("name", ["cnt4.blif", "cnt5.blif", "ima_gate.blif"])
@@ -552,6 +544,20 @@ def test_cap_exceeded_on_source_and_destination_overflow(text):
     with pytest.raises(CapExceeded) as caught:
         compute_dct(c, cfg)
     assert caught.value.cap == 4
+
+
+def test_stage2_symbolic_state_is_not_held_to_the_value_cap():
+    """Stage 2 never projects the fully symbolic state, so a spec with
+    more StateIds than value_cap raises nothing while no enumeration
+    passes the cap: r:4 under value_cap 8 has 4 destinations, each
+    reached from 4 sources, and the report equals the oracle's."""
+    c = parse_rtl("circuit t\noutput y:4 = r\n"
+                  "reg r:4 reset 0 next {r[3:2], 2'd0}\n")
+    rep = compute_dct(c, config_for(c, ["r"], value_cap=8))
+    om = oracle_analyze(c, make_state_spec(c, ["r"]), 7)
+    assert rep.rs == om.rs == {0}
+    assert rep.trans == om.trans and len(rep.trans) == 16
+    assert rep.dct == oracle_dct(om) == {(1, 0), (2, 0), (3, 0)}
 
 
 def test_source_overflow_raises_from_the_step():

@@ -17,7 +17,7 @@ from dctforge import expr as ex
 from dctforge.blif import parse_blif
 from dctforge.circuit import Circuit, Register, validate
 from dctforge.detect import detect_trojan, oracle_analyze
-from dctforge.engine import FIXPOINT, Kind, Mode, explore, reset_state
+from dctforge.engine import FIXPOINT, Mode, explore, reset_state
 from dctforge.errors import CapExceeded, PathExplosion
 from dctforge.kernel import compile_kernel
 from dctforge.rtl import parse_rtl
@@ -163,7 +163,7 @@ def _run(c, cfg, caplog):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="dctforge.engine"):
         meta = explore(c, [reset_state(c)],
-                       dc_replace(cfg, limits=SolverLimits()), Kind.REACH)
+                       dc_replace(cfg, limits=SolverLimits()))
     done = [json.loads(r.getMessage()) for r in caplog.records
             if r.name == "dctforge.engine" and r.levelno == logging.DEBUG
             and '"explore_done"' in r.getMessage()]
@@ -202,7 +202,7 @@ def test_kernel_agrees_with_oracle():
                                 [("o", 2)])
         cfg = config_for(c, ["s"], depth=5, mode=Mode.BFS)
         om = oracle_analyze(c, cfg.state_spec, 5)
-        meta = explore(c, [reset_state(c)], cfg, Kind.REACH)
+        meta = explore(c, [reset_state(c)], cfg)
         assert meta.rs == om.rs
         assert meta.rbs == om.rbs
 
@@ -234,12 +234,12 @@ def test_fallback_raises_what_the_symbolic_step_raises(text, kw, error, mode,
     cfg = config_for(c, ["st"], depth=2, mode=mode, **kw)
     with caplog.at_level(logging.DEBUG, logger="dctforge.engine"):
         with pytest.raises(error) as got:
-            explore(c, [reset_state(c)], cfg, Kind.REACH)
+            explore(c, [reset_state(c)], cfg)
     assert any('"kernel_built"' in r.getMessage() for r in caplog.records)
     with monkeypatch.context() as m:
         _kernel_off(m)
         with pytest.raises(error) as ref:
-            explore(c, [reset_state(c)], dc_replace(cfg), Kind.REACH)
+            explore(c, [reset_state(c)], dc_replace(cfg))
     assert str(got.value) == str(ref.value)
 
 
@@ -297,7 +297,7 @@ def test_counter_stage1_asks_no_solver_query(monkeypatch, caplog):
 
     monkeypatch.setattr(solve, "_solutions", counting)
     caplog.set_level(logging.DEBUG, logger="dctforge.engine")
-    meta = explore(c, [reset_state(c)], cfg, Kind.REACH)
+    meta = explore(c, [reset_state(c)], cfg)
     assert meta.rs == set(range(62))
     assert calls == []
     events = [json.loads(r.getMessage()) for r in caplog.records
@@ -329,9 +329,9 @@ def test_detect_trojan_builds_the_kernel_once(ima_gate, caplog):
         assert built["nodes"] > 0
         done = [e["kernel_steps"] for e in evs
                 if e["event"] == "explore_done"]
-        # Stage 1, stage 2 (a States exploration) and stage 3.
-        assert len(done) == 3
-        assert done[0] > 0 and done[1] == 0 and done[2] > 0
+        # Stage 1 and stage 3; stage 2 is no exploration.
+        assert len(done) == 2
+        assert done[0] > 0 and done[1] > 0
         caplog.clear()
         detect_trojan(ima_gate, cfg)
         assert not any(e["event"] == "kernel_built" for e in events())
@@ -357,7 +357,7 @@ def test_bfs_prune_keys_only_initial_states(mode, monkeypatch):
                     (corpus.load("ima_gate.blif"), ["q2", "q1", "q0"])]:
         calls.clear()
         cfg = config_for(c, regs, depth=4, mode=mode)
-        explore(c, [reset_state(c), reset_state(c)], cfg, Kind.REACH)
+        explore(c, [reset_state(c), reset_state(c)], cfg)
         if mode is Mode.BFS_PRUNE:
             assert len(calls) == 2
         else:

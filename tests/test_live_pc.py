@@ -15,7 +15,7 @@ from dctforge import expr as ex
 from dctforge.circuit import make_state_spec
 from dctforge.detect import (Verdict, compute_dct, detect_trojan,
                              oracle_analyze, oracle_dct)
-from dctforge.engine import FIXPOINT, Kind, Mode
+from dctforge.engine import FIXPOINT, Mode
 from dctforge.rtl import parse_rtl
 from dctforge.solve import SolverLimits, live_conjuncts
 from dctforge.trojanlab import (StuckAt, TriggerSpec, gen_random_fsm,
@@ -51,10 +51,9 @@ def _detect_recorded(monkeypatch, c, cfg):
     exploration it ran (stage 1 and each stage-3 exploration)."""
     reach = []
 
-    def recording(circuit, init, config, kind):
-        meta = engine.explore(circuit, init, config, kind)
-        if kind is Kind.REACH:
-            reach.append(_meta_fields(meta))
+    def recording(circuit, init, config):
+        meta = engine.explore(circuit, init, config)
+        reach.append(_meta_fields(meta))
         return meta
 
     with monkeypatch.context() as m:

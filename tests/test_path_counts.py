@@ -1,6 +1,7 @@
 """The exploration frontier carries path counts: engine.explore steps each
 distinct state once, and everything it reports equals the per-path
-reference loop (bruteforce.per_path_explore)."""
+reference loop (bruteforce.per_path_explore), as does everything
+engine.symbolic_step reports."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dctforge import expr as ex
 from dctforge.circuit import make_state_spec
 from dctforge.detect import compute_dct, oracle_analyze, oracle_dct
 from dctforge.engine import (FIXPOINT, Kind, Mode, explore, reset_state,
-                             symbolic_state)
+                             symbolic_state, symbolic_step)
 from dctforge.rtl import parse_rtl
 from dctforge.solve import CnfDumper, SolverLimits
 from dctforge.trojanlab import gen_random_fsm
@@ -60,26 +61,27 @@ def _cases():
 _CASES = _cases()
 
 
+def _per_path_reach(c, init, cfg):
+    """The per-path reference for explore."""
+    return per_path_explore(c, init, cfg, Kind.REACH)
+
+
 def _explorations(c, state_regs, assumes, mode):
-    """(label, init, config, kind) for every exploration one case runs:
-    Reach and States from reset at fixed depths and at FIXPOINT, both
-    kinds from a doubled reset state (two paths in one entry) and from
-    the fully symbolic state."""
+    """(label, init, config) for every exploration one case runs: from
+    reset at fixed depths and at FIXPOINT, from a doubled reset state
+    (two paths in one entry) and from the fully symbolic state."""
     for depth in (0, 1, 3, FIXPOINT):
         cfg = config_for(c, state_regs, depth=depth, mode=mode,
                          assumes=assumes)
-        for kind in (Kind.REACH, Kind.STATES):
-            yield (depth, kind, "reset"), [reset_state(c)], cfg, kind
-            if depth == 3:
-                yield ((depth, kind, "reset x2"),
-                       [reset_state(c), reset_state(c)], cfg, kind)
+        yield (depth, "reset"), [reset_state(c)], cfg
+        if depth == 3:
+            yield ((depth, "reset x2"), [reset_state(c), reset_state(c)],
+                   cfg)
     spec = make_state_spec(c, state_regs)
     for depth in (1, 2):
         cfg = config_for(c, state_regs, depth=depth, mode=mode,
                          assumes=assumes)
-        for kind in (Kind.REACH, Kind.STATES):
-            yield ((depth, kind, "symbolic"), [symbolic_state(c, spec)],
-                   cfg, kind)
+        yield (depth, "symbolic"), [symbolic_state(c, spec)], cfg
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
@@ -89,21 +91,57 @@ def test_explore_equals_per_path_reference(name, c, state_regs, assumes,
                                            mode):
     """Each run gets a fresh SolverLimits, so neither replays the other's
     memoised answers."""
-    for label, init, cfg, kind in _explorations(c, state_regs, assumes,
-                                                mode):
-        ref = per_path_explore(c, init, dc_replace(cfg, limits=SolverLimits()),
-                               kind)
-        got = explore(c, init, dc_replace(cfg, limits=SolverLimits()), kind)
+    for label, init, cfg in _explorations(c, state_regs, assumes, mode):
+        ref = _per_path_reach(c, init, dc_replace(cfg, limits=SolverLimits()))
+        got = explore(c, init, dc_replace(cfg, limits=SolverLimits()))
         assert _fields(got) == _fields(ref), (name, label)
 
 
-def _dumped_run(fn, c, init, cfg, kind, directory, caplog):
+def _symbolic_step_reference(c, cfg):
+    """symbolic_step by the per-path loop: one step from the symbolic
+    state under BFS, and its successors grouped by their projection."""
+    spec = cfg.state_spec
+    meta = per_path_explore(c, [symbolic_state(c, spec)],
+                            dc_replace(cfg, depth=1, mode=Mode.BFS),
+                            Kind.STATES)
+    by_state = defaultdict(list)
+    for s in meta.sym_states:
+        (d,) = engine.project(s, spec, cfg)
+        by_state[d].append(s)
+    return meta, dict(by_state)
+
+
+def _step_fields(meta, by_state):
+    """Every Metadata field, with sym_states and the groups (in their
+    first-occurrence order) as the contents of their states, in order."""
+    return {**_fields(meta), "kind": meta.kind,
+            "sym_states": [engine._content(s) for s in meta.sym_states],
+            "by_state": [(d, [engine._content(s) for s in group])
+                         for d, group in by_state.items()]}
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name,c,state_regs,assumes", _CASES,
+                         ids=[case[0] for case in _CASES])
+def test_symbolic_step_equals_per_path_reference(name, c, state_regs,
+                                                 assumes, mode):
+    """symbolic_step under any mode and depth equals the per-path loop's
+    one BFS step from the symbolic state, with and without assumptions
+    (the ima+ cases).  Each run gets a fresh SolverLimits."""
+    cfg = config_for(c, state_regs, depth=3, mode=mode, assumes=assumes)
+    ref = _symbolic_step_reference(c, dc_replace(cfg, limits=SolverLimits()))
+    got = symbolic_step(c, dc_replace(cfg, limits=SolverLimits()))
+    assert _step_fields(*got) == _step_fields(*ref), name
+    assert got[0].kind is Kind.STATES and got[0].paths_explored == 1
+
+
+def _dumped_run(fn, c, init, cfg, directory, caplog):
     """The Metadata, the --dump-cnf files (name -> bytes) and the
     solver_stats events of one exploration with a fresh SolverLimits."""
     limits = SolverLimits(dumper=CnfDumper(str(directory)))
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="dctforge.solve"):
-        meta = fn(c, init, dc_replace(cfg, limits=limits), kind)
+        meta = fn(c, init, dc_replace(cfg, limits=limits))
     stats = [r.getMessage() for r in caplog.records
              if r.name == "dctforge.solve"]
     files = {p.name: p.read_bytes() for p in directory.iterdir()}
@@ -117,25 +155,26 @@ def test_bfs_dumps_and_solver_events_unchanged(case, tmp_path, caplog):
     solver_stats events as the per-path loop."""
     _, c, state_regs, assumes = next(k for k in _CASES if k[0] == case)
     cfg = config_for(c, state_regs, depth=4, mode=Mode.BFS, assumes=assumes)
-    for kind in (Kind.REACH, Kind.STATES):
-        ref = _dumped_run(per_path_explore, c, [reset_state(c)], cfg, kind,
-                          tmp_path / f"ref-{kind.value}", caplog)
-        got = _dumped_run(explore, c, [reset_state(c)], cfg, kind,
-                          tmp_path / f"got-{kind.value}", caplog)
-        assert ref[1] and ref[2]
-        assert got == ref
+    ref = _dumped_run(_per_path_reach, c, [reset_state(c)], cfg,
+                      tmp_path / "ref", caplog)
+    got = _dumped_run(explore, c, [reset_state(c)], cfg, tmp_path / "got",
+                      caplog)
+    assert ref[1] and ref[2]
+    assert got == ref
 
 
 def _counting_step(monkeypatch):
-    """Wrap engine._step; the returned list collects, per call, the
-    config's depth, the layer the successors join (the state's num_steps
-    plus one) and the number of successors."""
+    """Wrap engine._step; the returned list collects, per call, whether
+    the state stepped is the fully symbolic one (stage 2's source), the
+    layer the successors join (the state's var_epoch plus one, which
+    counts the steps taken from reset) and the number of successors."""
     calls = []
     real = engine._step
 
     def counting(c, s, cfg, plan):
         results = real(c, s, cfg, plan)
-        calls.append((cfg.depth, s.num_steps + 1, len(results)))
+        symbolic = s.regs == symbolic_state(c, cfg.state_spec).regs
+        calls.append((symbolic, s.var_epoch + 1, len(results)))
         return results
 
     monkeypatch.setattr(engine, "_step", counting)
@@ -157,7 +196,8 @@ def test_counter_bfs_depth_40_steps_distinct_states(monkeypatch):
     assert rep.rs == set(range(depth + 1))
     assert rep.dct == {((1 << w) - 3, 0), ((1 << w) - 1, 0)}
     assert len(calls) == 821
-    assert Counter(d for d, _, _ in calls) == {depth: 820, 1: 1}
+    assert Counter(symbolic for symbolic, _, _ in calls) == {False: 820,
+                                                             True: 1}
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -188,10 +228,10 @@ def _path_events(records):
     return layers
 
 
-def _events_of(fn, c, init, cfg, kind, caplog):
+def _events_of(fn, c, init, cfg, caplog):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="dctforge.engine"):
-        fn(c, init, dc_replace(cfg, limits=SolverLimits()), kind)
+        fn(c, init, dc_replace(cfg, limits=SolverLimits()))
     return _path_events(caplog.records)
 
 
@@ -206,10 +246,10 @@ def test_path_events_sum_to_successor_paths(mode, monkeypatch, caplog):
     for name, c, state_regs, assumes in _CASES:
         cfg = config_for(c, state_regs, depth=3, mode=mode, assumes=assumes)
         init = [reset_state(c), reset_state(c)]
-        ref = _events_of(per_path_explore, c, init, cfg, Kind.REACH, caplog)
+        ref = _events_of(_per_path_reach, c, init, cfg, caplog)
         with monkeypatch.context() as m:
             calls = _counting_step(m)
-            got = _events_of(explore, c, init, cfg, Kind.REACH, caplog)
+            got = _events_of(explore, c, init, cfg, caplog)
         successors = Counter()
         for _, layer, n in calls:
             successors[layer] += n
@@ -226,8 +266,7 @@ def test_path_events_linear_at_depth_40(caplog):
     up to 2^l in layer l."""
     c = parse_rtl(counter_rtl(6))
     cfg = config_for(c, ["cnt"], depth=40, mode=Mode.BFS)
-    layers = _events_of(explore, c, [reset_state(c)], cfg, Kind.REACH,
-                        caplog)
+    layers = _events_of(explore, c, [reset_state(c)], cfg, caplog)
     assert sorted(layers) == list(range(1, 41))
     for layer, events in layers.items():
         assert {e for e, _ in events} == {"path_spawned"}

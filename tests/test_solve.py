@@ -196,7 +196,7 @@ def test_step_feasibility_raises_resource_out():
                   "reg r:2 reset 0 next x7 ? 2'd1 : 2'd2\noutput y:2 = r\n")
     labels = _Labels()
     cfg = config_for(c, ["r"], depth=1, limits=SolverLimits(dumper=labels))
-    s = SymState({"r": ex.const(2, 0)}, pc, 0, 0)
+    s = SymState({"r": ex.const(2, 0)}, pc, 0)
     assert len(step_cycle(c, s, cfg)) == 2
     assert labels.labels[0] == "step-feasibility"
     tiny = config_for(c, ["r"], depth=1, limits=TINY)
@@ -211,7 +211,7 @@ def test_fresh_guard_never_solves_the_path_constraint():
     _, pc = _hard_sat_conjuncts()
     c = parse_rtl("circuit t\ninput d:1\n"
                   "reg r:2 reset 0 next d ? 2'd1 : 2'd2\noutput y:2 = r\n")
-    s = SymState({"r": ex.const(2, 0)}, pc, 0, 0)
+    s = SymState({"r": ex.const(2, 0)}, pc, 0)
     for conflict_limit in (10 ** 6, 1):
         dumps = _Labels()
         limits = SolverLimits(conflict_limit=conflict_limit, dumper=dumps)
@@ -229,7 +229,7 @@ def test_partial_mode_checks_no_guard_after_the_first_feasible():
                   "reg r:2 reset 0 next case(d){ 2'd0: 2'd1; 2'd1: 2'd2; "
                   "2'd2: 2'd3; default: 2'd0 }\noutput y:2 = r\n")
     s = SymState({"r": ex.const(2, 0)},
-                 (ex.ne(ex.var("d", 2, 0), ex.const(2, 0)),), 0, 0)
+                 (ex.ne(ex.var("d", 2, 0), ex.const(2, 0)),), 0)
     for mode, checks, successors in ((Mode.PARTIAL, 2, [2]),
                                      (Mode.BFS, 4, [2, 3, 0])):
         labels = _Labels()
@@ -793,10 +793,12 @@ def _ask_epoch_queries(t: int, limits: SolverLimits):
 
 @pytest.mark.parametrize("first, later", [(0, 1), (0, 3), (2, 5)])
 def test_epoch_shifted_query_replays_the_memo(first, later, caplog):
-    """A group check, an all_values and a transitions query asked again
-    with every variable later by the same number of steps are answered
-    from the memo: no dump, no solver_stats event, and the answers a
-    fresh SolverLimits gives."""
+    """A group check asked again with every variable later by the same
+    number of steps is answered from the memo: no dump and no
+    solver_stats event.  An all_values and a transitions query asked
+    that way are solved again, since enumerations are looked up by their
+    exact key only.  Every answer is the one a fresh SolverLimits
+    gives."""
     labels = _Labels()
     limits = SolverLimits(dumper=labels)
     answers = _ask_epoch_queries(first, limits)
@@ -805,8 +807,10 @@ def test_epoch_shifted_query_replays_the_memo(first, later, caplog):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="dctforge.solve"):
         again = _ask_epoch_queries(later, limits)
-    assert len(labels.labels) == dumped
-    assert not [r for r in caplog.records if r.name == "dctforge.solve"]
+    solved = labels.labels[dumped:]
+    assert set(solved) == {"all-values", "transitions"}
+    events = [r for r in caplog.records if r.name == "dctforge.solve"]
+    assert len(events) == len(solved)
     assert again == answers == _ask_epoch_queries(later, SolverLimits())
     assert answers[0] and len(answers[1]) > 1
 
@@ -829,22 +833,30 @@ def test_epoch_gap_is_part_of_the_key():
 
 
 def test_query_with_a_step_minus_one_variable_interns_nothing():
-    """A query holding a step -1 variable (stage 2's free registers) keeps
-    its exact key: the memo lookup builds no node.  A query whose
-    variables are all later than step 0 interns its normal form."""
+    """A group check holding a step -1 variable (stage 2's free
+    registers) keeps its exact key: the memo lookup builds no node.  A
+    group check whose variables are all later than step 0 interns its
+    normal form.  An all_values query over such variables interns
+    nothing: enumerations are looked up by their exact key only."""
     # Names no other test uses: the intern table is process-wide.
     r, x = ex.var("intern_r", 2, -1), ex.var("intern_x", 2, 4)
-    cases = [(ex.add(r, x), (ex.ult(x, r),)),
-             (ex.add(x, ex.var("intern_x", 2, 5)),
-              (ex.ult(x, ex.const(2, 3)),))]
+    y = ex.var("intern_y", 2, 4)
+    cases = [(None, (ex.ult(x, r),)),
+             (None, (ex.ult(x, ex.var("intern_x", 2, 5)),)),
+             (ex.add(y, ex.var("intern_y", 2, 5)),
+              (ex.ult(y, ex.const(2, 3)),))]
     grew = []
     for e, pc in cases:
-        e = ex.simplify(e)
         pc = tuple(ex.simplify(c) for c in pc)
-        before = len(ex._intern_table)
-        all_values(e, pc, cap=4)
+        if e is None:
+            before = len(ex._intern_table)
+            assert pc_sat(pc)
+        else:
+            e = ex.simplify(e)
+            before = len(ex._intern_table)
+            assert all_values(e, pc, cap=4) == set(range(4))
         grew.append(len(ex._intern_table) - before)
-    assert grew[0] == 0 and grew[1] > 0
+    assert grew[0] == 0 and grew[1] > 0 and grew[2] == 0
 
 
 def _later(e: ex.Expr, d: int, memo: dict) -> ex.Expr:

@@ -10,7 +10,7 @@ from dctforge import expr as ex
 from dctforge.circuit import make_state_spec, validate
 from dctforge.detect import (Verdict, detect_trojan, oracle_analyze,
                              oracle_dct)
-from dctforge.engine import Kind, explore, reset_state
+from dctforge.engine import explore, reset_state
 from dctforge.errors import (DuplicateName, InfeasibleParams, UnknownOutput,
                              WidthMismatch)
 from dctforge.trojanlab import StuckAt, TriggerSpec, gen_random_fsm, inject_trojan
@@ -39,8 +39,8 @@ def test_injection_preserves_honest_behavior(ima, ima_cfg):
     t = inject_trojan(ima, _trigger(ima, {(6, 0), (7, 0)}),
                       StuckAt("outValid", 1))
     cfg_t = config_for(t, ["pcmSq"], monitored=("outValid",))
-    honest = explore(ima, [reset_state(ima)], ima_cfg, Kind.REACH)
-    injected = explore(t, [reset_state(t)], cfg_t, Kind.REACH)
+    honest = explore(ima, [reset_state(ima)], ima_cfg)
+    injected = explore(t, [reset_state(t)], cfg_t)
     assert honest.rs == injected.rs
     assert {(b.src, b.dst, b.output, b.value) for b in honest.rbs} == \
         {(b.src, b.dst, b.output, b.value) for b in injected.rbs}
