@@ -378,12 +378,14 @@ def _add_common(sp):
                          "however large (default %(default)s)")
     sp.add_argument("--conflict-limit", type=int,
                     default=DEFAULT_CONFLICT_LIMIT,
-                    help="SAT conflict budget of one solver query; running "
-                         "out is an error, never 'infeasible' "
-                         "(default %(default)s)")
+                    help="SAT conflict budget of one solver query; "
+                         "running out is an error, never 'infeasible'. "
+                         "Queries small enough for a truth table never "
+                         "reach the solver (default %(default)s)")
     sp.add_argument("--clause-cap", type=int, default=DEFAULT_CLAUSE_CAP,
-                    help="most CNF clauses one encoded query may have "
-                         "(default %(default)s)")
+                    help="most CNF clauses one encoded query may have; "
+                         "queries small enough for a truth table are not "
+                         "held to it (default %(default)s)")
     sp.add_argument("--dump-cnf", default=None, metavar="DIR",
                     help="write one DIMACS file per solver query")
 

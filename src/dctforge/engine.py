@@ -26,8 +26,8 @@ records both as the step decided them and calls project only on its
 initial states.  When both the source and the destination are
 symbolic, as in symbolic_step, a branch's successors and their sources
 come from one pair query (solve.transitions, labelled "transitions"),
-which encodes the branch's next-state cone once instead of once per
-destination.
+which evaluates the branch's next-state cone once, as one truth table
+or one CDCL encoding, instead of once per destination.
 
 Exploration modes:
 
@@ -127,7 +127,8 @@ from typing import TYPE_CHECKING, Mapping
 from . import expr as ex
 from .circuit import (Circuit, StateSpec, decode_state, net_topo_order,
                       state_concat_expr)
-from .errors import DctForgeError, PathExplosion, UnknownOutput
+from .errors import (DctForgeError, DuplicateName, PathExplosion,
+                     UnknownOutput)
 from .solve import (ALL_VALUES_WIDTH_CAP, DEFAULT_VALUE_CAP, SolverLimits,
                     all_values, extends, extension_check, live_conjuncts,
                     min_value, transitions)
@@ -339,6 +340,8 @@ def _build_plan(c: Circuit, cfg: ExploreConfig,
     for name in cfg.monitored_outputs:
         if name not in out_all:
             raise UnknownOutput(name)
+        if name in (n for n, _ in outputs):
+            raise DuplicateName(name)
         outputs.append((name, out_all[name]))
     order = _node_order(nets + [r.next for r in c.registers]
                         + [e for _, e in outputs])

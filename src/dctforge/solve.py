@@ -2,14 +2,23 @@
 
 A path constraint is a tuple of width-1 expressions understood as a
 conjunction.  Every query is answered by one loop, _solutions, which
-encodes a conjunction and a tuple of expressions, builds one solver,
-and enumerates the assignments of the expressions' bits on it
-(Solver.enumerate): after each model the search flips its last
-projection decision instead of adding a blocking clause, so each tuple
-costs about one model's search, however many came before, and learnt
-clauses carry over from one tuple to the next.  The bits are decided
-in a fixed order, each expression's most significant first and 0
-first, so the tuples come in ascending order.  all_values enumerates
+enumerates the assignments of a tuple of expressions' bits under a
+conjunction.  The bits are decided in a fixed order, each expression's
+most significant first and 0 first, so the tuples come in ascending
+order.  A query whose support (the summed widths of the distinct
+leaves of its expressions and conjuncts) is at most TABLE_BITS is
+answered from a truth table, as equivalence checkers settle what they
+can by simulating every assignment (Mishchenko, Chatterjee, Brayton &
+Een, "Improvements to combinational equivalence checking", ICCAD
+2006): each expression bit becomes one int with one bit per assignment
+of the support, the conjuncts AND into one mask of rows, and splitting
+that mask on the expressions' bits in the order above yields the
+tuples, lazily.  Any other query is encoded, loaded into one solver and
+enumerated on it (Solver.enumerate): after each model the search flips
+its last projection decision instead of adding a blocking clause, so
+each tuple costs about one model's search, however many came before,
+and learnt clauses carry over from one tuple to the next.  Both give
+the same tuples in the same order.  all_values enumerates
 every feasible value of one expression under a path constraint, and
 min_value takes the first, the smallest, and stops.  transitions
 enumerates pairs of a source and a destination, and returns every
@@ -62,15 +71,20 @@ shared by every stage and analysis run with that config; a call given
 no limits gets a fresh one.  Sharing is exact, because a key fixes its
 answer.
 
-Every solver call is one step of an enumeration, on a solver loaded
-with the query's formula; min_value's own enumeration takes one step.
-Each step writes its formula to the dumper, if any, and logs a
+Every tuple found, and the step that finds none, is one step of an
+enumeration; min_value's own enumeration takes one step.  Each step
+writes the query's formula to the dumper, if any, and logs a
 solver_stats debug event under the same label: the label of the query
 that needed it.  A step's dump adds a clause excluding each tuple found
 before it, so it asks that step's question; those clauses are built
-only for the dumper.  A conflict budget running out raises ResourceOut
-from every query; it is never read as infeasible, and never memoised,
-so the next query solves that group or enumeration again.  Results
+only for the dumper.  A table-answered query writes the same dumps and
+events as its solver would, from the formula encoded for them alone,
+so a dumper or debug logging changes no answer.  The conflict budget
+and the clause cap bound the CDCL queries only: a table-answered query
+never runs out of either.  A conflict budget running out raises
+ResourceOut from every query that reaches the solver; it is never read
+as infeasible, and never memoised, so the next query solves that group
+or enumeration again.  Results
 depend only on the query structure, never on CNF variable numbering,
 and every enumeration yields its tuples in ascending order, so reports
 built from them are reproducible across runs.
@@ -78,9 +92,11 @@ built from them are reproducible across runs.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
+import sys
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import expr as ex
@@ -99,11 +115,17 @@ __all__ = ["SolverLimits", "CnfDumper", "pc_sat", "extends",
 
 DEFAULT_VALUE_CAP = 64
 ALL_VALUES_WIDTH_CAP = 24
+# The most support bits a query may have and still be answered from a
+# truth table rather than by CDCL (see the module docstring).  A table
+# holds 2^TABLE_BITS bits per node bit: at 12 bits that is less than a
+# node's CNF clauses and solver state take, and more above.
+TABLE_BITS = 12
 
 
 class SolverLimits:
-    """Budgets and the dumper for every query made with it, and the one
-    memo those queries share.  answers maps a query's key, the tuple of
+    """The budgets of every CDCL query made with it (a table-answered
+    query needs none), the dumper for every query, and the one memo
+    those queries share.  answers maps a query's key, the tuple of
     its simplified expressions (empty for a satisfiability check) and the
     frozenset of its conjuncts, to the list of value tuples its complete
     enumeration yielded: [()] or [] for a satisfiable or unsatisfiable
@@ -216,58 +238,206 @@ def _exclusion(bits: Sequence[list[int]], values: tuple[int, ...]) -> list[int]:
             for i, lit in enumerate(b) if abs(lit) != 1]
 
 
-def _step(models: Iterator[SatOutcome], formula: CnfFormula,
+# A step of an enumeration: the outcome of its solve, and the tuple of
+# values it found (None unless the outcome is Sat).
+_Step = tuple[SatOutcome, "tuple[int, ...] | None"]
+_TABLE_SAT, _TABLE_UNSAT = SatOutcome("sat"), SatOutcome("unsat")
+
+
+def _step(steps: Iterator[_Step], formula: CnfFormula | None,
           limits: SolverLimits, label: str, bits: Sequence[list[int]],
-          found: Collection[tuple[int, ...]]) -> SatOutcome:
-    """The next outcome of models, an enumeration on a solver loaded with
-    formula, which excludes every tuple of values of bits in found; it
-    raises ResourceOut when the solver ran out of budget.  The query
-    goes to the dumper (each exclusion a clause) and to a solver_stats
-    debug event, both under label."""
+          found: Collection[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The next tuple of steps, an enumeration of formula's models, which
+    excludes every tuple of values of bits in found, or None when no
+    tuple is left; it raises ResourceOut when the solver ran out of
+    budget.  The query goes to the dumper (each exclusion a clause) and
+    to a solver_stats debug event, both under label.  formula is None
+    only for a table-answered query with neither a dumper nor debug
+    logging, which has nothing to write."""
     if limits.dumper is not None:
         limits.dumper.dump(
             CnfFormula(formula.num_vars, formula.clauses
                        + [_exclusion(bits, values) for values in found]),
             label)
-    outcome = next(models)
-    if log.isEnabledFor(logging.DEBUG):
+    outcome, values = next(steps)
+    if formula is not None and log.isEnabledFor(logging.DEBUG):
         log.debug(json.dumps({"event": "solver_stats", "label": label,
                               "vars": formula.num_vars,
                               "clauses": len(formula.clauses) + len(found),
                               "status": outcome.status}, sort_keys=True))
     if not outcome.is_sat and not outcome.is_unsat:
         raise ResourceOut(outcome.limit_name)
-    return outcome
+    return values
+
+
+def _encoded(es: Sequence[ex.Expr], related: list[ex.Expr],
+             clause_cap: int) -> tuple[CnfFormula, list[list[int]]]:
+    """(formula, bits): related asserted and every expression of es
+    encoded, and the literals of each expression's bits."""
+    enc = Encoder(clause_cap)
+    for c in related:
+        enc.assert_lit(enc.bits(c)[0])
+    bits = [enc.bits(e) for e in es]
+    return enc.to_formula(), bits
 
 
 def _loaded(es: Sequence[ex.Expr], related: list[ex.Expr],
             limits: SolverLimits):
-    """(formula, solver, bits): related asserted and every expression of
-    es encoded, as a formula (for dumps), one solver loaded with it, and
-    the literals of each expression's bits."""
-    enc = Encoder(limits.clause_cap)
-    for c in related:
-        enc.assert_lit(enc.bits(c)[0])
-    bits = [enc.bits(e) for e in es]
-    formula = enc.to_formula()
+    """(formula, solver, bits): the query's formula (for dumps), one
+    solver loaded with it, and the literals of each expression's bits."""
+    formula, bits = _encoded(es, related, limits.clause_cap)
     solver = Solver(formula.num_vars, limits.conflict_limit)
     for cl in formula.clauses:
         solver.add_clause(cl)
     return formula, solver, bits
 
 
+def _cdcl_steps(solver: Solver, bits: list[list[int]]) -> Iterator[_Step]:
+    """solver's enumeration over the non-constant bits of bits, each
+    expression's most significant first."""
+    proj = [lit for b in bits for lit in reversed(b) if abs(lit) != 1]
+    for outcome in solver.enumerate(proj):
+        yield outcome, (tuple(sum(1 << i for i, lit in enumerate(b)
+                                  if outcome.lit_value(lit)) for b in bits)
+                        if outcome.is_sat else None)
+
+
+@functools.cache
+def _row_planes(n: int) -> tuple[int, list[int]]:
+    """(ones, planes) for the 2^n assignments of n support bits: bit k of
+    ones is 1 for every k, and bit k of planes[p] is bit p of k."""
+    ones = (1 << (1 << n)) - 1
+    return ones, [ones // ((1 << (2 << p)) - 1)
+                  * (((1 << (1 << p)) - 1) << (1 << p)) for p in range(n)]
+
+
+def _truth_table(roots: list[ex.Expr], n: int) -> dict[ex.Expr, list[int]]:
+    """Every node of roots, whose leaves have n bits in all, mapped to
+    the planes of its bits, least significant first: bit k of a plane is
+    that bit under assignment number k of the leaves.  Each rule computes
+    what ex.evaluate does, by the circuit cnf.Encoder builds."""
+    ones, leaf_planes = _row_planes(n)
+    planes: dict[ex.Expr, list[int]] = {}
+    pos = 0
+    for node in ex.postorder(roots):
+        op = node.op
+        a = [planes[x] for x in node.args]
+        if op == "ref" or op == "var":
+            r = leaf_planes[pos:pos + node.width]
+            pos += node.width
+        elif op == "const":
+            r = [ones if node.aux[0] >> i & 1 else 0
+                 for i in range(node.width)]
+        elif op == "and":
+            r = [x & y for x, y in zip(*a)]
+        elif op == "or":
+            r = [x | y for x, y in zip(*a)]
+        elif op == "xor":
+            r = [x ^ y for x, y in zip(*a)]
+        elif op == "not":
+            r = [x ^ ones for x in a[0]]
+        elif op == "slice":
+            r = a[0][node.aux[0]:node.aux[1] + 1]
+        elif op == "concat":
+            r = [x for bits in reversed(a) for x in bits]
+        elif op == "zext":
+            r = a[0] + [0] * (node.width - len(a[0]))
+        elif op == "mux":
+            r = [y ^ ((x ^ y) & a[0][0]) for x, y in zip(a[1], a[2])]
+        elif op == "case":
+            r = a[-1]
+            for key, arm in reversed(list(zip(node.aux, a[1:-1]))):
+                sel = ones
+                for i, x in enumerate(a[0]):
+                    sel &= x if key >> i & 1 else x ^ ones
+                r = [y ^ ((x ^ y) & sel) for x, y in zip(arm, r)]
+        elif op in ("add", "sub", "neg"):
+            # Ripple carry: a - b is a + ~b + 1, and -a is 0 + ~a + 1.
+            x, y = ([0] * node.width, a[0]) if op == "neg" else a
+            carry = 0 if op == "add" else ones
+            if op != "add":
+                y = [b ^ ones for b in y]
+            r = []
+            for p, q in zip(x, y):
+                t = p ^ q
+                r.append(t ^ carry)
+                carry = p & q | carry & t
+        elif op == "eq" or op == "ne":
+            diff = 0
+            for x, y in zip(*a):
+                diff |= x ^ y
+            r = [diff ^ ones if op == "eq" else diff]
+        elif op == "ult":
+            # The borrow out of a - b.
+            borrow = 0
+            for x, y in zip(*a):
+                x ^= ones
+                borrow = x & y | borrow & (x | y)
+            r = [borrow]
+        elif op == "redor" or op == "redand":
+            acc = 0 if op == "redor" else ones
+            for x in a[0]:
+                acc = acc | x if op == "redor" else acc & x
+            r = [acc]
+        elif op == "shl":
+            # One mux stage per amount bit; a stage that shifts by the
+            # width or more clears every bit.
+            r, w = a[0], node.width
+            for k, s in enumerate(a[1]):
+                shifted = ([0] * w if 1 << k >= w
+                           else [0] * (1 << k) + r[:w - (1 << k)])
+                r = [y ^ ((x ^ y) & s) for x, y in zip(shifted, r)]
+        else:
+            raise AssertionError(op)
+        planes[node] = r
+    return planes
+
+
+def _table_steps(es: tuple[ex.Expr, ...], related: list[ex.Expr],
+                 n: int) -> Iterator[_Step]:
+    """The steps Solver.enumerate would take, from a truth table over the
+    n support bits of es and related: the rows where every conjunct
+    holds are split on each expression's bits, most significant first
+    and 0 first, so the tuples come lazily and in ascending order."""
+    planes = _truth_table(related + list(es), n)
+    rows = _row_planes(n)[0]
+    for c in related:
+        rows &= planes[c][0]
+    proj = [p for e in es for p in reversed(planes[e])]
+    stack = [(rows, 0, 0)] if rows else []
+    while stack:
+        rows, depth, value = stack.pop()
+        if depth < len(proj):
+            one = rows & proj[depth]
+            if one:
+                stack.append((one, depth + 1, value << 1 | 1))
+            if one != rows:
+                stack.append((rows ^ one, depth + 1, value << 1))
+            continue
+        values = []
+        for e in reversed(es):
+            values.append(value & ex.mask(e.width))
+            value >>= e.width
+        yield _TABLE_SAT, tuple(reversed(values))
+    yield _TABLE_UNSAT, None
+
+
 def _solutions(es: tuple[ex.Expr, ...], related: list[ex.Expr],
                limits: SolverLimits, label: str):
     """Yield every distinct tuple (v1, ..., vn) such that related and
-    every es[i] = vi is satisfiable, in ascending order, from one
-    solver's enumeration over the non-constant bits of es
-    (Solver.enumerate), each expression's most significant first, the
-    expressions in tuple order.
+    every es[i] = vi is satisfiable, in ascending order: each
+    expression's bits are decided most significant first and 0 first,
+    the expressions in tuple order.  A query over at most TABLE_BITS
+    support bits, the summed widths of the leaves of es and related, is
+    answered from a truth table (_table_steps); any other from one
+    solver's enumeration (Solver.enumerate).
 
-    Each model is one step of the enumeration, and so is the step that
+    Each tuple is one step of the enumeration, and so is the step that
     finds no further tuple, unless the expressions have no non-constant
-    bit.  Each step is dumped with a clause excluding every tuple found
-    before it, so a dump asks the question that step answered.  With es
+    bit in the query's encoding.  Each step is dumped with a clause
+    excluding every tuple found before it, so a dump asks the question
+    that step answered; a table-answered query encodes its formula only
+    for the dumper and for debug events, with no clause cap.  With es
     empty this is a satisfiability check: it yields () once or not at
     all.  A complete answer is remembered on limits under es and the
     frozenset of related, and, for a satisfiability check, under their
@@ -286,21 +456,29 @@ def _solutions(es: tuple[ex.Expr, ...], related: list[ex.Expr],
     if answer is not None:
         yield from answer
         return
-    formula, solver, bits = _loaded(es, related, limits)
-    proj = [lit for b in bits for lit in reversed(b) if abs(lit) != 1]
-    models = solver.enumerate(proj)
+    support = sum(leaf.width for leaf in frozenset().union(
+        *map(ex.leaf_set, es), *map(ex.leaf_set, related)))
+    if support <= TABLE_BITS:
+        formula = bits = None
+        if limits.dumper is not None or log.isEnabledFor(logging.DEBUG):
+            formula, bits = _encoded(es, related, sys.maxsize)
+        steps = _table_steps(es, related, support)
+    else:
+        formula, solver, bits = _loaded(es, related, limits)
+        steps = _cdcl_steps(solver, bits)
+    # With no non-constant expression bit the first tuple is the only
+    # one, and the loop stops there without a further step.
+    single = bits is not None and all(abs(lit) == 1 for b in bits for lit in b)
     found: dict[tuple[int, ...], None] = {}
     while True:
-        outcome = _step(models, formula, limits, label, bits, found)
-        if outcome.is_unsat:
+        values = _step(steps, formula, limits, label, bits, found)
+        if values is None:
             break
-        values = tuple(sum(1 << i for i, lit in enumerate(b)
-                           if outcome.lit_value(lit)) for b in bits)
         if values in found:
             raise AssertionError("enumeration repeated a tuple")
         found[values] = None
         yield values
-        if not proj:
+        if single:
             break
     # Reached only when the enumeration ran to its end: a consumer that
     # stops early never resumes the generator past its yield, and a

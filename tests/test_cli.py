@@ -387,6 +387,15 @@ def test_duplicate_state_register_named_once(ima_path, capsys):
     assert "pcmSq,pcmSq" not in err
 
 
+def test_duplicate_monitored_output_named_once(ima_path, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--circuit", ima_path, "--state", "pcmSq",
+                    "--monitor", "outValid,outValid", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "duplicate name 'outValid'" in err
+    assert not out.exists()
+
+
 def _subcommands():
     from dctforge.cli import _build_parser
     sub = next(a for a in _build_parser()._actions

@@ -16,7 +16,7 @@ from dctforge.detect import compute_dct, oracle_analyze, oracle_dct
 from dctforge.engine import (FIXPOINT, ExploreConfig, Mode, explore, project,
                              reset_state, step_cycle, symbolic_state,
                              symbolic_step)
-from dctforge.errors import CapExceeded, PathExplosion
+from dctforge.errors import CapExceeded, DuplicateName, PathExplosion
 from dctforge.rtl import parse_rtl
 from dctforge.solve import SolverLimits, pc_sat
 from dctforge.trojanlab import gen_random_fsm
@@ -570,3 +570,18 @@ def test_source_overflow_raises_from_the_step():
         step_cycle(c, symbolic_state(c, cfg.state_spec), cfg)
     assert len(step_cycle(c, symbolic_state(c, cfg.state_spec),
                           dc_replace(cfg, value_cap=8))) == 2
+
+
+def test_repeated_monitored_output_is_rejected(ima):
+    """A monitored output named twice is an error, as a state register
+    named twice is, before any query is asked."""
+    class NoQueries:
+        def dump(self, formula, label):
+            raise AssertionError(f"{label} query asked")
+
+    cfg = config_for(ima, ["pcmSq"], monitored=("outValid", "outValid"),
+                     limits=SolverLimits(dumper=NoQueries()))
+    for analysis in (compute_dct, detect.detect_trojan):
+        with pytest.raises(DuplicateName) as caught:
+            analysis(ima, cfg)
+        assert caught.value.signal == "outValid"

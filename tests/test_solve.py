@@ -1,8 +1,10 @@
 """Query layer: incremental all_values/min_value against a rebuild-per-call
-reference and the bit-plane oracle, conflict budgets raising ResourceOut
-from every query, one solver_stats event per dumped query, and the one
-memo on SolverLimits that group checks and enumerations share, matched
-modulo an epoch shift."""
+reference and the bit-plane oracle, on the truth-table path and on the
+CDCL path alike, conflict budgets raising ResourceOut from every query
+that reaches the solver, one solver_stats event per dumped query, the
+same dumps and events from either path, and the one memo on
+SolverLimits that group checks and enumerations share, matched modulo
+an epoch shift."""
 
 from __future__ import annotations
 
@@ -11,25 +13,41 @@ import logging
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dctforge import corpus
 from dctforge import expr as ex
 from dctforge import solve
+from dctforge.blif import parse_blif
 from dctforge.cli import main
 from dctforge.cnf import Encoder
 from dctforge.detect import compute_dct
-from dctforge.engine import Mode, SymState, step_cycle
+from dctforge.engine import Mode, SymState, step_cycle, symbolic_step
 from dctforge.errors import CapExceeded, ResourceOut, WidthMismatch
 from dctforge.sat import SatOutcome, Solver, check_sat
 from dctforge.rtl import parse_rtl
-from dctforge.solve import (SolverLimits, all_values, extends, min_value,
-                            pc_sat, transitions)
+from dctforge.solve import (CnfDumper, SolverLimits, all_values, extends,
+                            min_value, pc_sat, transitions)
 
 from bruteforce import (BitPlanes, ExprGen, naive_eval,
                         slice_then_components, support_leaves)
-from conftest import config_for
+from conftest import config_for, counter_blif
+
+
+@pytest.fixture(params=["table", "cdcl"])
+def query_path(request, monkeypatch):
+    """Runs a test twice: with the default TABLE_BITS, where its small
+    queries are answered from truth tables, and with TABLE_BITS = -1,
+    where every query reaches the solver."""
+    if request.param == "cdcl":
+        monkeypatch.setattr(solve, "TABLE_BITS", -1)
+    return request.param
+
+
+# The query_path fixture holds for every example of a hypothesis test.
+BOTH_PATHS = dict(deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def _encoded(e: ex.Expr, pc):
@@ -108,9 +126,9 @@ def _query(seed: int, groups: int = 1):
     return e, pc
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, **BOTH_PATHS)
 @given(st.integers(0, 2 ** 32 - 1))
-def test_all_values_equals_rebuild_reference(seed):
+def test_all_values_equals_rebuild_reference(query_path, seed):
     e, pc = _query(seed)
     got = all_values(e, pc, cap=1 << e.width)
     assert got == ref_all_values(e, pc)
@@ -118,9 +136,9 @@ def test_all_values_equals_rebuild_reference(seed):
     assert got == planes.value_set(e, pc)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, **BOTH_PATHS)
 @given(st.integers(0, 2 ** 32 - 1))
-def test_min_value_equals_rebuild_reference(seed):
+def test_min_value_equals_rebuild_reference(query_path, seed):
     e, pc = _query(seed)
     got = min_value(e, pc)
     assert got == ref_min_value(e, pc)
@@ -266,9 +284,9 @@ def _satisfiable_pc(seed: int):
     return tuple(c if naive_eval(c, env) else ex.not_(c) for c in pc)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, **BOTH_PATHS)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
-def test_extends_equals_pc_sat(seed, new_seed):
+def test_extends_equals_pc_sat(query_path, seed, new_seed):
     """For a satisfiable multi-group pc, extends answers pc + new exactly,
     with a fresh memo and with one that pc_sat already filled."""
     pc = _satisfiable_pc(seed)
@@ -290,7 +308,8 @@ def test_min_value_is_the_first_step_of_one_enumeration(monkeypatch):
     min_value replays the stored answer, whose first value is the
     smallest, and writes no dump.  A solver whose enumeration runs out
     of budget at once makes min_value raise ResourceOut and store
-    nothing."""
+    nothing.  Every query here reaches the solver."""
+    monkeypatch.setattr(solve, "TABLE_BITS", -1)
     v = ex.var("v", 3, 0)
     pc = (ex.ne(ex.slice_(v, 1, 2), ex.const(2, 0)),
           ex.ne(v, ex.const(3, 3)))  # the values 4 to 7 and 2
@@ -317,16 +336,53 @@ def test_min_value_is_the_first_step_of_one_enumeration(monkeypatch):
     assert not limits.answers
 
 
+def _hard_guard_rtl() -> str:
+    """A circuit whose one split guard is _hard_sat_conjuncts' formula
+    over 60 inputs: its feasibility check is a CDCL query, and one that
+    takes more than one conflict."""
+    xs, pc = _hard_sat_conjuncts()
+    names = {x: f"x{i}" for i, x in enumerate(xs)}
+
+    def lit(e):
+        return f"~{names[e.args[0]]}" if e.op == "not" else names[e]
+
+    clauses = [f"({lit(c.args[0].args[0])} | {lit(c.args[0].args[1])} | "
+               f"{lit(c.args[1])})" for c in pc]
+    return ("circuit hard\n"
+            + "".join(f"input x{i}:1\n" for i in range(len(xs)))
+            + f"reg r:2 reset 0 next {' & '.join(clauses)} ? 2'd1 : 2'd2\n"
+            + "output y:2 = r\n")
+
+
 def test_cli_tiny_conflict_limit_exits_one_without_report(tmp_path, capsys):
-    path = str(corpus.corpus_path("ima.snl"))
+    path = tmp_path / "hard.snl"
+    path.write_text(_hard_guard_rtl(), encoding="utf-8")
     for command in ("analyze", "trojan"):
         out = tmp_path / f"{command}.json"
-        code = main([command, "--circuit", path, "--state", "pcmSq",
+        code = main([command, "--circuit", str(path), "--state", "r",
                      "--conflict-limit", "1", "--out", str(out)])
         assert code == 1
         assert "resource limit exceeded: conflict-budget" in \
             capsys.readouterr().err
         assert not out.exists()
+
+
+def test_ima_needs_no_conflict_budget(tmp_path):
+    """Every query of an ima.snl analysis is small enough for a truth
+    table, so a one-conflict budget gives the report the default gives,
+    timing aside."""
+    path = str(corpus.corpus_path("ima.snl"))
+    for command in ("analyze", "trojan"):
+        reports, codes = [], []
+        for limit in ("1", str(solve.DEFAULT_CONFLICT_LIMIT)):
+            out = tmp_path / f"{command}-{limit}.json"
+            codes.append(main([command, "--circuit", path, "--state", "pcmSq",
+                               "--conflict-limit", limit, "--out", str(out)]))
+            report = json.loads(out.read_text(encoding="utf-8"))
+            report.pop("timing_ms")
+            reports.append(report)
+        assert codes[0] == codes[1] != 1
+        assert reports[0] == reports[1]
 
 
 def test_solver_stats_event_per_dumped_query(ima, caplog):
@@ -350,7 +406,9 @@ def test_enumeration_dumps_and_events(monkeypatch, caplog):
     no more, under their labels.  The k-th dump is the query's formula
     plus k-1 clauses, each excluding one tuple yielded before it, in the
     order found, so each dump asks its step's question.  Without a
-    dumper no such clause is built, and the events are the same."""
+    dumper no such clause is built, and the events are the same.  Every
+    query here reaches the solver."""
+    monkeypatch.setattr(solve, "TABLE_BITS", -1)
     v, u = ex.var("v", 3, 0), ex.var("u", 2, 0)
     pc = (ex.ult(v, ex.const(3, 5)), ex.ne(u, ex.slice_(v, 0, 1)))
     loaded = []
@@ -674,7 +732,8 @@ def test_free_enumeration_makes_no_conflict(monkeypatch):
     a single conflict: after each model the enumeration flips its last
     projection decision, so no search is ever undone.  One blocking
     clause per value, every later solve propagating through all of them,
-    made hundreds of conflicts here."""
+    made hundreds of conflicts here.  The query reaches the solver."""
+    monkeypatch.setattr(solve, "TABLE_BITS", -1)
     conflicts = []
 
     class CountingConflicts(Solver):
@@ -692,7 +751,9 @@ def test_free_enumeration_makes_no_conflict(monkeypatch):
 
 def test_repeated_tuple_is_an_error(monkeypatch):
     """Each tuple an enumeration yields must be new: an enumerator that
-    yields a model twice makes the query raise, never answer."""
+    yields a model twice makes the query raise, never answer.  The query
+    reaches the solver."""
+    monkeypatch.setattr(solve, "TABLE_BITS", -1)
     class Stutter(Solver):
         def enumerate(self, proj):
             models = super().enumerate(proj)
@@ -746,9 +807,9 @@ def test_resource_out_mid_enumeration_leaves_the_solver_usable(monkeypatch):
     assert len(values) == len(set(values)) and set(values) == expected
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, **BOTH_PATHS)
 @given(st.integers(0, 2 ** 32 - 1))
-def test_memoised_enumerations_equal_fresh_answers(seed):
+def test_memoised_enumerations_equal_fresh_answers(query_path, seed):
     """Growing then shrinking path constraints, as explorations build
     them, with every query on one limits: each answer equals a fresh
     limits' answer and the bit-plane oracle."""
@@ -903,3 +964,124 @@ def test_epoch_shifted_queries_equal_bruteforce(seed, d):
                           cap=1 << max(dst.width, src.width), limits=limits)
         assert {(x, s) for x, srcs in got.items() for s in srcs} == \
             {(p >> src.width, p & mask) for p in pairs}
+
+
+def _table_query(seed: int):
+    """(e, dst, src, pc) over one ExprGen's variables, every operator
+    possible, with 0 to TABLE_BITS support bits in all."""
+    rng = random.Random(seed)
+    gen = ExprGen(rng, n_vars=rng.randrange(1, 5),
+                  var_width=rng.randrange(1, 4))
+    e, dst, src = (gen.gen(rng.randrange(0, 4)) for _ in range(3))
+    pc = tuple(gen.gen(rng.randrange(0, 4), 1)
+               for _ in range(rng.randrange(0, 4)))
+    return e, dst, src, pc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_table_answers_equal_cdcl_answers(seed):
+    """min_value, pc_sat, all_values and transitions give the same
+    answers from truth tables as from CDCL, and leave the same memo,
+    lists in the same ascending order; both match the bit-plane oracle.
+    The table side never builds a solver."""
+    e, dst, src, pc = _table_query(seed)
+    leaves = support_leaves(e, dst, src, *pc)
+    assert sum(leaf.width for leaf in leaves) <= solve.TABLE_BITS
+    cap = 1 << max(dst.width, src.width)
+
+    def ask():
+        limits = SolverLimits()
+        answers = (min_value(e, pc, limits), pc_sat(pc, limits),
+                   all_values(e, pc, cap=1 << e.width, limits=limits),
+                   transitions(dst, src, pc, cap=cap, limits=limits))
+        return answers, limits.answers
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solve, "Solver", None)
+        table = ask()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solve, "TABLE_BITS", -1)
+        cdcl = ask()
+    assert table == cdcl
+    assert all(answer == sorted(answer) for answer in table[1].values())
+    planes = BitPlanes(leaves)
+    values = planes.value_set(e, pc)
+    pairs = planes.value_set(ex.concat(dst, src), pc)
+    mask = (1 << src.width) - 1
+    least, sat, got, trans = table[0]
+    assert least == (min(values) if values else None)
+    assert sat == bool(values) and got == values
+    assert {(d, s) for d, srcs in trans.items() for s in srcs} == \
+        {(p >> src.width, p & mask) for p in pairs}
+
+
+def test_table_queries_are_held_to_no_cdcl_budget():
+    """The conflict budget and the clause cap bound CDCL queries only: at
+    one conflict and one clause, queries within TABLE_BITS answer as
+    with the defaults, a dumper writing their formulas, while a query
+    above TABLE_BITS still runs out."""
+    v, u = ex.var("v", 3, 0), ex.var("u", 2, 0)
+    pc = (ex.ult(v, ex.const(3, 5)), ex.ne(u, ex.slice_(v, 0, 1)))
+    labels = _Labels()
+    tight = SolverLimits(conflict_limit=1, clause_cap=1, dumper=labels)
+    assert all_values(v, pc, cap=8, limits=tight) == {0, 1, 2, 3, 4}
+    assert transitions(v, u, pc, cap=8, limits=tight) == \
+        transitions(v, u, pc, cap=8)
+    assert len(labels.formulas) == 6 + 16
+    assert all(len(f.clauses) > 1 for f in labels.formulas)
+    _, hard = _hard_sat_conjuncts()
+    for limits in (SolverLimits(conflict_limit=1),
+                   SolverLimits(clause_cap=1)):
+        with pytest.raises(ResourceOut):
+            pc_sat(hard, limits)
+
+
+def _dumps_and_events(run, directory, caplog):
+    """The files run(directory) dumps, name and bytes, and the
+    solver_stats events it logs."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="dctforge.solve"):
+        run(str(directory))
+    files = [(p.name, p.read_bytes()) for p in sorted(directory.iterdir())]
+    events = [r.getMessage() for r in caplog.records
+              if r.name == "dctforge.solve"]
+    return files, events
+
+
+def test_table_queries_dump_and_log_what_cdcl_does(tmp_path, caplog,
+                                                   monkeypatch):
+    """An ima.snl analyze, cnt5.blif's stage 2 and two enumerations over
+    a two-conjunct slice write the same --dump-cnf files and log the
+    same solver_stats events, byte for byte, whether their queries are
+    answered from truth tables or by CDCL."""
+    ima = str(corpus.corpus_path("ima.snl"))
+    cnt5 = parse_blif(counter_blif(5))
+    codes = []
+
+    def analyze(directory):
+        codes.append(main(["analyze", "--circuit", ima, "--state", "pcmSq",
+                           "--dump-cnf", directory,
+                           "--out", directory + ".json"]))
+
+    def stage2(directory):
+        cfg = config_for(cnt5, [f"q{i}" for i in reversed(range(5))],
+                         limits=SolverLimits(dumper=CnfDumper(directory)))
+        symbolic_step(cnt5, cfg)
+
+    def enumerations(directory):
+        v, u = ex.var("v", 3, 0), ex.var("u", 2, 0)
+        pc = (ex.ult(v, ex.const(3, 5)), ex.ne(u, ex.slice_(v, 0, 1)))
+        limits = SolverLimits(dumper=CnfDumper(directory))
+        all_values(v, pc, cap=8, limits=limits)
+        transitions(v, u, pc, cap=8, limits=limits)
+
+    for name, run in (("ima", analyze), ("cnt5", stage2),
+                      ("slice", enumerations)):
+        table = _dumps_and_events(run, tmp_path / f"{name}-table", caplog)
+        with monkeypatch.context() as m:
+            m.setattr(solve, "TABLE_BITS", -1)
+            cdcl = _dumps_and_events(run, tmp_path / f"{name}-cdcl", caplog)
+        assert table[0] and table[1]
+        assert table == cdcl
+    assert codes[0] == codes[1] != 1
