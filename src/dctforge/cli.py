@@ -118,9 +118,6 @@ def _explore_config(args, c: Circuit) -> ExploreConfig:
         if not monitored:
             raise DctForgeError(f"--monitor must name at least one output, "
                                 f"got {args.monitor!r}")
-        unknown = set(monitored) - set(c.output_widths())
-        if unknown:
-            raise DctForgeError(f"unknown monitored outputs: {sorted(unknown)}")
     else:
         monitored = tuple(n for n, _, _ in c.outputs)
     assumes = tuple(_parse_assume(a, c) for a in args.assume or ())

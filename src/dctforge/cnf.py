@@ -1,22 +1,29 @@
-"""Tseitin bit-blasting of expression DAGs to CNF.
+"""One circuit per operator, over CNF literals or over bit planes.
 
-Variable 1 is a reserved constant forced true, so constant bits encode as
-the literals 1 and -1 and every gate helper can treat constants, shared
-literals, and fresh variables uniformly.  Adders and subtractors use
-ripple-carry form; comparisons use a borrow chain; shifts by a symbolic
-amount become mux stages.  bit_blast's formula carries a bit_map: for
-every encoded expression bit, the CNF literal carrying it (possibly
-negative, possibly the constant literal).
+Encoder._encode builds each operator's circuit from gate primitives
+(TRUE, FALSE, new_var, neg and the mk_* gates): ripple-carry adders, a
+borrow chain for comparisons, a case as one mux per arm, a shift by a
+symbolic amount as one mux stage per amount bit.  Encoder's gates are
+Tseitin-encoded: variable 1 is a reserved constant forced true, so
+constant bits are the literals 1 and -1 and every gate short-circuits
+constant and repeated inputs.  bit_blast's formula carries a bit_map:
+for every encoded expression bit, the CNF literal carrying it (possibly
+negative, possibly the constant literal).  PlaneEncoder's gates are
+bitwise operations on truth-table planes, ints whose bit k is a bit's
+value under assignment number k of n support bits, so the same circuit
+is evaluated under all 2^n assignments at once and adds no clause.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 from . import expr as ex
 from .errors import ResourceOut
 
-__all__ = ["CnfFormula", "Encoder", "bit_blast"]
+__all__ = ["CnfFormula", "Encoder", "PlaneEncoder", "bit_blast"]
 
 DEFAULT_CLAUSE_CAP = 10 ** 7
 
@@ -42,19 +49,14 @@ class Encoder:
     """Accumulates clauses while encoding expressions bottom-up; reusable
     across several roots so shared sub-DAGs encode once."""
 
+    TRUE = 1
+    FALSE = -1
+
     def __init__(self, clause_cap: int = DEFAULT_CLAUSE_CAP):
         self.clause_cap = clause_cap
         self.clauses: list[list[int]] = [[1]]
         self.num_vars = 1
         self._bits: dict[ex.Expr, list[int]] = {}
-
-    @property
-    def TRUE(self) -> int:
-        return 1
-
-    @property
-    def FALSE(self) -> int:
-        return -1
 
     def new_var(self) -> int:
         self.num_vars += 1
@@ -68,7 +70,11 @@ class Encoder:
     def assert_lit(self, lit: int) -> None:
         self.add_clause([lit])
 
-    # Gate helpers; each returns a literal and short-circuits constants.
+    # Gate primitives over CNF literals; each mk_* gate returns a literal
+    # and short-circuits constant and repeated inputs.
+
+    def neg(self, a: int) -> int:
+        return -a
 
     def mk_and(self, a: int, b: int) -> int:
         if a == self.FALSE or b == self.FALSE or a == -b:
@@ -168,7 +174,7 @@ class Encoder:
     def mk_or_many(self, lits: list[int]) -> int:
         return -self.mk_and_many([-l for l in lits])
 
-    # Word-level encodings.
+    # Word-level circuits, the same over every gate algebra.
 
     def _adder(self, abits: list[int], bbits: list[int], carry: int) -> list[int]:
         out = []
@@ -180,27 +186,28 @@ class Encoder:
 
     def _eq_bits(self, abits: list[int], bbits: list[int]) -> int:
         return self.mk_and_many(
-            [-self.mk_xor(a, b) for a, b in zip(abits, bbits)])
+            [self.neg(self.mk_xor(a, b)) for a, b in zip(abits, bbits)])
 
     def _eq_const(self, abits: list[int], value: int) -> int:
         return self.mk_and_many(
-            [a if (value >> i) & 1 else -a for i, a in enumerate(abits)])
+            [a if (value >> i) & 1 else self.neg(a)
+             for i, a in enumerate(abits)])
 
     def _ult(self, abits: list[int], bbits: list[int]) -> int:
         borrow = self.FALSE
         for a, b in zip(abits, bbits):
-            borrow = self.mk_maj(-a, b, borrow)
+            borrow = self.mk_maj(self.neg(a), b, borrow)
         return borrow
 
-    def bits(self, root: ex.Expr) -> list[int]:
-        """Encode root (and anything it shares) returning LSB-first literals."""
-        if root in self._bits:
-            return self._bits[root]
-        for node in ex.postorder([root]):
-            if node in self._bits:
-                continue
-            self._bits[node] = self._encode(node)
-        return self._bits[root]
+    def bits(self, *roots: ex.Expr) -> list[list[int]]:
+        """Encode roots (and anything they share) in one postorder, the
+        first root's nodes first, returning each root's LSB-first bits."""
+        b = self._bits
+        # postorder starts from its last root.
+        for node in ex.postorder(roots[::-1]):
+            if node not in b:
+                b[node] = self._encode(node)
+        return [b[r] for r in roots]
 
     def _encode(self, node: ex.Expr) -> list[int]:
         op = node.op
@@ -212,26 +219,27 @@ class Encoder:
         if op in ("ref", "var"):
             return [self.new_var() for _ in range(node.width)]
         if op == "not":
-            return [-l for l in b[node.args[0]]]
+            return list(map(self.neg, b[node.args[0]]))
         if op == "neg":
             zero = [self.FALSE] * node.width
-            return self._adder(zero, [-l for l in b[node.args[0]]], self.TRUE)
+            return self._adder(zero, list(map(self.neg, b[node.args[0]])),
+                               self.TRUE)
         if op == "redor":
             return [self.mk_or_many(b[node.args[0]])]
         if op == "redand":
             return [self.mk_and_many(b[node.args[0]])]
         if op in ("and", "or", "xor"):
-            fn = {"and": self.mk_and, "or": self.mk_or, "xor": self.mk_xor}[op]
-            return [fn(x, y) for x, y in zip(b[node.args[0]], b[node.args[1]])]
+            gate = getattr(self, "mk_" + op)
+            return list(map(gate, b[node.args[0]], b[node.args[1]]))
         if op == "add":
             return self._adder(b[node.args[0]], b[node.args[1]], self.FALSE)
         if op == "sub":
             return self._adder(b[node.args[0]],
-                               [-l for l in b[node.args[1]]], self.TRUE)
+                               list(map(self.neg, b[node.args[1]])), self.TRUE)
         if op == "eq":
             return [self._eq_bits(b[node.args[0]], b[node.args[1]])]
         if op == "ne":
-            return [-self._eq_bits(b[node.args[0]], b[node.args[1]])]
+            return [self.neg(self._eq_bits(b[node.args[0]], b[node.args[1]]))]
         if op == "ult":
             return [self._ult(b[node.args[0]], b[node.args[1]])]
         if op == "shl":
@@ -273,6 +281,40 @@ class Encoder:
         return CnfFormula(self.num_vars, self.clauses)
 
 
+@functools.cache
+def _row_planes(n: int) -> tuple[int, list[int]]:
+    """(ones, planes) for the 2^n assignments of n support bits: bit k of
+    ones is 1 for every k, and bit k of planes[p] is bit p of k."""
+    ones = (1 << (1 << n)) - 1
+    return ones, [ones // ((1 << (2 << p)) - 1)
+                  * (((1 << (1 << p)) - 1) << (1 << p)) for p in range(n)]
+
+
+class PlaneEncoder(Encoder):
+    """Encoder's circuits over the truth table of n support bits: each
+    leaf bit new_var hands out is the next plane of _row_planes(n), and
+    each gate is one bitwise operation.  A plane is read modulo ones,
+    the mask of the 2^n rows, so TRUE is -1 and neg is ~."""
+
+    TRUE = -1
+    FALSE = 0
+    neg = staticmethod(operator.invert)
+    mk_and = staticmethod(operator.and_)
+    mk_or = staticmethod(operator.or_)
+    mk_xor = staticmethod(operator.xor)
+    mk_maj = staticmethod(lambda a, b, c: a & b | c & (a | b))
+    mk_mux = staticmethod(lambda c, t, e: e ^ (t ^ e) & c)
+    mk_and_many = staticmethod(
+        lambda planes: functools.reduce(operator.and_, planes, -1))
+    mk_or_many = staticmethod(
+        lambda planes: functools.reduce(operator.or_, planes, 0))
+
+    def __init__(self, n: int):
+        self.ones, leaves = _row_planes(n)
+        self.new_var = iter(leaves).__next__
+        self._bits: dict[ex.Expr, list[int]] = {}
+
+
 def bit_blast(e: ex.Expr, pc, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfFormula:
     """CNF equisatisfiable with (pc AND e); e must be one bit wide."""
     from .errors import WidthMismatch
@@ -280,8 +322,8 @@ def bit_blast(e: ex.Expr, pc, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfFormul
         raise WidthMismatch(f"bit_blast query must be 1 bit wide, got {e.width}")
     enc = Encoder(clause_cap)
     for conj in pc:
-        enc.assert_lit(enc.bits(conj)[0])
-    enc.assert_lit(enc.bits(e)[0])
+        enc.assert_lit(enc.bits(conj)[0][0])
+    enc.assert_lit(enc.bits(e)[0][0])
     bit_map = {(node, i): lit for node, bits in enc._bits.items()
                for i, lit in enumerate(bits)}
     return CnfFormula(enc.num_vars, enc.clauses, bit_map)

@@ -34,7 +34,8 @@ from .circuit import (Circuit, StateSpec, decode_state, net_topo_order,
 # Nothing here calls project or pc_sat; they stay importable as
 # detect.project and detect.pc_sat, the names perfbench/tracing.py wraps.
 from .engine import (Behavior, ExploreConfig, Kind, Metadata,  # noqa: F401
-                     SymState, explore, project, reset_state, symbolic_step)
+                     SymState, explore, monitored_exprs, project, reset_state,
+                     symbolic_step)
 from .errors import TooLargeForOracle
 from .solve import min_value, pc_sat  # noqa: F401
 
@@ -242,7 +243,8 @@ def oracle_analyze(c: Circuit, spec: StateSpec, depth: int | None,
     RS and RBS come from a depth-bounded breadth-first simulation over
     full register valuations from reset (depth None runs to the valuation
     fixpoint); Trans comes from enumerating every (valuation, input) pair.
-    The Metadata schema matches engine.explore so results diff directly.
+    The Metadata schema matches engine.explore so results diff directly,
+    and monitored names are checked as there (engine.monitored_exprs).
     """
     reg_bits = sum(r.width for r in c.registers)
     input_bits = sum(w for _, w in c.inputs)
@@ -250,12 +252,11 @@ def oracle_analyze(c: Circuit, spec: StateSpec, depth: int | None,
         raise TooLargeForOracle(reg_bits + input_bits, ORACLE_BITS_CAP)
     if monitored is None:
         monitored = tuple(n for n, _, _ in c.outputs)
+    sampled = dict(monitored_exprs(c, monitored))
 
     assignments = _input_assignments(c, monitored)
     reg_names = [r.name for r in c.registers]
     nets = net_topo_order(c)
-    out_map = c.output_exprs()
-    sampled = {name: out_map[name] for name in monitored}
     regs = c.register_map()
 
     def proj(valuation: dict[str, int]) -> int:

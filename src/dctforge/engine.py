@@ -329,20 +329,29 @@ def _node_order(roots: list[ex.Expr]) -> tuple[ex.Expr, ...]:
     return tuple(ex.postorder(roots[::-1]))
 
 
+def monitored_exprs(c: Circuit, names: tuple[str, ...]
+                    ) -> list[tuple[str, ex.Expr]]:
+    """(name, expression) of each monitored output of c, in the order of
+    names.  Raises UnknownOutput for a name c has no output for, and
+    DuplicateName for a name given twice."""
+    out_all = c.output_exprs()
+    outputs: dict[str, ex.Expr] = {}
+    for name in names:
+        if name not in out_all:
+            raise UnknownOutput(name)
+        if name in outputs:
+            raise DuplicateName(name)
+        outputs[name] = out_all[name]
+    return list(outputs.items())
+
+
 def _build_plan(c: Circuit, cfg: ExploreConfig,
                 kernel: bool = False) -> _StepPlan:
     """The step plan of c under cfg; with kernel, also the concrete
     kernel of c and cfg when they qualify for one (explore asks for it;
     step_cycle and symbolic_step do not)."""
     nets = [e for _, _, e in net_topo_order(c)]
-    out_all = c.output_exprs()
-    outputs = []
-    for name in cfg.monitored_outputs:
-        if name not in out_all:
-            raise UnknownOutput(name)
-        if name in (n for n, _ in outputs):
-            raise DuplicateName(name)
-        outputs.append((name, out_all[name]))
+    outputs = monitored_exprs(c, cfg.monitored_outputs)
     order = _node_order(nets + [r.next for r in c.registers]
                         + [e for _, e in outputs])
     assume_order = _node_order(nets + list(cfg.assumes)) if cfg.assumes else ()

@@ -8,13 +8,16 @@ most significant first and 0 first, so the tuples come in ascending
 order.  A query whose support (the summed widths of the distinct
 leaves of its expressions and conjuncts) is at most TABLE_BITS is
 answered from a truth table, as equivalence checkers settle what they
-can by simulating every assignment (Mishchenko, Chatterjee, Brayton &
-Een, "Improvements to combinational equivalence checking", ICCAD
-2006): each expression bit becomes one int with one bit per assignment
-of the support, the conjuncts AND into one mask of rows, and splitting
-that mask on the expressions' bits in the order above yields the
-tuples, lazily.  Any other query is encoded, loaded into one solver and
-enumerated on it (Solver.enumerate): after each model the search flips
+can by simulating every assignment of the circuit they would otherwise
+encode (Mishchenko, Chatterjee, Brayton & Een, "Improvements to
+combinational equivalence checking", ICCAD 2006).  cnf.py holds one
+circuit per operator, over CNF literals or over bit planes: here
+cnf.PlaneEncoder runs it with each expression bit as one int with one
+bit per assignment of the support, the conjuncts AND into one mask of
+rows, and splitting that mask on the expressions' bits in the order
+above yields the tuples, lazily.  Any other query is encoded by
+cnf.Encoder, loaded into one solver and enumerated on it
+(Solver.enumerate): after each model the search flips
 its last projection decision instead of adding a blocking clause, so
 each tuple costs about one model's search, however many came before,
 and learnt clauses carry over from one tuple to the next.  Both give
@@ -92,7 +95,6 @@ built from them are reproducible across runs.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import os
@@ -100,7 +102,7 @@ import sys
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import expr as ex
-from .cnf import DEFAULT_CLAUSE_CAP, CnfFormula, Encoder
+from .cnf import DEFAULT_CLAUSE_CAP, CnfFormula, Encoder, PlaneEncoder
 from .errors import CapExceeded, ResourceOut, WidthMismatch
 # No query calls check_sat; it stays importable as solve.check_sat, the
 # name perfbench/tracing.py wraps.
@@ -275,9 +277,10 @@ def _encoded(es: Sequence[ex.Expr], related: list[ex.Expr],
     """(formula, bits): related asserted and every expression of es
     encoded, and the literals of each expression's bits."""
     enc = Encoder(clause_cap)
+    # Each conjunct's unit clause follows its gates: dumps keep their order.
     for c in related:
-        enc.assert_lit(enc.bits(c)[0])
-    bits = [enc.bits(e) for e in es]
+        enc.assert_lit(enc.bits(c)[0][0])
+    bits = enc.bits(*es)
     return enc.to_formula(), bits
 
 
@@ -302,108 +305,19 @@ def _cdcl_steps(solver: Solver, bits: list[list[int]]) -> Iterator[_Step]:
                         if outcome.is_sat else None)
 
 
-@functools.cache
-def _row_planes(n: int) -> tuple[int, list[int]]:
-    """(ones, planes) for the 2^n assignments of n support bits: bit k of
-    ones is 1 for every k, and bit k of planes[p] is bit p of k."""
-    ones = (1 << (1 << n)) - 1
-    return ones, [ones // ((1 << (2 << p)) - 1)
-                  * (((1 << (1 << p)) - 1) << (1 << p)) for p in range(n)]
-
-
-def _truth_table(roots: list[ex.Expr], n: int) -> dict[ex.Expr, list[int]]:
-    """Every node of roots, whose leaves have n bits in all, mapped to
-    the planes of its bits, least significant first: bit k of a plane is
-    that bit under assignment number k of the leaves.  Each rule computes
-    what ex.evaluate does, by the circuit cnf.Encoder builds."""
-    ones, leaf_planes = _row_planes(n)
-    planes: dict[ex.Expr, list[int]] = {}
-    pos = 0
-    for node in ex.postorder(roots):
-        op = node.op
-        a = [planes[x] for x in node.args]
-        if op == "ref" or op == "var":
-            r = leaf_planes[pos:pos + node.width]
-            pos += node.width
-        elif op == "const":
-            r = [ones if node.aux[0] >> i & 1 else 0
-                 for i in range(node.width)]
-        elif op == "and":
-            r = [x & y for x, y in zip(*a)]
-        elif op == "or":
-            r = [x | y for x, y in zip(*a)]
-        elif op == "xor":
-            r = [x ^ y for x, y in zip(*a)]
-        elif op == "not":
-            r = [x ^ ones for x in a[0]]
-        elif op == "slice":
-            r = a[0][node.aux[0]:node.aux[1] + 1]
-        elif op == "concat":
-            r = [x for bits in reversed(a) for x in bits]
-        elif op == "zext":
-            r = a[0] + [0] * (node.width - len(a[0]))
-        elif op == "mux":
-            r = [y ^ ((x ^ y) & a[0][0]) for x, y in zip(a[1], a[2])]
-        elif op == "case":
-            r = a[-1]
-            for key, arm in reversed(list(zip(node.aux, a[1:-1]))):
-                sel = ones
-                for i, x in enumerate(a[0]):
-                    sel &= x if key >> i & 1 else x ^ ones
-                r = [y ^ ((x ^ y) & sel) for x, y in zip(arm, r)]
-        elif op in ("add", "sub", "neg"):
-            # Ripple carry: a - b is a + ~b + 1, and -a is 0 + ~a + 1.
-            x, y = ([0] * node.width, a[0]) if op == "neg" else a
-            carry = 0 if op == "add" else ones
-            if op != "add":
-                y = [b ^ ones for b in y]
-            r = []
-            for p, q in zip(x, y):
-                t = p ^ q
-                r.append(t ^ carry)
-                carry = p & q | carry & t
-        elif op == "eq" or op == "ne":
-            diff = 0
-            for x, y in zip(*a):
-                diff |= x ^ y
-            r = [diff ^ ones if op == "eq" else diff]
-        elif op == "ult":
-            # The borrow out of a - b.
-            borrow = 0
-            for x, y in zip(*a):
-                x ^= ones
-                borrow = x & y | borrow & (x | y)
-            r = [borrow]
-        elif op == "redor" or op == "redand":
-            acc = 0 if op == "redor" else ones
-            for x in a[0]:
-                acc = acc | x if op == "redor" else acc & x
-            r = [acc]
-        elif op == "shl":
-            # One mux stage per amount bit; a stage that shifts by the
-            # width or more clears every bit.
-            r, w = a[0], node.width
-            for k, s in enumerate(a[1]):
-                shifted = ([0] * w if 1 << k >= w
-                           else [0] * (1 << k) + r[:w - (1 << k)])
-                r = [y ^ ((x ^ y) & s) for x, y in zip(shifted, r)]
-        else:
-            raise AssertionError(op)
-        planes[node] = r
-    return planes
-
-
 def _table_steps(es: tuple[ex.Expr, ...], related: list[ex.Expr],
                  n: int) -> Iterator[_Step]:
     """The steps Solver.enumerate would take, from a truth table over the
-    n support bits of es and related: the rows where every conjunct
-    holds are split on each expression's bits, most significant first
-    and 0 first, so the tuples come lazily and in ascending order."""
-    planes = _truth_table(related + list(es), n)
-    rows = _row_planes(n)[0]
-    for c in related:
-        rows &= planes[c][0]
-    proj = [p for e in es for p in reversed(planes[e])]
+    n support bits of es and related, which cnf.PlaneEncoder evaluates by
+    the circuits the CNF encodes: the rows where every conjunct holds are
+    split on each expression's bits, most significant first and 0 first,
+    so the tuples come lazily and in ascending order."""
+    enc = PlaneEncoder(n)
+    planes = enc.bits(*related, *es)
+    rows = enc.ones
+    for (c,) in planes[:len(related)]:
+        rows &= c
+    proj = [p for bits in planes[len(related):] for p in reversed(bits)]
     stack = [(rows, 0, 0)] if rows else []
     while stack:
         rows, depth, value = stack.pop()

@@ -304,9 +304,11 @@ def test_dump_cnf_writes_dimacs(ima_path, tmp_path):
     assert len(header) == 1
 
 
-def test_monitor_flag_unknown_output(ima_path):
-    assert run_cli(["analyze", "--circuit", ima_path, "--state", "pcmSq",
+@pytest.mark.parametrize("command", ["analyze", "trojan", "stg", "oracle"])
+def test_monitor_flag_unknown_output(ima_path, capsys, command):
+    assert run_cli([command, "--circuit", ima_path, "--state", "pcmSq",
                     "--monitor", "nothere"]) == 1
+    assert "no output named 'nothere'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -15,7 +15,7 @@ from dctforge.detect import (Verdict, compute_dct, detect_trojan,
                              diff_behaviors, oracle_analyze, oracle_dct,
                              replay_dct_witness)
 from dctforge.engine import Behavior, Mode, explore, reset_state
-from dctforge.errors import TooLargeForOracle
+from dctforge.errors import DuplicateName, TooLargeForOracle, UnknownOutput
 from dctforge.rtl import parse_rtl
 from dctforge.trojanlab import gen_random_fsm
 from dctforge import expr as ex
@@ -165,6 +165,22 @@ def test_oracle_ima_matches_engine(ima, ima_cfg):
     assert oracle_dct(om) == rep.dct
     assert {(b.src, b.dst, b.output, b.value) for b in om.rbs} == \
         {(b.src, b.dst, b.output, b.value) for b in rep.stage1.rbs}
+
+
+@pytest.mark.parametrize("monitored,error,name", [
+    (("nosuch",), UnknownOutput, "nosuch"),
+    (("outValid", "nosuch"), UnknownOutput, "nosuch"),
+    (("outValid", "outValid"), DuplicateName, "outValid")])
+def test_oracle_checks_monitored_outputs_as_the_engine_does(ima, monitored,
+                                                         error, name):
+    """The oracle rejects an unknown or repeated monitored output with
+    the error the engine raises for it."""
+    cfg = config_for(ima, ["pcmSq"], depth=2, monitored=monitored)
+    for run in (lambda: oracle_analyze(ima, cfg.state_spec, 2, monitored),
+                lambda: compute_dct(ima, cfg)):
+        with pytest.raises(error) as caught:
+            run()
+        assert name in str(caught.value)
 
 
 def test_oracle_size_cap():

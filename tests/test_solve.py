@@ -60,8 +60,8 @@ def _encoded(e: ex.Expr, pc):
             if s.aux[0] == 0:
                 return None
             continue
-        enc.assert_lit(enc.bits(s)[0])
-    bits = enc.bits(ex.simplify(e))
+        enc.assert_lit(enc.bits(s)[0][0])
+    bits, = enc.bits(ex.simplify(e))
     return enc.to_formula(), bits
 
 
@@ -1035,6 +1035,40 @@ def test_table_queries_are_held_to_no_cdcl_budget():
                    SolverLimits(clause_cap=1)):
         with pytest.raises(ResourceOut):
             pc_sat(hard, limits)
+
+
+def test_table_queries_encode_no_cnf_clause(tmp_path, caplog, monkeypatch):
+    """With no dumper and no debug logging, a table-answered all_values,
+    transitions and pc_sat encode no CNF clause: the truth table runs
+    the encoder's circuits over bit planes.  With a dumper, the same
+    queries still write their DIMACS files."""
+    v, u = ex.var("v", 3, 0), ex.var("u", 2, 0)
+    pc = (ex.ult(v, ex.const(3, 5)), ex.ne(u, ex.slice_(v, 0, 1)))
+    w = ex.add(v, ex.zext(u, 3))
+
+    def ask(limits):
+        return (all_values(w, pc, cap=8, limits=limits),
+                transitions(v, u, pc, cap=8, limits=limits),
+                pc_sat(pc, limits))
+
+    expected = ({1, 2, 3, 4, 5, 6, 7},
+                {0: {1, 2, 3}, 1: {0, 2, 3}, 2: {0, 1, 3}, 3: {0, 1, 2},
+                 4: {1, 2, 3}},
+                True)
+
+    def no_clause(self, lits):
+        raise AssertionError(f"CNF clause {lits} encoded")
+
+    with monkeypatch.context() as m, \
+            caplog.at_level(logging.INFO, logger="dctforge.solve"):
+        m.setattr(Encoder, "add_clause", no_clause)
+        m.setattr(solve, "Solver", None)
+        assert ask(SolverLimits()) == expected
+    dumps = tmp_path / "dumps"
+    assert ask(SolverLimits(dumper=CnfDumper(str(dumps)))) == expected
+    files = sorted(dumps.iterdir())
+    assert files
+    assert all(f.read_text().count("\np cnf ") == 1 for f in files)
 
 
 def _dumps_and_events(run, directory, caplog):
