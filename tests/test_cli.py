@@ -304,8 +304,15 @@ def test_dump_cnf_writes_dimacs(ima_path, tmp_path):
     assert len(header) == 1
 
 
-@pytest.mark.parametrize("command", ["analyze", "trojan", "stg", "oracle"])
-def test_monitor_flag_unknown_output(ima_path, capsys, command):
+def test_monitor_flag_unknown_output(ima_path, capsys):
+    assert run_cli(["analyze", "--circuit", ima_path, "--state", "pcmSq",
+                    "--monitor", "nothere"]) == 1
+    assert "no output named 'nothere'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trojan", "stg", "oracle"])
+def test_monitor_flag_unknown_output_every_analysis(ima_path, capsys,
+                                                    command):
     assert run_cli([command, "--circuit", ima_path, "--state", "pcmSq",
                     "--monitor", "nothere"]) == 1
     assert "no output named 'nothere'" in capsys.readouterr().err
