@@ -11,12 +11,14 @@ cycle is one fused substitute-and-simplify pass over that order
 
 Paths split on Case/Mux controls reachable from the state-spec
 registers' next-state logic.  Each split node costs one postorder of the
-step's register and output expressions, one slice of the path constraint
-shared by all of the node's guards, which have the scrutinee's leaves
+nodes of the step's register and output expressions that are no older
+than the split node (a node's eid is above its descendants', so no
+older node can contain it), one slice of the path constraint shared by
+all of the node's guards, which have the scrutinee's leaves
 (solve.extension_check; each guard is still its own group check), and
-one replace-and-simplify walk per feasible alternative
+one replace-and-simplify walk over those nodes per feasible alternative
 (expr.replace_simplify), which builds each changed node already
-simplified.  Whatever symbolic state
+simplified and keeps every node it did not visit.  Whatever symbolic state
 remains after splitting is resolved by enumerating the feasible next
 StateId values and pinning each one into the path constraint (this is the
 only splitting mechanism gate-level circuits need, since they carry no
@@ -89,8 +91,8 @@ at most solve.ALL_VALUES_WIDTH_CAP bits wide, and the plan reads at most
 KERNEL_INPUT_BITS input bits.  The kernel (kernel.Kernel) is one
 Python function generated from the plan's order and compiled with
 `compile`, on its first use; its source holds only generated names and
-integer literals.  One is kept per circuit and config object (as the
-prune warning is), so detect_trojan's stage-3 explorations reuse stage
+integer literals.  One is kept per circuit and config object (as each
+warning text is), so detect_trojan's stage-3 explorations reuse stage
 1's.  _step runs it once per assignment of the live inputs and groups
 the assignments by next StateId, in ascending order: each group is one
 successor, with its spec registers decoded from the StateId, every
@@ -171,10 +173,10 @@ class ExploreConfig:
     value_cap: int = DEFAULT_VALUE_CAP
     path_cap: int = DEFAULT_PATH_CAP
     limits: SolverLimits = field(default_factory=SolverLimits)
-    # The circuits explore has given its prune warning for under this
+    # The (circuit, text) of each warning explore has given under this
     # config object; a replaced config starts empty.
-    _prune_warned: list = field(default_factory=list, init=False,
-                                compare=False, repr=False)
+    _warned: list = field(default_factory=list, init=False,
+                          compare=False, repr=False)
     # (circuit, Kernel or None) per circuit an exploration has planned
     # under this config object, kept the same way.
     _kernels: list = field(default_factory=list, init=False,
@@ -480,15 +482,16 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
         if node is None:
             resolved.append((nx, oo, pc))
             continue
-        order = ex.postorder([*nx.values(), *oo.values()])
+        # Only nodes no older than node can contain it (expr.postorder).
+        order = ex.postorder([*nx.values(), *oo.values()], node.eid)
         feasible = extension_check(pc, cfg.limits)
         for guard, replacement in _alternatives(node, cfg.mode):
             guard_s = ex.simplify(guard)
             if not feasible((guard_s,)):
                 continue
             out = ex.replace_simplify(order, {node: replacement})
-            nx2 = {r: out[e] for r, e in nx.items()}
-            oo2 = {o: out[e] for o, e in oo.items()}
+            nx2 = {r: out.get(e, e) for r, e in nx.items()}
+            oo2 = {o: out.get(e, e) for o, e in oo.items()}
             worklist.append((nx2, oo2, pc + (guard_s,)))
             if cfg.mode is Mode.PARTIAL:
                 break
@@ -580,9 +583,9 @@ def _cone_registers(c: Circuit, roots: list[ex.Expr]) -> set[str]:
     return found
 
 
-def _prune_soundness_warning(c: Circuit, spec: StateSpec,
-                             plan: _StepPlan) -> None:
-    """BFS_PRUNE keys on the projected StateId only; warn about each
+def _prune_soundness_warnings(c: Circuit, spec: StateSpec,
+                              plan: _StepPlan) -> list[str]:
+    """BFS_PRUNE keys on the projected StateId only; one warning for each
     register outside the spec that feeds the spec registers' next-state
     logic or a monitored output, naming what it feeds."""
     regs = c.register_map()
@@ -592,10 +595,19 @@ def _prune_soundness_warning(c: Circuit, spec: StateSpec,
     for what, roots in cones:
         for name in sorted(_cone_registers(c, roots) - set(spec.registers)):
             feeds.setdefault(name, []).append(what)
-    for name, whats in feeds.items():
-        log.warning("register %r outside the state spec feeds %s; pruning "
-                    "by StateId may under-approximate", name,
-                    ", ".join(whats))
+    return [f"register {name!r} outside the state spec feeds "
+            f"{', '.join(whats)}; pruning by StateId may under-approximate"
+            for name, whats in feeds.items()]
+
+
+def _warn_once(c: Circuit, cfg: ExploreConfig, text: str) -> None:
+    """Log text as a warning unless explore has given it for c under cfg
+    already: detect_trojan's stage-3 explorations would repeat stage 1's
+    warnings word for word."""
+    if any(wc is c and wt == text for wc, wt in cfg._warned):
+        return
+    cfg._warned.append((c, text))
+    log.warning("%s", text)
 
 
 def _content(s: SymState) -> tuple:
@@ -639,20 +651,22 @@ def _record_behaviors(res: _StepResult, dst: int, cfg: ExploreConfig,
 
 def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig) -> Metadata:
     """Worklist exploration per the configured mode (see the module
-    docstring), recording a Reach Metadata.  Under BFS_PRUNE, the first
-    exploration of c with cfg warns about the registers outside the spec
-    that pruning ignores; later ones (such as detect_trojan's stage-3
-    explorations after stage 1) would repeat the same warning, so they
-    skip it."""
+    docstring), recording a Reach Metadata.  Under BFS_PRUNE it warns
+    about the registers outside the spec that pruning ignores, and at a
+    fixed depth about new states at the final layer; each warning text is
+    given once per circuit and config object (_warn_once)."""
     if not init:
         raise DctForgeError("explore needs at least one initial state")
     spec = cfg.state_spec
     plan = _build_plan(c, cfg, kernel=True)
     steps_before = plan.kernel.steps if plan.kernel is not None else 0
+    # The prune warnings depend on c and cfg alone, and every exploration
+    # of c under cfg gives them first: once any warning for c is
+    # recorded, they have been given.
     if (cfg.mode is Mode.BFS_PRUNE
-            and not any(c is warned for warned in cfg._prune_warned)):
-        cfg._prune_warned.append(c)
-        _prune_soundness_warning(c, spec, plan)
+            and not any(wc is c for wc, _ in cfg._warned)):
+        for text in _prune_soundness_warnings(c, spec, plan):
+            _warn_once(c, cfg, text)
 
     seen: set[int] = set()
     for s in init:
@@ -723,8 +737,8 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig) -> Metadata:
     else:
         meta.depth_converged = not layer_added
         if layer_added:
-            log.warning("new states appeared at the final layer %d; "
-                        "increase depth or use fixpoint mode", layer)
+            _warn_once(c, cfg, f"new states appeared at the final layer "
+                       f"{layer}; increase depth or use fixpoint mode")
     kernel_steps = (plan.kernel.steps - steps_before
                     if plan.kernel is not None else 0)
     _log_event(event="explore_done", layers=layer,

@@ -230,11 +230,19 @@ def or_all(disjuncts: list[Expr]) -> Expr:
     return disjuncts[0]
 
 
-def postorder(roots: Iterable[Expr]) -> list[Expr]:
-    """All nodes reachable from roots, children before parents, each once."""
+def postorder(roots: Iterable[Expr], lo: int = 0) -> list[Expr]:
+    """All nodes reachable from roots whose eid is at least lo, children
+    before parents, each once.
+
+    _mk numbers a node after all of its children, so a node's eid is
+    larger than the eid of every node below it: a node under lo has
+    nothing but nodes under lo below it, and the walk skips it whole.
+    The nodes it keeps come in the order the walk with lo = 0 gives
+    them."""
     seen: set[Expr] = set()
     order: list[Expr] = []
-    stack: list[tuple[Expr, bool]] = [(r, False) for r in roots]
+    stack: list[tuple[Expr, bool]] = [(r, False) for r in roots
+                                      if r.eid >= lo]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -245,7 +253,7 @@ def postorder(roots: Iterable[Expr]) -> list[Expr]:
         seen.add(node)
         stack.append((node, True))
         for a in reversed(node.args):
-            if a not in seen:
+            if a.eid >= lo and a not in seen:
                 stack.append((a, False))
     return order
 
@@ -569,17 +577,21 @@ def replace_simplify(order: Iterable[Expr],
     """simplify(node with every node of `repl` replaced by its value) for
     every node of `order`, in one walk.
 
-    `order` lists simplified nodes, each once and children before parents
-    (as postorder of simplified roots does), and the values of `repl` are
-    simplified.  A node whose children all stay is kept; every other node
-    is built with the simplifier's local rules from its children's
-    results and marked as its own fixed point, so no unsimplified
-    intermediate node is interned."""
+    `order` lists simplified nodes, each once and children before parents,
+    and the values of `repl` are simplified.  A node's eid is larger than
+    its descendants' (see postorder), so a node whose eid is below the
+    smallest eid among repl's keys contains no key and stays as it is.
+    `order` may therefore be postorder(roots, lo) with lo that smallest
+    eid: a child the walk did not visit is read as unchanged, and so is a
+    root missing from the result.  A node whose children all stay is
+    kept; every other node is built with the simplifier's local rules
+    from its children's results and marked as its own fixed point, so no
+    unsimplified intermediate node is interned."""
     out: dict[Expr, Expr] = {}
     for node in order:
         result = repl.get(node)
         if result is None:
-            args = tuple([out[a] for a in node.args])
+            args = tuple([out.get(a, a) for a in node.args])
             if args == node.args:  # element identity: Expr has no __eq__
                 result = node
             else:
@@ -608,9 +620,9 @@ def epoch_normal_form(roots: list[Expr]) -> list[Expr]:
     first = min(leaf.aux[1] for leaf in leaves)
     if first <= 0:
         return roots
-    out = replace_simplify(postorder(roots), {
+    out = replace_simplify(postorder(roots, min(v.eid for v in leaves)), {
         v: var(v.aux[0], v.width, v.aux[1] - first) for v in leaves})
-    return [out[r] for r in roots]
+    return [out.get(r, r) for r in roots]
 
 
 _PREC_MUX = 0

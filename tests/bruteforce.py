@@ -326,6 +326,43 @@ class ExprGen:
         return self.leaf(width)
 
 
+def full_replace_simplify(order, repl):
+    """expr.replace_simplify without the eid bound: `order` must hold
+    every node of the roots, children first, since each child is read
+    from the walk's own results (a node left out raises KeyError)."""
+    out = {}
+    for node in order:
+        result = repl.get(node)
+        if result is None:
+            args = tuple(out[a] for a in node.args)
+            if all(a is b for a, b in zip(args, node.args)):
+                result = node
+            else:
+                result = ex._simp_node(node.op, node.width, args, node.aux)
+                result.simp = result
+        out[node] = result
+    return out
+
+
+def full_postorder(roots, lo=0):
+    """expr.postorder without the eid bound (lo is ignored): every node of
+    roots, each once, children first, in the order expr.postorder with
+    lo = 0 gives."""
+    seen = set()
+    order = []
+    stack = [(r, False) for r in roots]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend((a, False) for a in reversed(node.args)
+                         if a not in seen)
+    return order
+
+
 def per_net_cycle_exprs(c, s, cfg):
     """engine._cycle_exprs the direct way: one substitute and one
     simplify per net (re-ordering the nets on every call), per register,

@@ -71,3 +71,15 @@ def counter_rtl(w: int) -> str:
     """The benchmark's RTL enable counter of width w, wrapping to 0 at
     2^w - 3."""
     return _workloads().counter_rtl(w)
+
+
+def injected_counter(w: int):
+    """The trojan-deviance benchmark's cnt{w}.inject circuit: the RTL
+    counter with a Trojan that the edge (K + 1, 0) triggers and that
+    holds wrap at 1."""
+    from dctforge.rtl import parse_rtl
+    from dctforge.trojanlab import StuckAt, TriggerSpec, inject_trojan
+    clean = parse_rtl(counter_rtl(w))
+    trigger = TriggerSpec(frozenset({(_workloads().counter_limit(w) + 1, 0)}),
+                          make_state_spec(clean, ["cnt"]))
+    return inject_trojan(clean, trigger, StuckAt("wrap", 1))

@@ -14,9 +14,11 @@ import pytest
 
 from dctforge import corpus
 from dctforge.cli import _build_parser, main
-from dctforge.engine import ExploreConfig
+from dctforge.engine import ExploreConfig, explore, reset_state
 from dctforge.rtl import parse_rtl
 from dctforge.solve import SolverLimits
+
+from conftest import config_for
 
 
 def run_cli(args):
@@ -103,6 +105,30 @@ def test_analyze_depth_zero_reports_not_converged(tmp_path, caplog):
     assert rep["rs"] == [0] and rep["dct"] == [[1, 0]]
     assert rep["depth_converged"] is False
     assert "increase depth" in caplog.text
+
+
+@pytest.mark.parametrize("name, state", [("ima_trojan.snl", "pcmSq"),
+                                         ("counter.snl", "cnt")])
+def test_final_layer_warning_once_per_analysis(name, state, tmp_path,
+                                               caplog):
+    """A trojan run at depth 3 explores in stage 1 and again from each
+    stage-3 start, and every one of them ends with new states; the run
+    warns once.  A standalone explore with a fresh config warns again."""
+    path = corpus.corpus_path(name)
+
+    def warned():
+        return [r.getMessage() for r in caplog.records
+                if "final layer" in r.getMessage()]
+
+    once = ["new states appeared at the final layer 3; increase depth or "
+            "use fixpoint mode"]
+    with caplog.at_level("WARNING", logger="dctforge.engine"):
+        run_cli(["trojan", "--circuit", str(path), "--state", state,
+                 "--depth", "3", "--out", str(tmp_path / "r.json")])
+        assert warned() == once
+        c = corpus.load(name)
+        explore(c, [reset_state(c)], config_for(c, [state], depth=3))
+        assert warned() == once * 2
 
 
 def test_usage_error_exit_one(ima_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import random
+import sys
 from dataclasses import replace as dc_replace
 
 import pytest
@@ -21,8 +22,9 @@ from dctforge.rtl import parse_rtl
 from dctforge.solve import SolverLimits, pc_sat
 from dctforge.trojanlab import gen_random_fsm
 
-from bruteforce import per_net_cycle_exprs
-from conftest import config_for, counter_blif
+from bruteforce import (full_postorder, full_replace_simplify,
+                        per_net_cycle_exprs)
+from conftest import config_for, counter_blif, injected_counter
 
 
 def behavior_tuples(meta):
@@ -585,3 +587,108 @@ def test_repeated_monitored_output_is_rejected(ima):
         with pytest.raises(DuplicateName) as caught:
             analysis(ima, cfg)
         assert caught.value.signal == "outValid"
+
+
+def _split_walk_circuit(name):
+    """(circuit, spec registers, start states) for the split walk tests:
+    a corpus Trojan or an injected counter with its stage-3 starts, or a
+    random FSM with its reset and fully symbolic states."""
+    if name.startswith("fsm"):
+        c = gen_random_fsm(int(name[3:]), state_bits=4, input_bits=3)
+        spec = make_state_spec(c, ["st"])
+        return c, ["st"], [reset_state(c), symbolic_state(c, spec)]
+    if name.startswith("cnt"):
+        c, regs = injected_counter(int(name[3:])), ["cnt"]
+    else:
+        c, regs = corpus.load(name), ["pcmSq"]
+    cfg = config_for(c, regs, depth=FIXPOINT, value_cap=256)
+    stages = detect._run_stages(c, cfg)
+    report = detect._build_dct_report(c, cfg, *stages)
+    assert report.dest
+    return c, regs, [st for d in sorted(report.dest) for st in stages[2][d]]
+
+
+def _assert_same_step(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dst == b.dst and a.src_vals == b.src_vals
+        assert a.src_expr is b.src_expr
+        assert a.state.var_epoch == b.state.var_epoch
+        assert list(a.state.regs) == list(b.state.regs)
+        assert all(a.state.regs[r] is b.state.regs[r] for r in a.state.regs)
+        assert len(a.state.pc) == len(b.state.pc)
+        assert all(p is q for p, q in zip(a.state.pc, b.state.pc))
+        assert list(a.out_exprs) == list(b.out_exprs)
+        assert all(a.out_exprs[o] is b.out_exprs[o] for o in a.out_exprs)
+
+
+_SPLIT_WALK_CIRCUITS = (["ima_trojan.snl"]
+                        + [f"ima_trojan_{n:02d}.snl" for n in range(1, 13)]
+                        + ["cnt4", "cnt5", "cnt6"]
+                        + [f"fsm{seed}" for seed in range(4)])
+
+
+@pytest.mark.parametrize("name", _SPLIT_WALK_CIRCUITS)
+def test_split_walk_steps_as_the_full_walk(name, monkeypatch):
+    """_step with the eid-bounded split walk gives the very results (by
+    identity) that it gives with the full-order reference walk patched
+    in, under every mode, from the stage-3 starts of the corpus Trojans
+    and the injected counters and from random FSMs' reset and symbolic
+    states, and from their successors two steps on."""
+    c, regs, starts = _split_walk_circuit(name)
+    for mode in Mode:
+        cfg = config_for(c, regs, depth=FIXPOINT, mode=mode, value_cap=256)
+        plan = engine._build_plan(c, cfg)
+        frontier = starts
+        for _ in range(3):
+            successors = []
+            for s in frontier:
+                with monkeypatch.context() as m:
+                    m.setattr(ex, "postorder", full_postorder)
+                    m.setattr(ex, "replace_simplify", full_replace_simplify)
+                    want = engine._step(c, s, cfg, plan)
+                got = engine._step(c, s, cfg, plan)
+                _assert_same_step(got, want)
+                successors += [r.state for r in got]
+            frontier = successors[:24]
+
+
+def test_split_walk_visits_only_nodes_no_older_than_the_split(monkeypatch):
+    """On detect_trojan of cnt4.inject every split walk visits the split
+    node and no node older than it, and all of them visit fewer nodes
+    than the full walks would."""
+    postorder, replace_simplify = ex.postorder, ex.replace_simplify
+    orders = []  # (order, its roots) of each split node's walk
+    walks = []
+
+    def from_step():
+        return sys._getframe(2).f_code is engine._step.__code__
+
+    def recording_postorder(roots, lo=0):
+        order = postorder(roots, lo)
+        if from_step():
+            orders.append((order, list(roots)))
+        return order
+
+    def recording_replace(order, repl):
+        if from_step():
+            walks.append((order, repl))
+        return replace_simplify(order, repl)
+
+    monkeypatch.setattr(ex, "postorder", recording_postorder)
+    monkeypatch.setattr(ex, "replace_simplify", recording_replace)
+    c = injected_counter(4)
+    tr = detect.detect_trojan(c, config_for(c, ["cnt"], depth=FIXPOINT,
+                                            value_cap=256))
+    monkeypatch.undo()
+    assert tr.verdict is detect.Verdict.TROJAN_DETECTED
+    assert walks
+    visited = full = 0
+    for order, repl in walks:
+        (node,) = repl
+        assert node in order
+        assert all(n.eid >= node.eid for n in order)
+        visited += len(order)
+        (roots,) = [r for o, r in orders if o is order]
+        full += len(full_postorder(roots))
+    assert visited < full

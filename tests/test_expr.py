@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from dctforge import expr as ex
 from dctforge.errors import WidthMismatch
 
-from bruteforce import BitPlanes, ExprGen, naive_eval, support_leaves
+from bruteforce import (BitPlanes, ExprGen, full_postorder,
+                        full_replace_simplify, naive_eval, support_leaves)
 
 
 def test_hash_consing_shares_nodes():
@@ -442,3 +443,81 @@ def test_substitute_simplify_links_and_width_check():
     assert got[top] is ex.add(x, ex.const(2, 1)) and got[top].simp is got[top]
     with pytest.raises(WidthMismatch):
         ex.substitute_simplify(ex.postorder([net]), {"a": ex.const(3, 1)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_every_built_node_is_newer_than_its_children(seed, depth):
+    """The invariant the pruned replace walk rests on: every node that
+    simplify, substitute_simplify and replace_simplify build has a larger
+    eid than each of its children."""
+    rng = random.Random(seed)
+    gen = ExprGen(rng, n_vars=3, var_width=3)
+    refs = {v: ex.ref(f"r{i}", v.width) for i, v in enumerate(gen.vars)}
+    raw = [gen.gen(depth) for _ in range(3)]
+    simplified = [ex.simplify(e) for e in raw]
+    values = ExprGen(rng, n_vars=2, var_width=3, prefix="w")
+    with_refs = [_with_ref_leaves(e, refs) for e in raw]
+    order = ex.postorder(with_refs)
+    substituted = ex.substitute_simplify(
+        order, {"r0": values.gen(depth, 3), "r1": rng.choice(values.vars)})
+    nodes = ex.postorder(simplified)
+    target = rng.choice(nodes)
+    replaced = ex.replace_simplify(nodes, {target: ex.simplify(
+        values.gen(rng.randrange(0, depth), target.width))})
+    built = (raw + simplified + with_refs + list(substituted.values())
+             + list(replaced.values()))
+    for node in ex.postorder(built):
+        assert all(node.eid > a.eid for a in node.args)
+
+
+def _replace_keys(rng: random.Random, gen: ExprGen, values: ExprGen,
+                  nodes: list[ex.Expr], kind: str, depth: int
+                  ) -> dict[ex.Expr, ex.Expr]:
+    """Keys for a replace walk over nodes: one old node, one node made
+    after them, several old nodes, or every Var moved to a later step
+    (as epoch_normal_form passes them).  Values are simplified and may
+    contain keys."""
+    if kind == "old":
+        keys = [rng.choice(nodes)]
+    elif kind == "fresh":
+        keys = [ex.var("fresh", rng.choice([1, 2, 3]), 0)]
+        keys.append(ex.simplify(ex.not_(ex.concat(keys[0], gen.vars[0]))))
+        keys = [rng.choice(keys)]
+    elif kind == "several":
+        keys = rng.sample(nodes, min(len(nodes), rng.randrange(2, 5)))
+    else:
+        return {v: ex.var(v.aux[0], v.width, v.aux[1] + 1) for v in gen.vars}
+    return {k: ex.simplify(rng.choice(
+        [values.gen(rng.randrange(0, depth), k.width)]
+        + [n for n in nodes if n.width == k.width])) for k in keys}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
+       st.sampled_from(["old", "fresh", "several", "epoch"]))
+def test_pruned_replace_walk_is_the_full_walk(seed, depth, kind):
+    """postorder(roots, lo), with lo the smallest eid among the keys,
+    keeps the full walk's nodes of eid at least lo in the full walk's
+    order, and replace_simplify over it gives each root, read as
+    unchanged when the walk left it out, the very node the full-order
+    reference walk gives.  Roots include one that holds no key and a
+    leaf made before the others."""
+    rng = random.Random(seed)
+    gen = ExprGen(rng, n_vars=3, var_width=3)
+    old = ex.simplify(gen.gen(0, 3))
+    roots = [ex.simplify(gen.gen(depth)) for _ in range(3)]
+    values = ExprGen(rng, n_vars=2, var_width=3, prefix="w")
+    repl = _replace_keys(rng, gen, values, ex.postorder(roots), kind, depth)
+    roots += [ex.simplify(values.gen(depth)), old]
+    lo = min(k.eid for k in repl)
+    full = full_postorder(roots)
+    order = ex.postorder(roots, lo)
+    assert order == [n for n in full if n.eid >= lo]
+    out = ex.replace_simplify(order, repl)
+    want = full_replace_simplify(full, repl)
+    for node in full:
+        if node.eid < lo:
+            assert want[node] is node
+    for root in roots:
+        assert out.get(root, root) is want[root]
