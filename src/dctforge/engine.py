@@ -2,12 +2,13 @@
 
 Every cycle injects fresh symbolic variables for the circuit inputs, then
 evaluates nets, outputs, and register next-state expressions under
-synchronous semantics.  Each explore call builds one step plan for its
-circuit: the nets in topological order, then the register next-state
-expressions, then the monitored outputs, as one node order (and the nets
-then the assumptions as a second one, evaluated after the edge).  A
-cycle is one fused substitute-and-simplify pass over that order
-(expr.substitute_simplify), which builds each node already simplified.
+synchronous semantics.  Each circuit has one step plan per config
+object, built on first use and kept on the config (_plan): the nets in
+topological order, then the register next-state expressions, then the
+monitored outputs, as one node order (and the nets then the assumptions
+as a second one, evaluated after the edge).  A cycle is one fused
+substitute-and-simplify pass over that order (expr.substitute_simplify),
+which builds each node already simplified.
 
 Paths split on Case/Mux controls reachable from the state-spec
 registers' next-state logic.  Each split node costs one postorder of the
@@ -84,32 +85,30 @@ merged.
 
 Concrete kernel: in an exploration, a state whose registers are all
 constants and whose pc is empty is stepped by plain simulation when the
-circuit and config allow it.  explore asks _build_plan for a kernel when
-the plan holds no Case or Mux node (so a step has exactly one branch),
-the config has no assumptions, the spec and every monitored output are
-at most solve.ALL_VALUES_WIDTH_CAP bits wide, and the plan reads at most
-KERNEL_INPUT_BITS input bits.  The kernel (kernel.Kernel) is one
-Python function generated from the plan's order and compiled with
-`compile`, on its first use; its source holds only generated names and
-integer literals.  One is kept per circuit and config object (as each
-warning text is), so detect_trojan's stage-3 explorations reuse stage
-1's.  _step runs it once per assignment of the live inputs and groups
-the assignments by next StateId, in ascending order: each group is one
-successor, with its spec registers decoded from the StateId, every
-other register at its one next value, an empty pc, the source StateId,
-and each monitored output's values, which _record_behaviors takes as
-they are.  Under
-PARTIAL only the smallest StateId is kept, as min_value would pick.
-_step takes the symbolic step instead when a destination has more than
-one valuation of the registers outside the spec, when there are more
-destinations than value_cap or path_cap, or when an output has more
-than value_cap values on one destination, so every CapExceeded and
-PathExplosion comes from the symbolic step.  With one branch, the
-symbolic step's successors are the distinct next StateIds, and the
-live-conjunct trim leaves their pc empty whenever their registers are
-constants, so the kernel changes no answer.  step_cycle and
-symbolic_step, which build their plans without the kernel, stay
-symbolic.
+circuit and config allow it.  The plan carries a kernel when it holds no
+Case or Mux node (so a step has exactly one branch), the config has no
+assumptions, the spec and every monitored output are at most
+solve.ALL_VALUES_WIDTH_CAP bits wide, and the plan reads at most
+KERNEL_INPUT_BITS input bits.  The kernel (kernel.Kernel) is one Python
+function generated from the plan's order and compiled with `compile`, on
+its first use; its source holds only generated names and integer
+literals.  It lives as long as the plan, so detect_trojan's stage-3
+explorations reuse stage 1's.  _step runs it once per assignment of the
+live inputs and groups the assignments by next StateId, in ascending
+order: each group is one successor, with its spec registers decoded from
+the StateId, every other register at its one next value, an empty pc,
+the source StateId, and each monitored output's values, which
+_record_behaviors takes as they are.  Under PARTIAL only the smallest
+StateId is kept, as min_value would pick.  _step takes the symbolic step
+instead when a destination has more than one valuation of the registers
+outside the spec, when there are more destinations than value_cap or
+path_cap, or when an output has more than value_cap values on one
+destination, so every CapExceeded and PathExplosion comes from the
+symbolic step.  With one branch, the symbolic step's successors are the
+distinct next StateIds, and the live-conjunct trim leaves their pc empty
+whenever their registers are constants, so the kernel changes no answer.
+step_cycle steps with the plan's kernel left out, and symbolic_step's
+state is never constant, so both stay symbolic.
 
 Depth may be an explicit cycle count or FIXPOINT, which runs until a
 layer discovers no new StateId (that closing layer also guarantees every
@@ -173,14 +172,10 @@ class ExploreConfig:
     value_cap: int = DEFAULT_VALUE_CAP
     path_cap: int = DEFAULT_PATH_CAP
     limits: SolverLimits = field(default_factory=SolverLimits)
-    # The (circuit, text) of each warning explore has given under this
-    # config object; a replaced config starts empty.
-    _warned: list = field(default_factory=list, init=False,
-                          compare=False, repr=False)
-    # (circuit, Kernel or None) per circuit an exploration has planned
-    # under this config object, kept the same way.
-    _kernels: list = field(default_factory=list, init=False,
-                           compare=False, repr=False)
+    # (circuit, _StepPlan) per circuit stepped under this config object
+    # (_plan); a replaced config starts empty.
+    _plans: list = field(default_factory=list, init=False,
+                         compare=False, repr=False)
 
     def __post_init__(self):
         if self.depth is not None and self.depth < 0:
@@ -316,12 +311,15 @@ class _StepPlan:
     outputs, each once with children first; `assume_order` holds the
     nets and then the assumptions.  A net's Ref resolves through `links`
     to the result of that net's expression, so one substitute_simplify
-    walk evaluates a whole cycle."""
+    walk evaluates a whole cycle.  A plan kept by _plan also carries the
+    kernel, the BFS_PRUNE warnings, and the warning texts given."""
     order: tuple[ex.Expr, ...]
     assume_order: tuple[ex.Expr, ...]
     links: dict[str, ex.Expr]
     outputs: tuple[tuple[str, ex.Expr], ...]
     kernel: Kernel | None = None
+    prune_warnings: tuple[str, ...] = ()
+    warned: set[str] = field(default_factory=set, compare=False)
 
 
 def _node_order(roots: list[ex.Expr]) -> tuple[ex.Expr, ...]:
@@ -347,31 +345,34 @@ def monitored_exprs(c: Circuit, names: tuple[str, ...]
     return list(outputs.items())
 
 
-def _build_plan(c: Circuit, cfg: ExploreConfig,
-                kernel: bool = False) -> _StepPlan:
-    """The step plan of c under cfg; with kernel, also the concrete
-    kernel of c and cfg when they qualify for one (explore asks for it;
-    step_cycle and symbolic_step do not)."""
+def _build_plan(c: Circuit, cfg: ExploreConfig) -> _StepPlan:
+    """The step plan of c under cfg, built anew, with no kernel."""
     nets = [e for _, _, e in net_topo_order(c)]
     outputs = monitored_exprs(c, cfg.monitored_outputs)
     order = _node_order(nets + [r.next for r in c.registers]
                         + [e for _, e in outputs])
     assume_order = _node_order(nets + list(cfg.assumes)) if cfg.assumes else ()
-    plan = _StepPlan(order, assume_order, {n: e for n, _, e in c.nets},
+    return _StepPlan(order, assume_order, {n: e for n, _, e in c.nets},
                      tuple(outputs))
-    if not kernel:
-        return plan
-    for cached, k in cfg._kernels:
+
+
+def _plan(c: Circuit, cfg: ExploreConfig) -> _StepPlan:
+    """The step plan of c under cfg with its kernel, when they qualify for
+    one, and BFS_PRUNE warnings: built on the first call, kept on cfg."""
+    for cached, plan in cfg._plans:
         if cached is c:
-            return dc_replace(plan, kernel=k)
-    k = None
+            return plan
+    plan = _build_plan(c, cfg)
     live = _kernel_inputs(c, cfg, plan)
     if live is not None:
         from .kernel import Kernel  # only now: see kernel.py's docstring
-        k = Kernel(c, cfg.state_spec, plan.outputs, plan.order, plan.links,
-                   live)
-    cfg._kernels.append((c, k))
-    return dc_replace(plan, kernel=k)
+        plan = dc_replace(plan, kernel=Kernel(
+            c, cfg.state_spec, plan.outputs, plan.order, plan.links, live))
+    if cfg.mode is Mode.BFS_PRUNE:
+        plan = dc_replace(plan, prune_warnings=tuple(
+            _prune_soundness_warnings(c, cfg.state_spec, plan)))
+    cfg._plans.append((c, plan))
+    return plan
 
 
 def _kernel_inputs(c: Circuit, cfg: ExploreConfig,
@@ -554,8 +555,9 @@ def step_cycle(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[SymState]:
     satisfiable: each split guard and the assumptions are checked as one
     sliced query (solve.extends), which is sound only from a satisfiable
     pc.  Every returned successor keeps the SymState invariant: its pc is
-    satisfiable."""
-    return [r.state for r in _step(c, s, cfg, _build_plan(c, cfg))]
+    satisfiable.  No kernel: it would drop the pinned StateId from pc."""
+    plan = dc_replace(_plan(c, cfg), kernel=None)
+    return [r.state for r in _step(c, s, cfg, plan)]
 
 
 def _log_event(**fields) -> None:
@@ -600,14 +602,12 @@ def _prune_soundness_warnings(c: Circuit, spec: StateSpec,
             for name, whats in feeds.items()]
 
 
-def _warn_once(c: Circuit, cfg: ExploreConfig, text: str) -> None:
-    """Log text as a warning unless explore has given it for c under cfg
-    already: detect_trojan's stage-3 explorations would repeat stage 1's
-    warnings word for word."""
-    if any(wc is c and wt == text for wc, wt in cfg._warned):
-        return
-    cfg._warned.append((c, text))
-    log.warning("%s", text)
+def _warn_once(plan: _StepPlan, text: str) -> None:
+    """Log text as a warning unless it was given under plan already:
+    detect_trojan's stages would repeat each other's warnings."""
+    if text not in plan.warned:
+        plan.warned.add(text)
+        log.warning("%s", text)
 
 
 def _content(s: SymState) -> tuple:
@@ -616,12 +616,12 @@ def _content(s: SymState) -> tuple:
     return (tuple(s.regs.items()), s.pc, s.var_epoch)
 
 
-def _warn_if_assumptions_cut(cfg: ExploreConfig) -> None:
+def _warn_if_assumptions_cut(plan: _StepPlan, cfg: ExploreConfig) -> None:
     """Called when the initial states have no successor: say so when the
     assumptions are why."""
     if cfg.assumes:
-        log.warning("the assumptions cut every successor of the initial "
-                    "states: %s", "; ".join(ex.pp(a) for a in cfg.assumes))
+        _warn_once(plan, "the assumptions cut every successor of the initial"
+                   " states: " + "; ".join(ex.pp(a) for a in cfg.assumes))
 
 
 def _record_behaviors(res: _StepResult, dst: int, cfg: ExploreConfig,
@@ -658,15 +658,10 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig) -> Metadata:
     if not init:
         raise DctForgeError("explore needs at least one initial state")
     spec = cfg.state_spec
-    plan = _build_plan(c, cfg, kernel=True)
+    plan = _plan(c, cfg)
     steps_before = plan.kernel.steps if plan.kernel is not None else 0
-    # The prune warnings depend on c and cfg alone, and every exploration
-    # of c under cfg gives them first: once any warning for c is
-    # recorded, they have been given.
-    if (cfg.mode is Mode.BFS_PRUNE
-            and not any(wc is c for wc, _ in cfg._warned)):
-        for text in _prune_soundness_warnings(c, spec, plan):
-            _warn_once(c, cfg, text)
+    for text in plan.prune_warnings:
+        _warn_once(plan, text)
 
     seen: set[int] = set()
     for s in init:
@@ -693,7 +688,7 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig) -> Metadata:
                         for st, paths in frontier]
         meta.paths_explored += sum(paths for _, paths in frontier)
         if layer == 1 and not any(r for r, _ in step_results):
-            _warn_if_assumptions_cut(cfg)
+            _warn_if_assumptions_cut(plan, cfg)
 
         # Under BFS_PRUNE every kept successor has a new StateId, so no
         # two of them share content and nothing merges.
@@ -737,7 +732,7 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig) -> Metadata:
     else:
         meta.depth_converged = not layer_added
         if layer_added:
-            _warn_once(c, cfg, f"new states appeared at the final layer "
+            _warn_once(plan, f"new states appeared at the final layer "
                        f"{layer}; increase depth or use fixpoint mode")
     kernel_steps = (plan.kernel.steps - steps_before
                     if plan.kernel is not None else 0)
@@ -754,10 +749,11 @@ def symbolic_step(c: Circuit, cfg: ExploreConfig
     result's sources times its destination as trans, and the successors
     in step order with every conjunct of their pc) and the successors
     grouped by the StateId their step pinned, in step order."""
+    plan = _plan(c, cfg)
     results = _step(c, symbolic_state(c, cfg.state_spec),
-                    dc_replace(cfg, mode=Mode.BFS), _build_plan(c, cfg))
+                    dc_replace(cfg, mode=Mode.BFS), plan)
     if not results:
-        _warn_if_assumptions_cut(cfg)
+        _warn_if_assumptions_cut(plan, cfg)
     meta = Metadata(kind=Kind.STATES, rs=set(), trans=set(), rbs=set(),
                     sym_states=[res.state for res in results],
                     paths_explored=1)

@@ -123,6 +123,50 @@ def test_prune_warning_once_per_analysis(ima_trojan, caplog, monkeypatch):
         assert warned() == once * 3
 
 
+@pytest.mark.parametrize("analyse", [compute_dct, detect_trojan])
+def test_assumption_cut_warning_once_per_analysis(analyse, ima, caplog):
+    """Stage 1 from reset and stage 2 from the symbolic state both find
+    that the assumptions cut every successor; the analysis says so once."""
+    cfg = config_for(ima, ["pcmSq"], assumes=(ex.const(1, 0),))
+    with caplog.at_level("WARNING", logger="dctforge.engine"):
+        analyse(ima, cfg)
+    assert [r.getMessage() for r in caplog.records
+            if "cut every successor" in r.getMessage()] == [
+        "the assumptions cut every successor of the initial states: 1'd0"]
+
+
+def test_one_plan_per_circuit_and_config(ima_trojan, ima_gate, monkeypatch):
+    """An analysis builds one step plan for its circuit and config, which
+    its four explorations and its symbolic step share; a second analysis
+    with that config builds none, a replaced config builds its own, and
+    one config used on two circuit objects builds one for each."""
+    built = []
+    real = engine._build_plan
+
+    def counting(c, cfg):
+        built.append(c)
+        return real(c, cfg)
+
+    def builds(analyse, c, cfg):
+        built.clear()
+        analyse(c, cfg)
+        return len(built)
+
+    monkeypatch.setattr(engine, "_build_plan", counting)
+    cfg = config_for(ima_trojan, ["pcmSq"], depth=7)
+    assert builds(detect_trojan, ima_trojan, cfg) == 1
+    assert builds(detect_trojan, ima_trojan, cfg) == 0
+    assert builds(detect_trojan, ima_trojan, dc_replace(cfg, depth=6)) == 1
+    assert builds(compute_dct, ima_gate,
+                  config_for(ima_gate, ["q2", "q1", "q0"])) == 1
+    a, b = corpus.load("ima.snl"), corpus.load("ima.snl")
+    cfg = config_for(a, ["pcmSq"])
+    built.clear()
+    compute_dct(a, cfg)
+    compute_dct(b, cfg)
+    assert built == [a, b]
+
+
 def test_detect_trojan_clean_ima(ima, ima_cfg):
     tr = detect_trojan(ima, ima_cfg)
     assert tr.verdict is Verdict.CLEAN

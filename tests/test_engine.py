@@ -246,6 +246,21 @@ output z:2 = st
                       "under-approximate"]
 
 
+def test_prune_warning_after_symbolic_step(ima_trojan, caplog):
+    """A symbolic step that warns first, here that the assumptions cut
+    every successor, does not stop a later explore with the same config
+    from naming trojan_ena, and the cut is not said twice."""
+    cfg = config_for(ima_trojan, ["pcmSq"], depth=3,
+                     assumes=(ex.const(1, 0),))
+    with caplog.at_level("WARNING", logger="dctforge.engine"):
+        symbolic_step(ima_trojan, cfg)
+        explore(ima_trojan, [reset_state(ima_trojan)], cfg)
+    assert [r.getMessage() for r in caplog.records] == [
+        "the assumptions cut every successor of the initial states: 1'd0",
+        "register 'trojan_ena' outside the state spec feeds output "
+        "'outValid'; pruning by StateId may under-approximate"]
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("depth", [0, 3, FIXPOINT])
 def test_explore_projects_only_initial_states(ima, ima_gate, mode, depth,

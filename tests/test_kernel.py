@@ -17,13 +17,14 @@ from dctforge import expr as ex
 from dctforge.blif import parse_blif
 from dctforge.circuit import Circuit, Register, validate
 from dctforge.detect import detect_trojan, oracle_analyze
-from dctforge.engine import FIXPOINT, Mode, explore, reset_state
+from dctforge.engine import (FIXPOINT, Kind, Mode, explore, reset_state,
+                             step_cycle, symbolic_state, symbolic_step)
 from dctforge.errors import CapExceeded, PathExplosion
 from dctforge.kernel import compile_kernel
 from dctforge.rtl import parse_rtl
 from dctforge.solve import SolverLimits
 
-from bruteforce import ExprGen, naive_eval, support_leaves
+from bruteforce import ExprGen, naive_eval, per_path_explore, support_leaves
 from conftest import config_for, counter_blif
 
 _ALL_OPS = {"const", "var", "not", "neg", "redor", "redand", "and", "or",
@@ -337,6 +338,35 @@ def test_detect_trojan_builds_the_kernel_once(ima_gate, caplog):
         assert not any(e["event"] == "kernel_built" for e in events())
         detect_trojan(ima_gate, dc_replace(cfg))
         assert sum(e["event"] == "kernel_built" for e in events()) == 1
+
+
+@pytest.mark.parametrize("name", ["ima_gate.blif", "cnt5.blif"])
+def test_kernel_runs_only_in_explore(name, monkeypatch, caplog):
+    """step_cycle, symbolic_step and the per-path reference stay symbolic
+    under a config whose plan carries a kernel, and an explore after a
+    step_cycle with that config still runs the kernel."""
+    if name == "ima_gate.blif":
+        c, regs = corpus.load(name), ["q2", "q1", "q0"]
+    else:
+        c = parse_blif(counter_blif(5))
+        regs = [f"q{i}" for i in reversed(range(5))]
+    cfg = config_for(c, regs, depth=3)
+
+    def refuse(*args):
+        raise AssertionError("kernel step outside explore")
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_kernel_step", refuse)
+        assert step_cycle(c, reset_state(c), cfg)
+        assert symbolic_step(c, cfg)[1]
+        per_path_explore(c, [reset_state(c)], cfg, Kind.REACH)
+        per_path_explore(c, [symbolic_state(c, cfg.state_spec)],
+                         dc_replace(cfg, depth=1, mode=Mode.BFS), Kind.STATES)
+    with caplog.at_level(logging.DEBUG, logger="dctforge.engine"):
+        explore(c, [reset_state(c)], cfg)
+    (done,) = [json.loads(r.getMessage()) for r in caplog.records
+               if '"explore_done"' in r.getMessage()]
+    assert done["kernel_steps"] > 0
 
 
 @pytest.mark.parametrize("mode", [Mode.BFS, Mode.BFS_PRUNE],
