@@ -113,7 +113,7 @@ def _explore_config(args, c: Circuit) -> ExploreConfig:
     dumper = CnfDumper(args.dump_cnf) if args.dump_cnf else None
     limits = SolverLimits(conflict_limit=args.conflict_limit,
                           clause_cap=args.clause_cap, dumper=dumper)
-    if args.monitor:
+    if args.monitor is not None:
         monitored = tuple(s for s in args.monitor.split(",") if s)
         if not monitored:
             raise DctForgeError(f"--monitor must name at least one output, "
@@ -357,7 +357,7 @@ def _add_common(sp):
                     choices=["bfs", "bfs-prune", "partial"],
                     help="exploration mode (partial is a deliberately "
                          "unsound single-path mode)")
-    sp.add_argument("--monitor", default="",
+    sp.add_argument("--monitor", default=None,
                     help="comma-separated outputs to record (default: all)")
     sp.add_argument("--assume", action="append",
                     help="1-bit expression conjoined after every cycle")

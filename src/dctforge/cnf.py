@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import expr as ex
 from .errors import ResourceOut
@@ -188,7 +189,8 @@ class Encoder:
         return self.mk_and_many(
             [self.neg(self.mk_xor(a, b)) for a, b in zip(abits, bbits)])
 
-    def _eq_const(self, abits: list[int], value: int) -> int:
+    def eq_const(self, abits: list[int], value: int) -> int:
+        """The bit that says abits equal value: a case arm's select."""
         return self.mk_and_many(
             [a if (value >> i) & 1 else self.neg(a)
              for i, a in enumerate(abits)])
@@ -260,7 +262,7 @@ class Encoder:
             scrut = b[node.args[0]]
             result = list(b[node.args[-1]])
             for key, arm in reversed(list(zip(node.aux, node.args[1:-1]))):
-                sel = self._eq_const(scrut, key)
+                sel = self.eq_const(scrut, key)
                 result = [self.mk_mux(sel, t, e)
                           for t, e in zip(b[arm], result)]
             return result
@@ -313,6 +315,24 @@ class PlaneEncoder(Encoder):
         self.ones, leaves = _row_planes(n)
         self.new_var = iter(leaves).__next__
         self._bits: dict[ex.Expr, list[int]] = {}
+
+    @staticmethod
+    def split(proj: list[int], rows: int) -> Iterator[tuple[int, int]]:
+        """(value, rows where proj takes it) for each distinct value that
+        the planes proj, most significant first, take on rows: rows are
+        split on each plane in turn, 0 first, so the values come lazily
+        and in ascending order."""
+        stack = [(rows, 0, 0)] if rows else []
+        while stack:
+            rows, depth, value = stack.pop()
+            if depth == len(proj):
+                yield value, rows
+                continue
+            one = rows & proj[depth]
+            if one:
+                stack.append((one, depth + 1, value << 1 | 1))
+            if one != rows:
+                stack.append((rows ^ one, depth + 1, value << 1))
 
 
 def bit_blast(e: ex.Expr, pc, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfFormula:

@@ -83,32 +83,61 @@ others count as pruned; the kept successors of one layer have distinct
 StateIds, so they never share content, and only the initial states are
 merged.
 
-Concrete kernel: in an exploration, a state whose registers are all
-constants and whose pc is empty is stepped by plain simulation when the
-circuit and config allow it.  The plan carries a kernel when it holds no
-Case or Mux node (so a step has exactly one branch), the config has no
-assumptions, the spec and every monitored output are at most
-solve.ALL_VALUES_WIDTH_CAP bits wide, and the plan reads at most
-KERNEL_INPUT_BITS input bits.  The kernel (kernel.Kernel) is one Python
-function generated from the plan's order and compiled with `compile`, on
-its first use; its source holds only generated names and integer
-literals.  It lives as long as the plan, so detect_trojan's stage-3
-explorations reuse stage 1's.  _step runs it once per assignment of the
-live inputs and groups the assignments by next StateId, in ascending
-order: each group is one successor, with its spec registers decoded from
-the StateId, every other register at its one next value, an empty pc,
-the source StateId, and each monitored output's values, which
-_record_behaviors takes as they are.  Under PARTIAL only the smallest
-StateId is kept, as min_value would pick.  _step takes the symbolic step
-instead when a destination has more than one valuation of the registers
-outside the spec, when there are more destinations than value_cap or
-path_cap, or when an output has more than value_cap values on one
-destination, so every CapExceeded and PathExplosion comes from the
-symbolic step.  With one branch, the symbolic step's successors are the
-distinct next StateIds, and the live-conjunct trim leaves their pc empty
-whenever their registers are constants, so the kernel changes no answer.
-step_cycle steps with the plan's kernel left out, and symbolic_step's
-state is never constant, so both stay symbolic.
+Concrete steps: in an exploration, a state whose registers are all
+constants and whose pc is empty is stepped without the solver when the
+config has no assumptions and every monitored output is at most
+solve.ALL_VALUES_WIDTH_CAP bits wide (no spec is wider: STATE_WIDTH_CAP).
+The cached plan (_plan) carries one of two concrete steps, and
+_build_plan's plan, which the tests' references step, carries neither.
+Each answers exactly what the solver's step would, and falls back to it
+wherever one of that step's queries could raise: more destinations than
+value_cap on a branch, more results than path_cap, or more than
+value_cap values of an output on one destination.  So every
+CapExceeded, PathExplosion and WidthMismatch comes from the solver's
+step.  step_cycle steps with neither (its successors keep their whole
+pc), and symbolic_step's state is never constant.
+
+* Kernel: when the plan holds no Case or Mux node (so a step has
+  exactly one branch) and reads at most KERNEL_INPUT_BITS input bits.
+  The kernel (kernel.Kernel) is one Python function generated from the
+  plan's order and compiled with `compile`, on its first use; its
+  source holds only generated names and integer literals.  It lives as
+  long as the plan, so detect_trojan's stage-3 explorations reuse stage
+  1's.  _step runs it once per assignment of the live inputs and groups
+  the assignments by next StateId, in ascending order: each group is one
+  successor, with its spec registers decoded from the StateId, every
+  other register at its one next value, an empty pc, the source
+  StateId, and each monitored output's values, which _record_behaviors
+  takes as they are.  Under PARTIAL only the smallest StateId is kept,
+  as min_value would pick.  It also falls back when a destination has
+  more than one valuation of the registers outside the spec.  With one
+  branch, the solver's successors are the distinct next StateIds, and
+  the live-conjunct trim leaves their pc empty whenever their registers
+  are constants, so the kernel changes no answer.
+* Table (_table_step): any other plan, when the leaves of the simplified
+  cycle's spec next-state expressions and monitored outputs have at most
+  solve.TABLE_BITS input bits (read at step time, so TABLE_BITS = -1
+  turns it off).  The split worklist (_resolve) runs as for the solver,
+  over the same simplified cycle and the same replace_simplify walks, so
+  it meets the same split nodes; only feasibility is decided otherwise.
+  Each branch carries a row mask of one truth table of the cycle's
+  inputs (cnf.PlaneEncoder): an alternative, in _arms' order, takes the
+  branch's rows where the scrutinee's planes select it, and is feasible
+  when it takes any.  The registers are constants, so the solver's pc
+  of a branch is its guards over this cycle's inputs alone, and "pc plus
+  this guard is satisfiable" is "some row of the branch satisfies the
+  guard": the two walks keep the same branches, in the same order.  A
+  resolved branch's destinations are the values the planes of its spec
+  next-state expressions take on its rows (ascending; the smallest under
+  PARTIAL, as min_value), and each output's values on a destination are
+  those its planes take on that destination's rows, as all_values finds
+  them under the pinned pc.  The split nodes must come from the
+  simplified cycle: simplification can fold a Mux away (`(in ? s : 0) &
+  0` from s = 0), and a replay of the plan's arms would then split where
+  the solver does not.  Guards are built only for a successor that
+  keeps a symbolic register, as the solver built them (the whole pc, its
+  pin included); an all-constant successor gets an empty pc, which is
+  what the live-conjunct trim leaves of the solver's.
 
 Depth may be an explicit cycle count or FIXPOINT, which runs until a
 layer discovers no new StateId (that closing layer also guarantees every
@@ -118,16 +147,19 @@ diameter.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from . import expr as ex
+from . import solve
 from .circuit import (Circuit, StateSpec, decode_state, net_topo_order,
                       state_concat_expr)
+from .cnf import PlaneEncoder
 from .errors import (DctForgeError, DuplicateName, PathExplosion,
                      UnknownOutput)
 from .solve import (ALL_VALUES_WIDTH_CAP, DEFAULT_VALUE_CAP, SolverLimits,
@@ -146,8 +178,8 @@ log = logging.getLogger("dctforge.engine")
 FIXPOINT = None  # depth sentinel
 DEFAULT_PATH_CAP = 4096
 # The most live input bits the concrete kernel enumerates in one step;
-# a plan that reads more keeps the symbolic step (see "Concrete kernel"
-# in the module docstring).
+# a plan that reads more is stepped on the table or by the solver (see
+# "Concrete steps" in the module docstring).
 KERNEL_INPUT_BITS = 9
 
 
@@ -284,22 +316,81 @@ def _first_split_node(roots: list[ex.Expr]) -> ex.Expr | None:
     return None
 
 
-def _alternatives(node: ex.Expr, mode: Mode) -> list[tuple[ex.Expr, ex.Expr]]:
-    """(guard, replacement) pairs for one Case/Mux node, in the order the
-    scheduler should try them."""
+def _arms(node: ex.Expr, mode: Mode) -> list[tuple[int | None, ex.Expr]]:
+    """(key, replacement) pairs for one Case/Mux node, in the order the
+    scheduler should try them: a Case arm has its key and the default
+    None; a Mux's then-arm has key 1 and its else-arm key 0, the values
+    of the condition that select them, else-arm first under PARTIAL."""
     if node.op == "mux":
-        cond, then, els = node.args
-        pairs = [(cond, then), (ex.not_(cond), els)]
+        pairs: list[tuple[int | None, ex.Expr]] = [(1, node.args[1]),
+                                                   (0, node.args[2])]
         if mode is Mode.PARTIAL:
             pairs.reverse()
         return pairs
-    scrut = node.args[0]
     arms = sorted(zip(node.aux, node.args[1:-1]), key=lambda kv: kv[0])
+    return [*arms, (None, node.args[-1])]
+
+
+def _alternatives(node: ex.Expr, mode: Mode) -> list[tuple[ex.Expr, ex.Expr]]:
+    """(guard, replacement) pairs for one Case/Mux node, in _arms' order."""
+    scrut = node.args[0]
+    if node.op == "mux":
+        return [(scrut if key else ex.not_(scrut), arm)
+                for key, arm in _arms(node, mode)]
+    *arms, (_, default) = _arms(node, mode)
     pairs = [(ex.eq(scrut, ex.const(scrut.width, k)), arm) for k, arm in arms]
     default_guard = ex.and_all(
         [ex.ne(scrut, ex.const(scrut.width, k)) for k, _ in arms])
-    pairs.append((default_guard, node.args[-1]))
+    pairs.append((default_guard, default))
     return pairs
+
+
+# A branch of the split worklist: whatever a path carries through its
+# splits (its pc, or its rows of a truth table and the splits it took).
+_Branch = object
+_Arms = Callable[[ex.Expr, _Branch], Iterator[tuple[ex.Expr, _Branch]]]
+
+
+def _resolve(spec: StateSpec, mode: Mode, next_exprs: dict[str, ex.Expr],
+             outs: dict[str, ex.Expr], branch: _Branch, arms: _Arms
+             ) -> list[tuple[dict[str, ex.Expr], dict[str, ex.Expr],
+                             _Branch]]:
+    """Split on the Case/Mux controls of the spec registers' next-state
+    logic until none is left: each resolved branch's next-state
+    expressions, outputs and branch, in worklist order.  arms(node, b)
+    yields (replacement, branch) for each alternative of node feasible
+    on b, in _arms' order; under PARTIAL only the first is taken."""
+    worklist = deque([(next_exprs, outs, branch)])
+    resolved = []
+    while worklist:
+        nx, oo, b = worklist.popleft()
+        node = _first_split_node([nx[r] for r in spec.registers])
+        if node is None:
+            resolved.append((nx, oo, b))
+            continue
+        # Only nodes no older than node can contain it (expr.postorder).
+        order = ex.postorder([*nx.values(), *oo.values()], node.eid)
+        for replacement, b2 in arms(node, b):
+            out = ex.replace_simplify(order, {node: replacement})
+            nx2 = {r: out.get(e, e) for r, e in nx.items()}
+            oo2 = {o: out.get(e, e) for o, e in oo.items()}
+            worklist.append((nx2, oo2, b2))
+            if mode is Mode.PARTIAL:
+                break
+    return resolved
+
+
+def _guarded_arms(cfg: ExploreConfig) -> _Arms:
+    """arms for _resolve over path constraints: an alternative is feasible
+    when its simplified guard extends the branch's pc, which it joins.
+    The guards of one node share one slice of pc (extension_check)."""
+    def arms(node: ex.Expr, pc: tuple[ex.Expr, ...]):
+        feasible = extension_check(pc, cfg.limits)
+        for guard, replacement in _alternatives(node, cfg.mode):
+            guard_s = ex.simplify(guard)
+            if feasible((guard_s,)):
+                yield replacement, pc + (guard_s,)
+    return arms
 
 
 @dataclass(frozen=True)
@@ -312,14 +403,20 @@ class _StepPlan:
     nets and then the assumptions.  A net's Ref resolves through `links`
     to the result of that net's expression, so one substitute_simplify
     walk evaluates a whole cycle.  A plan kept by _plan also carries the
-    kernel, the BFS_PRUNE warnings, and the warning texts given."""
+    kernel or the table flag, the BFS_PRUNE warnings, the warning texts
+    given and its concrete step counts."""
     order: tuple[ex.Expr, ...]
     assume_order: tuple[ex.Expr, ...]
     links: dict[str, ex.Expr]
     outputs: tuple[tuple[str, ex.Expr], ...]
     kernel: Kernel | None = None
+    # Whether constant states are stepped on a truth table (_table_step).
+    table: bool = False
     prune_warnings: tuple[str, ...] = ()
     warned: set[str] = field(default_factory=set, compare=False)
+    # The steps the kernel and the table answered, under "kernel" and
+    # "table".
+    steps: Counter = field(default_factory=Counter, compare=False)
 
 
 def _node_order(roots: list[ex.Expr]) -> tuple[ex.Expr, ...]:
@@ -357,17 +454,23 @@ def _build_plan(c: Circuit, cfg: ExploreConfig) -> _StepPlan:
 
 
 def _plan(c: Circuit, cfg: ExploreConfig) -> _StepPlan:
-    """The step plan of c under cfg with its kernel, when they qualify for
-    one, and BFS_PRUNE warnings: built on the first call, kept on cfg."""
+    """The step plan of c under cfg with its kernel or its table flag,
+    when they qualify for a concrete step, and BFS_PRUNE warnings: built
+    on the first call, kept on cfg."""
     for cached, plan in cfg._plans:
         if cached is c:
             return plan
     plan = _build_plan(c, cfg)
-    live = _kernel_inputs(c, cfg, plan)
-    if live is not None:
-        from .kernel import Kernel  # only now: see kernel.py's docstring
-        plan = dc_replace(plan, kernel=Kernel(
-            c, cfg.state_spec, plan.outputs, plan.order, plan.links, live))
+    if not cfg.assumes and all(e.width <= ALL_VALUES_WIDTH_CAP
+                               for _, e in plan.outputs):
+        live = _kernel_inputs(c, plan)
+        if live is None:
+            plan = dc_replace(plan, table=True)
+        else:
+            from .kernel import Kernel  # only now: see kernel.py's docstring
+            plan = dc_replace(plan, kernel=Kernel(
+                c, cfg.state_spec, plan.outputs, plan.order, plan.links,
+                live))
     if cfg.mode is Mode.BFS_PRUNE:
         plan = dc_replace(plan, prune_warnings=tuple(
             _prune_soundness_warnings(c, cfg.state_spec, plan)))
@@ -375,16 +478,11 @@ def _plan(c: Circuit, cfg: ExploreConfig) -> _StepPlan:
     return plan
 
 
-def _kernel_inputs(c: Circuit, cfg: ExploreConfig,
+def _kernel_inputs(c: Circuit,
                    plan: _StepPlan) -> list[tuple[str, int]] | None:
-    """The live inputs of plan, the inputs it reads, when c and cfg
-    qualify for a concrete kernel; None when the plan splits (a Case or
-    Mux node), cfg has assumptions, a monitored output is wider than
-    all_values takes, or the plan reads more than KERNEL_INPUT_BITS input
-    bits.  No spec is wider than all_values takes (STATE_WIDTH_CAP)."""
-    if cfg.assumes or any(e.width > ALL_VALUES_WIDTH_CAP
-                          for _, e in plan.outputs):
-        return None
+    """The live inputs of plan, the inputs it reads, when it qualifies for
+    a concrete kernel; None when the plan splits (a Case or Mux node) or
+    reads more than KERNEL_INPUT_BITS input bits."""
     read: set[str] = set()
     for node in plan.order:
         if node.op in ("case", "mux"):
@@ -456,49 +554,120 @@ def _kernel_step(c: Circuit, s: SymState, cfg: ExploreConfig,
             src_expr, [src_expr.aux[0]], {},
             {name: sorted(vals)
              for name, vals in zip(cfg.monitored_outputs, outs)}))
-    kernel.steps += 1
+    return results
+
+
+def _table_step(c: Circuit, s: SymState, cfg: ExploreConfig,
+                cycle: _Cycle) -> list[_StepResult] | None:
+    """_step from a constant state with an empty pc and no assumptions,
+    on one truth table of the cycle's inputs (see "Concrete steps" in the
+    module docstring); None when _step has to ask the solver instead:
+    more than solve.TABLE_BITS input bits, a value_cap below 1, more
+    destinations than value_cap on one branch, more results than
+    path_cap, or an output with more than value_cap values on one
+    destination."""
+    next_exprs, outs, _ = cycle
+    spec = cfg.state_spec
+    # A table over every input of c is as exact as one over the leaves
+    # alone, and needs no walk to find them.
+    n = sum(w for _, w in c.inputs)
+    if n > solve.TABLE_BITS:
+        roots = [next_exprs[r] for r in spec.registers] + list(outs.values())
+        n = sum(leaf.width
+                for leaf in frozenset().union(*map(ex.leaf_set, roots)))
+    if n > solve.TABLE_BITS or cfg.value_cap < 1:
+        return None
+    enc = PlaneEncoder(n)
+    # No plane takes more values than the table has rows.
+    cap = min(cfg.value_cap, 1 << n)
+
+    def arms(node: ex.Expr, branch: tuple[int, tuple]):
+        # An alternative takes the rows where the scrutinee selects it;
+        # the branch keeps its rows and the (node, alternative) it took.
+        rows, taken = branch
+        (scrut,) = enc.bits(node.args[0])
+        rest = rows
+        for i, (key, replacement) in enumerate(_arms(node, cfg.mode)):
+            if key is None:
+                sel = rest
+            else:
+                sel = rows & enc.eq_const(scrut, key)
+                rest &= ~sel
+            if sel:
+                yield replacement, (sel, taken + ((node, i),))
+
+    def values(es: list[ex.Expr], rows: int,
+               limit: int) -> list[tuple[int, int]]:
+        """(value, its rows) for the first `limit` values, ascending, that
+        the concatenation of es takes on rows."""
+        if all(e.op == "const" for e in es):
+            v = 0
+            for e in es:
+                v = v << e.width | e.aux[0]
+            return [(v, rows)]
+        proj = [p for bits in enc.bits(*es) for p in reversed(bits)]
+        return list(itertools.islice(enc.split(proj, rows), limit))
+
+    src_expr = ex.simplify(state_concat_expr(spec, dict(s.regs)))
+    results: list[_StepResult] = []
+    for nx, oo, (rows, taken) in _resolve(spec, cfg.mode, next_exprs, outs,
+                                          (enc.ones, ()), arms):
+        dsts = values([nx[r] for r in spec.registers], rows,
+                      1 if cfg.mode is Mode.PARTIAL else cap + 1)
+        if len(dsts) > cap:
+            return None
+        pc = None
+        for v, v_rows in dsts:
+            out_vals = {}
+            for name, e in oo.items():
+                vals = [u for u, _ in values([e], v_rows, cap + 1)]
+                if len(vals) > cap:
+                    return None
+                out_vals[name] = vals
+            slices = decode_state(c, spec, v)
+            regs3 = {r.name: (ex.const(r.width, slices[r.name])
+                              if r.name in slices else nx[r.name])
+                     for r in c.registers}
+            succ_pc: tuple[ex.Expr, ...] = ()
+            # An all-constant successor's pc is trimmed to nothing, so
+            # only a symbolic register needs the guards the solver built.
+            if any(e.op != "const" for e in regs3.values()):
+                if pc is None:
+                    pc = tuple(ex.simplify(_alternatives(node, cfg.mode)[i][0])
+                               for node, i in taken)
+                concat = ex.simplify(state_concat_expr(spec, nx))
+                succ_pc = _pinned(pc, concat, v)
+            results.append(_StepResult(
+                SymState(regs3, succ_pc, s.var_epoch + 1), v, src_expr,
+                [src_expr.aux[0]], {}, out_vals))
+        if len(results) > cfg.path_cap:
+            return None
     return results
 
 
 def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
           plan: _StepPlan) -> list[_StepResult]:
-    if (plan.kernel is not None and not s.pc
-            and all(e.op == "const" for e in s.regs.values())):
+    concrete = not s.pc and all(e.op == "const" for e in s.regs.values())
+    if concrete and plan.kernel is not None:
         results = _kernel_step(c, s, cfg, plan.kernel)
         if results is not None:
+            plan.steps["kernel"] += 1
             return results
     spec = cfg.state_spec
     cycle = _cycle_exprs(c, s, cfg, plan)
     if cycle is None:
         return []
+    if concrete and plan.table:
+        results = _table_step(c, s, cfg, cycle)
+        if results is not None:
+            plan.steps["table"] += 1
+            return results
     next_exprs, outs, base_pc = cycle
     src_expr = ex.simplify(state_concat_expr(spec, dict(s.regs)))
 
-    # Resolve Case/Mux controls of the spec registers' next-state logic.
-    worklist = deque([(next_exprs, outs, base_pc)])
-    resolved = []
-    while worklist:
-        nx, oo, pc = worklist.popleft()
-        node = _first_split_node([nx[r] for r in spec.registers])
-        if node is None:
-            resolved.append((nx, oo, pc))
-            continue
-        # Only nodes no older than node can contain it (expr.postorder).
-        order = ex.postorder([*nx.values(), *oo.values()], node.eid)
-        feasible = extension_check(pc, cfg.limits)
-        for guard, replacement in _alternatives(node, cfg.mode):
-            guard_s = ex.simplify(guard)
-            if not feasible((guard_s,)):
-                continue
-            out = ex.replace_simplify(order, {node: replacement})
-            nx2 = {r: out.get(e, e) for r, e in nx.items()}
-            oo2 = {o: out.get(e, e) for o, e in oo.items()}
-            worklist.append((nx2, oo2, pc + (guard_s,)))
-            if cfg.mode is Mode.PARTIAL:
-                break
-
     results: list[_StepResult] = []
-    for nx, oo, pc in resolved:
+    for nx, oo, pc in _resolve(spec, cfg.mode, next_exprs, outs, base_pc,
+                               _guarded_arms(cfg)):
         concat = ex.simplify(state_concat_expr(spec, nx))
         # Each successor StateId with the feasible pre-step StateIds that
         # reach it on this branch.
@@ -555,8 +724,9 @@ def step_cycle(c: Circuit, s: SymState, cfg: ExploreConfig) -> list[SymState]:
     satisfiable: each split guard and the assumptions are checked as one
     sliced query (solve.extends), which is sound only from a satisfiable
     pc.  Every returned successor keeps the SymState invariant: its pc is
-    satisfiable.  No kernel: it would drop the pinned StateId from pc."""
-    plan = dc_replace(_plan(c, cfg), kernel=None)
+    satisfiable.  No concrete step: it would drop the guards and the
+    pinned StateId from pc."""
+    plan = dc_replace(_plan(c, cfg), kernel=None, table=False)
     return [r.state for r in _step(c, s, cfg, plan)]
 
 
@@ -659,7 +829,7 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig) -> Metadata:
         raise DctForgeError("explore needs at least one initial state")
     spec = cfg.state_spec
     plan = _plan(c, cfg)
-    steps_before = plan.kernel.steps if plan.kernel is not None else 0
+    steps_before = plan.steps.copy()
     for text in plan.prune_warnings:
         _warn_once(plan, text)
 
@@ -714,9 +884,11 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig) -> Metadata:
                     if not kept:
                         continue
                 seen.add(dst)
-                leaves = frozenset().union(
-                    *map(ex.leaf_set, succ.regs.values()))
-                succ = dc_replace(succ, pc=live_conjuncts(succ.pc, leaves))
+                if succ.pc:
+                    leaves = frozenset().union(
+                        *map(ex.leaf_set, succ.regs.values()))
+                    succ = dc_replace(succ,
+                                      pc=live_conjuncts(succ.pc, leaves))
                 if cfg.mode is Mode.BFS_PRUNE:
                     kept_entries.append([succ, kept])
                 else:
@@ -734,11 +906,10 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig) -> Metadata:
         if layer_added:
             _warn_once(plan, f"new states appeared at the final layer "
                        f"{layer}; increase depth or use fixpoint mode")
-    kernel_steps = (plan.kernel.steps - steps_before
-                    if plan.kernel is not None else 0)
+    steps = plan.steps - steps_before
     _log_event(event="explore_done", layers=layer,
                paths=meta.paths_explored, pruned=meta.paths_pruned,
-               kernel_steps=kernel_steps)
+               kernel_steps=steps["kernel"], table_steps=steps["table"])
     return meta
 
 

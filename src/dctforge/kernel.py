@@ -2,7 +2,7 @@
 
 engine.explore steps a state whose registers are all constants, and
 whose path constraint is empty, by plain simulation when its circuit and
-config allow it (see "Concrete kernel" in engine's module docstring).
+config allow it (see "Concrete steps" in engine's module docstring).
 This module is that simulation.  compile_kernel turns a children-first
 node order into one Python function over plain ints, and a Kernel runs
 it once per assignment of a circuit's live inputs and groups the
@@ -123,8 +123,7 @@ def compile_kernel(order: Sequence[ex.Expr], params: Sequence[ex.Expr],
 class Kernel:
     """The concrete step of one circuit under one state spec and list of
     monitored outputs, given as a step plan's order, links and outputs.
-    build compiles it, once, before its first step; `steps` counts the
-    steps whose answer engine took from it."""
+    build compiles it, once, before its first step."""
 
     def __init__(self, c: Circuit, spec: StateSpec,
                  outputs: Sequence[tuple[str, ex.Expr]],
@@ -147,7 +146,6 @@ class Kernel:
                  + [e for _, e in outputs])
         self._parts = (order, params, links, roots)
         self.fn: Callable[..., tuple[int, ...]] | None = None
-        self.steps = 0
 
     def build(self) -> int:
         """Compile the kernel; returns the number of nodes it computes."""

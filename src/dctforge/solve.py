@@ -318,16 +318,7 @@ def _table_steps(es: tuple[ex.Expr, ...], related: list[ex.Expr],
     for (c,) in planes[:len(related)]:
         rows &= c
     proj = [p for bits in planes[len(related):] for p in reversed(bits)]
-    stack = [(rows, 0, 0)] if rows else []
-    while stack:
-        rows, depth, value = stack.pop()
-        if depth < len(proj):
-            one = rows & proj[depth]
-            if one:
-                stack.append((one, depth + 1, value << 1 | 1))
-            if one != rows:
-                stack.append((rows ^ one, depth + 1, value << 1))
-            continue
+    for value, _ in enc.split(proj, rows):
         values = []
         for e in reversed(es):
             values.append(value & ex.mask(e.width))

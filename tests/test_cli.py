@@ -369,6 +369,16 @@ def test_monitor_naming_no_output_exit_one(ima_path, capsys, value):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "trojan", "stg", "oracle"])
+def test_monitor_empty_value_exit_one(ima_path, capsys, command):
+    """An explicit empty --monitor names no output, as "," does; only a
+    missing flag monitors every output."""
+    assert run_cli([command, "--circuit", ima_path, "--state", "pcmSq",
+                    "--depth", "2", "--monitor", ""]) == 1
+    assert "--monitor must name at least one output, got ''" in \
+        capsys.readouterr().err
+
+
 def test_assume_flag(tmp_path):
     path = tmp_path / "a.snl"
     path.write_text("circuit a\ninput d:2\nreg r:2 reset 0 next d\n"

@@ -671,13 +671,14 @@ def test_split_walk_steps_as_the_full_walk(name, monkeypatch):
 def test_split_walk_visits_only_nodes_no_older_than_the_split(monkeypatch):
     """On detect_trojan of cnt4.inject every split walk visits the split
     node and no node older than it, and all of them visit fewer nodes
-    than the full walks would."""
+    than the full walks would.  The walks are engine._resolve's, the
+    split worklist of both the solver's and the table's steps."""
     postorder, replace_simplify = ex.postorder, ex.replace_simplify
     orders = []  # (order, its roots) of each split node's walk
     walks = []
 
     def from_step():
-        return sys._getframe(2).f_code is engine._step.__code__
+        return sys._getframe(2).f_code is engine._resolve.__code__
 
     def recording_postorder(roots, lo=0):
         order = postorder(roots, lo)

@@ -149,10 +149,14 @@ def _dumped_run(fn, c, init, cfg, directory, caplog):
 
 
 @pytest.mark.parametrize("case", ["ima+input-assume", "fsm2"])
-def test_bfs_dumps_and_solver_events_unchanged(case, tmp_path, caplog):
+def test_bfs_dumps_and_solver_events_unchanged(case, tmp_path, caplog,
+                                               monkeypatch):
     """The steps that merging saves only replayed memoised answers: a bfs
     run writes the same DIMACS files, byte for byte, and logs the same
-    solver_stats events as the per-path loop."""
+    solver_stats events as the per-path loop.  explore's table step asks
+    no query from a constant state, where the per-path loop's plan asks
+    them, so it is off here."""
+    monkeypatch.setattr(engine, "_table_step", lambda *args: None)
     _, c, state_regs, assumes = next(k for k in _CASES if k[0] == case)
     cfg = config_for(c, state_regs, depth=4, mode=Mode.BFS, assumes=assumes)
     ref = _dumped_run(_per_path_reach, c, [reset_state(c)], cfg,
