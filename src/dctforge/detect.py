@@ -110,22 +110,33 @@ def _extract_witness(c: Circuit, spec: StateSpec, state: SymState,
     lexicographically smallest feasible tuple of the inputs and the
     non-spec registers, in declaration order, as one min_value over
     their concatenation (the first input most significant, the pinned
-    source least).  None when no path of state starts at source."""
+    source least).  None when no path of state starts at source.
+
+    A part that is a leaf of no conjunct of pc is unconstrained: the
+    feasible tuples are the product of its whole domain with the
+    feasible tuples of the other parts, whose lexicographic minimum is 0
+    in that part.  So it is set to 0 and left out of the query, as
+    ima.snl's unread 16-bit inSamp is."""
     src_expr = _source_var_expr(c, spec)
     pc = state.pc + (ex.eq(src_expr, ex.const(spec.total_width, source)),)
     registers = dict(decode_state(c, spec, source))
     free = [r for r in c.registers if r.name not in registers]
     parts = ([ex.var(name, w, 0) for name, w in c.inputs]
              + [ex.var(r.name, r.width, -1) for r in free])
-    whole = ex.concat(*parts, src_expr) if parts else src_expr
+    constrained = frozenset().union(*map(ex.leaf_set, pc))
+    asked = [p for p in parts if p in constrained]
+    whole = ex.concat(*asked, src_expr) if asked else src_expr
     value = min_value(whole, pc, limits=cfg.limits)
     if value is None:
         return None
     shift = whole.width
     values = []
     for p in parts:
-        shift -= p.width
-        values.append((value >> shift) & ((1 << p.width) - 1))
+        if p in constrained:
+            shift -= p.width
+            values.append((value >> shift) & ((1 << p.width) - 1))
+        else:
+            values.append(0)
     inputs = dict(zip((name for name, _ in c.inputs), values))
     registers.update(zip((r.name for r in free), values[len(c.inputs):]))
     return DctWitness(source, inputs, registers)
@@ -226,11 +237,9 @@ def _live_inputs(c: Circuit, monitored: tuple[str, ...]) -> set[str]:
     return {n for n, _ in c.inputs if n in names}
 
 
-def _input_assignments(c: Circuit,
-                       monitored: tuple[str, ...]) -> list[dict[str, int]]:
-    """All assignments over the live inputs; dead inputs are pinned to 0,
-    which cannot change any recorded value."""
-    live = _live_inputs(c, monitored)
+def _input_assignments(c: Circuit, live: set[str]) -> list[dict[str, int]]:
+    """All assignments over the live inputs (_live_inputs); dead inputs
+    are pinned to 0, which cannot change any recorded value."""
     names = [n for n, _ in c.inputs]
     domains = [range(1 << w) if n in live else (0,) for n, w in c.inputs]
     return [dict(zip(names, combo)) for combo in itertools.product(*domains)]
@@ -245,16 +254,20 @@ def oracle_analyze(c: Circuit, spec: StateSpec, depth: int | None,
     fixpoint); Trans comes from enumerating every (valuation, input) pair.
     The Metadata schema matches engine.explore so results diff directly,
     and monitored names are checked as there (engine.monitored_exprs).
+    The register bits and the live input bits count against
+    ORACLE_BITS_CAP; an input nothing reads is pinned to 0
+    (_input_assignments) and costs nothing.
     """
-    reg_bits = sum(r.width for r in c.registers)
-    input_bits = sum(w for _, w in c.inputs)
-    if reg_bits + input_bits > ORACLE_BITS_CAP:
-        raise TooLargeForOracle(reg_bits + input_bits, ORACLE_BITS_CAP)
     if monitored is None:
         monitored = tuple(n for n, _, _ in c.outputs)
     sampled = dict(monitored_exprs(c, monitored))
+    live = _live_inputs(c, monitored)
+    bits = (sum(r.width for r in c.registers)
+            + sum(w for name, w in c.inputs if name in live))
+    if bits > ORACLE_BITS_CAP:
+        raise TooLargeForOracle(bits, ORACLE_BITS_CAP)
 
-    assignments = _input_assignments(c, monitored)
+    assignments = _input_assignments(c, live)
     reg_names = [r.name for r in c.registers]
     nets = net_topo_order(c)
     regs = c.register_map()

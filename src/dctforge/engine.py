@@ -30,7 +30,10 @@ initial states.  When both the source and the destination are
 symbolic, as in symbolic_step, a branch's successors and their sources
 come from one pair query (solve.transitions, labelled "transitions"),
 which evaluates the branch's next-state cone once, as one truth table
-or one CDCL encoding, instead of once per destination.
+or one CDCL encoding, instead of once per destination.  When the
+symbolic step's whole support fits one truth table, the table step
+answers every one of its queries from that table instead (see
+"Concrete steps").
 
 Exploration modes:
 
@@ -83,19 +86,20 @@ others count as pruned; the kept successors of one layer have distinct
 StateIds, so they never share content, and only the initial states are
 merged.
 
-Concrete steps: in an exploration, a state whose registers are all
-constants and whose pc is empty is stepped without the solver when the
-config has no assumptions and every monitored output is at most
+Concrete steps: a state whose registers are all constants and whose pc
+is empty (in an exploration), and symbolic_step's fully symbolic state
+(_fully_symbolic), are stepped without the solver when the config has
+no assumptions and every monitored output is at most
 solve.ALL_VALUES_WIDTH_CAP bits wide (no spec is wider: STATE_WIDTH_CAP).
 The cached plan (_plan) carries one of two concrete steps, and
 _build_plan's plan, which the tests' references step, carries neither.
 Each answers exactly what the solver's step would, and falls back to it
 wherever one of that step's queries could raise: more destinations than
-value_cap on a branch, more results than path_cap, or more than
-value_cap values of an output on one destination.  So every
-CapExceeded, PathExplosion and WidthMismatch comes from the solver's
-step.  step_cycle steps with neither (its successors keep their whole
-pc), and symbolic_step's state is never constant.
+value_cap on a branch, more sources than value_cap on one destination,
+more results than path_cap, or more than value_cap values of an output
+on one destination.  So every CapExceeded, PathExplosion and
+WidthMismatch comes from the solver's step.  step_cycle steps with
+neither (its successors keep their whole pc).
 
 * Kernel: when the plan holds no Case or Mux node (so a step has
   exactly one branch) and reads at most KERNEL_INPUT_BITS input bits.
@@ -138,6 +142,28 @@ pc), and symbolic_step's state is never constant.
   keeps a symbolic register, as the solver built them (the whole pc, its
   pin included); an all-constant successor gets an empty pc, which is
   what the live-conjunct trim leaves of the solver's.
+
+  From the fully symbolic state (stage 2) the table holds the leaves of
+  the spec next-state expressions and of the source concatenation
+  src_expr: the registers the spec logic reads, as step -1 variables,
+  and the cycle's inputs, at most solve.TABLE_BITS bits in all.  The pc
+  is empty, so the solver's pc of a branch is again its guards, now over
+  those registers and inputs.  Every query of the solver's step (each
+  guard's group check, a branch's transitions query, all_values of
+  src_expr under a constant destination) has its support inside the
+  table, so "satisfiable" is "some row", and the pairs transitions
+  enumerates are the values that the source planes and then the
+  destination planes take on the branch's rows, from one
+  PlaneEncoder.split in that order.  Grouped by destination, ascending,
+  each with its sources ascending, they are the solver's successors,
+  and each successor's pc is the solver's: s.pc, the simplified guard of
+  each alternative taken (each built once per step, and only when
+  taken) and the pin (_pinned).  No output is sampled, since stage 2
+  records no behavior; the successors keep their output expressions.
+  The states of stage 3 with symbolic registers stay on the solver
+  path: their pc is not empty, and the answers memo replays the queries
+  their steps repeat across layers, which a table would rebuild at
+  every step.
 
 Depth may be an explicit cycle count or FIXPOINT, which runs until a
 layer discovers no new StateId (that closing layer also guarantees every
@@ -331,18 +357,21 @@ def _arms(node: ex.Expr, mode: Mode) -> list[tuple[int | None, ex.Expr]]:
     return [*arms, (None, node.args[-1])]
 
 
-def _alternatives(node: ex.Expr, mode: Mode) -> list[tuple[ex.Expr, ex.Expr]]:
-    """(guard, replacement) pairs for one Case/Mux node, in _arms' order."""
+def _guard(node: ex.Expr, key: int | None) -> ex.Expr:
+    """The condition under which a Case/Mux node takes its alternative
+    with key (_arms)."""
     scrut = node.args[0]
     if node.op == "mux":
-        return [(scrut if key else ex.not_(scrut), arm)
-                for key, arm in _arms(node, mode)]
-    *arms, (_, default) = _arms(node, mode)
-    pairs = [(ex.eq(scrut, ex.const(scrut.width, k)), arm) for k, arm in arms]
-    default_guard = ex.and_all(
-        [ex.ne(scrut, ex.const(scrut.width, k)) for k, _ in arms])
-    pairs.append((default_guard, default))
-    return pairs
+        return scrut if key else ex.not_(scrut)
+    if key is not None:
+        return ex.eq(scrut, ex.const(scrut.width, key))
+    return ex.and_all([ex.ne(scrut, ex.const(scrut.width, k))
+                       for k in sorted(node.aux)])
+
+
+def _alternatives(node: ex.Expr, mode: Mode) -> list[tuple[ex.Expr, ex.Expr]]:
+    """(guard, replacement) pairs for one Case/Mux node, in _arms' order."""
+    return [(_guard(node, key), arm) for key, arm in _arms(node, mode)]
 
 
 # A branch of the split worklist: whatever a path carries through its
@@ -410,7 +439,8 @@ class _StepPlan:
     links: dict[str, ex.Expr]
     outputs: tuple[tuple[str, ex.Expr], ...]
     kernel: Kernel | None = None
-    # Whether constant states are stepped on a truth table (_table_step).
+    # Whether constant states and the fully symbolic state are stepped
+    # on a truth table (_table_step).
     table: bool = False
     prune_warnings: tuple[str, ...] = ()
     warned: set[str] = field(default_factory=set, compare=False)
@@ -557,22 +587,37 @@ def _kernel_step(c: Circuit, s: SymState, cfg: ExploreConfig,
     return results
 
 
+def _fully_symbolic(s: SymState) -> bool:
+    """Is s symbolic_state's: every register its own step -1 variable,
+    and an empty pc?"""
+    return not s.pc and all(e.op == "var" and e.aux == (name, -1)
+                            for name, e in s.regs.items())
+
+
 def _table_step(c: Circuit, s: SymState, cfg: ExploreConfig,
                 cycle: _Cycle) -> list[_StepResult] | None:
-    """_step from a constant state with an empty pc and no assumptions,
-    on one truth table of the cycle's inputs (see "Concrete steps" in the
-    module docstring); None when _step has to ask the solver instead:
-    more than solve.TABLE_BITS input bits, a value_cap below 1, more
-    destinations than value_cap on one branch, more results than
-    path_cap, or an output with more than value_cap values on one
-    destination."""
+    """_step from a constant state with an empty pc, or from the fully
+    symbolic state, with no assumptions, on one truth table of what the
+    cycle reads (see "Concrete steps" in the module docstring); None when
+    _step has to ask the solver instead: more than solve.TABLE_BITS
+    support bits, a value_cap below 1, more destinations than value_cap
+    on one branch, more sources than value_cap on one destination, more
+    results than path_cap, or an output with more than value_cap values
+    on one destination."""
     next_exprs, outs, _ = cycle
     spec = cfg.state_spec
-    # A table over every input of c is as exact as one over the leaves
-    # alone, and needs no walk to find them.
+    src_expr = ex.simplify(state_concat_expr(spec, dict(s.regs)))
+    # The symbolic state's step pairs each destination with its sources
+    # and samples no output; a constant state's has one source.
+    symbolic = src_expr.op != "const"
+    # A constant state's table over every input of c is as exact as one
+    # over the leaves alone, and needs no walk to find them.  The
+    # symbolic state's holds the leaves of its spec logic and of
+    # src_expr: the registers they read and the cycle's inputs.
     n = sum(w for _, w in c.inputs)
-    if n > solve.TABLE_BITS:
-        roots = [next_exprs[r] for r in spec.registers] + list(outs.values())
+    if symbolic or n > solve.TABLE_BITS:
+        roots = [next_exprs[r] for r in spec.registers]
+        roots += [src_expr] if symbolic else list(outs.values())
         n = sum(leaf.width
                 for leaf in frozenset().union(*map(ex.leaf_set, roots)))
     if n > solve.TABLE_BITS or cfg.value_cap < 1:
@@ -587,14 +632,18 @@ def _table_step(c: Circuit, s: SymState, cfg: ExploreConfig,
         rows, taken = branch
         (scrut,) = enc.bits(node.args[0])
         rest = rows
-        for i, (key, replacement) in enumerate(_arms(node, cfg.mode)):
+        for key, replacement in _arms(node, cfg.mode):
             if key is None:
                 sel = rest
             else:
                 sel = rows & enc.eq_const(scrut, key)
                 rest &= ~sel
             if sel:
-                yield replacement, (sel, taken + ((node, i),))
+                yield replacement, (sel, taken + ((node, key),))
+
+    def planes(es: list[ex.Expr]) -> list[int]:
+        """The planes of the concatenation of es, most significant first."""
+        return [p for bits in enc.bits(*es) for p in reversed(bits)]
 
     def values(es: list[ex.Expr], rows: int,
                limit: int) -> list[tuple[int, int]]:
@@ -605,41 +654,87 @@ def _table_step(c: Circuit, s: SymState, cfg: ExploreConfig,
             for e in es:
                 v = v << e.width | e.aux[0]
             return [(v, rows)]
-        proj = [p for bits in enc.bits(*es) for p in reversed(bits)]
-        return list(itertools.islice(enc.split(proj, rows), limit))
+        return list(itertools.islice(enc.split(planes(es), rows), limit))
 
-    src_expr = ex.simplify(state_concat_expr(spec, dict(s.regs)))
+    def sourced(es: list[ex.Expr], rows: int
+                ) -> list[tuple[int, list[int]]] | None:
+        """(destination, its sources, ascending) from the symbolic state
+        for each destination that the concatenation of es takes on rows,
+        ascending, and only the smallest under PARTIAL; None when more
+        than cap destinations, or more than cap sources of one, exist."""
+        if cfg.mode is Mode.PARTIAL or all(e.op == "const" for e in es):
+            succs = [(v, [u for u, _ in values([src_expr], v_rows, cap + 1)])
+                     for v, v_rows in values(es, rows, 1 if cfg.mode is
+                                             Mode.PARTIAL else cap + 1)]
+        else:
+            # One split over the source planes and then the destination
+            # planes, the pairs in transitions' order, grouped by
+            # destination: each destination's sources come ascending.
+            width = sum(e.width for e in es)
+            by_dst: dict[int, list[int]] = {}
+            for pair, _ in enc.split(planes([src_expr, *es]), rows):
+                by_dst.setdefault(pair & ex.mask(width), []).append(
+                    pair >> width)
+            succs = sorted(by_dst.items())
+        if len(succs) > cap or any(len(srcs) > cap for _, srcs in succs):
+            return None
+        return succs
+
+    # The simplified guard of each (node, key) taken, built once per step.
+    guards: dict[tuple, ex.Expr] = {}
+
+    def branch_pc(taken: tuple) -> tuple[ex.Expr, ...]:
+        """s.pc and the guard of each alternative taken: the pc the
+        solver's branch carries."""
+        pc = s.pc
+        for alt in taken:
+            if alt not in guards:
+                guards[alt] = ex.simplify(_guard(*alt))
+            pc += (guards[alt],)
+        return pc
+
     results: list[_StepResult] = []
     for nx, oo, (rows, taken) in _resolve(spec, cfg.mode, next_exprs, outs,
                                           (enc.ones, ()), arms):
-        dsts = values([nx[r] for r in spec.registers], rows,
-                      1 if cfg.mode is Mode.PARTIAL else cap + 1)
-        if len(dsts) > cap:
-            return None
+        es = [nx[r] for r in spec.registers]
+        if symbolic:
+            succs = sourced(es, rows)
+            if succs is None:
+                return None
+        else:
+            succs = values(es, rows, 1 if cfg.mode is Mode.PARTIAL
+                           else cap + 1)
+            if len(succs) > cap:
+                return None
         pc = None
-        for v, v_rows in dsts:
-            out_vals = {}
-            for name, e in oo.items():
-                vals = [u for u, _ in values([e], v_rows, cap + 1)]
-                if len(vals) > cap:
-                    return None
-                out_vals[name] = vals
+        # group is a destination's sources from the symbolic state, and
+        # its rows from a constant state, whose one source reaches each.
+        for v, group in succs:
+            if symbolic:
+                srcs, out_vals = group, None
+            else:
+                srcs, out_vals = [src_expr.aux[0]], {}
+                for name, e in oo.items():
+                    vals = [u for u, _ in values([e], group, cap + 1)]
+                    if len(vals) > cap:
+                        return None
+                    out_vals[name] = vals
             slices = decode_state(c, spec, v)
             regs3 = {r.name: (ex.const(r.width, slices[r.name])
                               if r.name in slices else nx[r.name])
                      for r in c.registers}
             succ_pc: tuple[ex.Expr, ...] = ()
-            # An all-constant successor's pc is trimmed to nothing, so
-            # only a symbolic register needs the guards the solver built.
-            if any(e.op != "const" for e in regs3.values()):
+            # An all-constant successor of a constant state has its pc
+            # trimmed to nothing, so only the symbolic state's successors
+            # and a symbolic register need the pc the solver built.
+            if symbolic or any(e.op != "const" for e in regs3.values()):
                 if pc is None:
-                    pc = tuple(ex.simplify(_alternatives(node, cfg.mode)[i][0])
-                               for node, i in taken)
-                concat = ex.simplify(state_concat_expr(spec, nx))
+                    pc = branch_pc(taken)
+                    concat = ex.simplify(state_concat_expr(spec, nx))
                 succ_pc = _pinned(pc, concat, v)
             results.append(_StepResult(
                 SymState(regs3, succ_pc, s.var_epoch + 1), v, src_expr,
-                [src_expr.aux[0]], {}, out_vals))
+                srcs, oo if symbolic else {}, out_vals))
         if len(results) > cfg.path_cap:
             return None
     return results
@@ -657,7 +752,7 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
     cycle = _cycle_exprs(c, s, cfg, plan)
     if cycle is None:
         return []
-    if concrete and plan.table:
+    if plan.table and (concrete or _fully_symbolic(s)):
         results = _table_step(c, s, cfg, cycle)
         if results is not None:
             plan.steps["table"] += 1
@@ -921,8 +1016,11 @@ def symbolic_step(c: Circuit, cfg: ExploreConfig
     in step order with every conjunct of their pc) and the successors
     grouped by the StateId their step pinned, in step order."""
     plan = _plan(c, cfg)
+    table_steps = plan.steps["table"]
     results = _step(c, symbolic_state(c, cfg.state_spec),
                     dc_replace(cfg, mode=Mode.BFS), plan)
+    _log_event(event="symbolic_step_done", successors=len(results),
+               table=plan.steps["table"] > table_steps)
     if not results:
         _warn_if_assumptions_cut(plan, cfg)
     meta = Metadata(kind=Kind.STATES, rs=set(), trans=set(), rbs=set(),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctforge import corpus, detect, engine
+from dctforge import corpus, detect, engine, solve
 from dctforge.circuit import Circuit, Register, make_state_spec
 from dctforge.detect import (Verdict, compute_dct, detect_trojan,
                              diff_behaviors, oracle_analyze, oracle_dct,
@@ -17,6 +17,7 @@ from dctforge.detect import (Verdict, compute_dct, detect_trojan,
 from dctforge.engine import Behavior, Mode, explore, reset_state
 from dctforge.errors import DuplicateName, TooLargeForOracle, UnknownOutput
 from dctforge.rtl import parse_rtl
+from dctforge.solve import SolverLimits
 from dctforge.trojanlab import gen_random_fsm
 from dctforge import expr as ex
 
@@ -74,6 +75,24 @@ def test_witness_minimal_and_deterministic(ima, ima_cfg):
     assert w.source == 6
     assert w.inputs == {"inValid": 0, "inSamp": 0}
     assert w.registers == {"pcmSq": 6}
+
+
+def test_witness_query_leaves_unread_inputs_out(ima, ima_cfg, monkeypatch):
+    """No conjunct of a stage-2 path constraint reads ima's inSamp:16, so
+    the witness query leaves it out (it is 0) and stays small enough for
+    a truth table: no CDCL solver is built."""
+    builds = []
+    loaded = solve._loaded
+
+    def counting(*args):
+        builds.append(args)
+        return loaded(*args)
+
+    monkeypatch.setattr(solve, "_loaded", counting)
+    rep = compute_dct(ima, dc_replace(ima_cfg, limits=SolverLimits()))
+    assert set(rep.witnesses) == {(6, 0), (7, 0)}
+    assert all(w.inputs["inSamp"] == 0 for w in rep.witnesses.values())
+    assert builds == []
 
 
 def test_detect_trojan_on_injected_ima(ima_trojan):
@@ -232,6 +251,41 @@ def test_oracle_size_cap():
                 (Register("r", 24, 0, ex.const(24, 0)),), ())
     with pytest.raises(TooLargeForOracle):
         oracle_analyze(c, make_state_spec(c, ["r"]), 1)
+
+
+def test_oracle_counts_only_live_input_bits(ima):
+    """ima.snl plus a 1-bit dbg register is 4 register bits and 17 input
+    bits, but nothing reads inSamp:16, which the oracle pins to 0: its
+    4 + 1 live bits fit the cap, and the oracle gives the answer it gives
+    without inSamp."""
+    text = corpus.corpus_path("ima.snl").read_text()
+    assert "input inSamp:16\n" in text
+    dbg = "reg dbg:1 reset 0 next dbg\n"
+    with_samp = parse_rtl(text + dbg)
+    without = parse_rtl(text.replace("input inSamp:16\n", "") + dbg)
+    spec = make_state_spec(with_samp, ["pcmSq"])
+    got = oracle_analyze(with_samp, spec, 7)
+    want = oracle_analyze(without, make_state_spec(without, ["pcmSq"]), 7)
+    assert (got.rs, got.trans, got.discovered_diameter) == (
+        want.rs, want.trans, want.discovered_diameter)
+    assert {(b.src, b.dst, b.output, b.value) for b in got.rbs} == {
+        (b.src, b.dst, b.output, b.value) for b in want.rbs}
+    assert oracle_dct(got) == {(6, 0), (7, 0)}
+
+
+def test_oracle_cap_counts_live_inputs():
+    """More than 20 register and live input bits still raise: 4 register
+    bits and the 17 input bits that outValid reads are 21."""
+    c = parse_rtl("circuit wide_live\n"
+                  "input a:16\n"
+                  "input b:1\n"
+                  "input dead:8\n"
+                  "output y:1 = a == 16'd7\n"
+                  "reg s:4 reset 0 next b ? s + 4'd1 : s\n")
+    spec = make_state_spec(c, ["s"])
+    with pytest.raises(TooLargeForOracle, match="21 "):
+        oracle_analyze(c, spec, 1)
+    oracle_analyze(c, spec, 1, monitored=())
 
 
 def test_partial_mode_overapproximates_dct(ima):

@@ -385,9 +385,12 @@ def test_ima_needs_no_conflict_budget(tmp_path):
         assert reports[0] == reports[1]
 
 
-def test_solver_stats_event_per_dumped_query(ima, caplog):
+def test_solver_stats_event_per_dumped_query(ima, caplog, monkeypatch):
     """Every solver call, incremental ones included, logs one solver_stats
-    event under the label its dump carries."""
+    event under the label its dump carries.  The table step answers
+    stage 1 and stage 2 of ima.snl with no query at all, so it is off
+    here."""
+    monkeypatch.setattr(engine, "_table_step", lambda *args: None)
     labels = _Labels()
     cfg = config_for(ima, ["pcmSq"], depth=3,
                      limits=SolverLimits(dumper=labels))
@@ -1088,8 +1091,9 @@ def test_table_queries_dump_and_log_what_cdcl_does(tmp_path, caplog,
     """An ima.snl analyze, cnt5.blif's stage 2 and two enumerations over
     a two-conjunct slice write the same --dump-cnf files and log the
     same solver_stats events, byte for byte, whether their queries are
-    answered from truth tables or by CDCL.  explore's table step, which
-    TABLE_BITS also gates, asks no query at all, so it is off here."""
+    answered from truth tables or by CDCL.  The table step of stages 1
+    and 2, which TABLE_BITS also gates, asks no query at all, so it is
+    off here."""
     monkeypatch.setattr(engine, "_table_step", lambda *args: None)
     ima = str(corpus.corpus_path("ima.snl"))
     cnt5 = parse_blif(counter_blif(5))
