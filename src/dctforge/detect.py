@@ -142,11 +142,12 @@ def _extract_witness(c: Circuit, spec: StateSpec, state: SymState,
     return DctWitness(source, inputs, registers)
 
 
-def _run_stages(c: Circuit, cfg: ExploreConfig
+def _run_stages(c: Circuit, cfg: ExploreConfig, memo: dict | None = None
                 ) -> tuple[Metadata, Metadata, dict[int, list[SymState]]]:
     """Stages 1 and 2, and the stage-2 states grouped by StateId in step
     order."""
-    return (explore(c, [reset_state(c)], cfg), *symbolic_step(c, cfg))
+    return (explore(c, [reset_state(c)], cfg, memo=memo),
+            *symbolic_step(c, cfg))
 
 
 def _build_dct_report(c: Circuit, cfg: ExploreConfig, stage1: Metadata,
@@ -186,8 +187,10 @@ def diff_behaviors(base: set[Behavior], probe: set[Behavior]) -> set[Behavior]:
 def detect_trojan(c: Circuit, cfg: ExploreConfig) -> TrojanReport:
     """Three-stage detection.  Stage 3 starts from stage-2 frontier states
     projecting into a DCT destination and reports every behavior tuple not
-    observed in stage 1."""
-    stage1, stage2, by_state = _run_stages(c, cfg)
+    observed in stage 1.  Stages 1 and 3 share one step memo (engine's
+    "Replayed steps")."""
+    memo: dict = {}
+    stage1, stage2, by_state = _run_stages(c, cfg, memo)
     report = _build_dct_report(c, cfg, stage1, stage2, by_state)
     if not report.dct:
         return TrojanReport(report, set(stage1.rbs), {}, Verdict.NO_DCT)
@@ -197,7 +200,7 @@ def detect_trojan(c: Circuit, cfg: ExploreConfig) -> TrojanReport:
     for d in sorted(report.dest):
         rbs_d: set[Behavior] = set()
         for st in by_state[d]:
-            meta = explore(c, [st], cfg)
+            meta = explore(c, [st], cfg, memo=memo)
             rbs_d |= meta.rbs
             stage3_paths += meta.paths_explored
         per_dest[d] = (rbs_d, diff_behaviors(rbs_d, stage1.rbs))

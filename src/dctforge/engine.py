@@ -165,6 +165,19 @@ neither (its successors keep their whole pc).
   their steps repeat across layers, which a table would rebuild at
   every step.
 
+Replayed steps: an analysis keeps one step memo (Yang, Pasareanu &
+Khurshid, "Memoized symbolic execution", ISSTA 2012).  Keyed on every
+register's value, in register order, of a state with constant registers
+and an empty pc, it holds that state's kernel or table step, which _step
+replays with var_epoch + 1.  A step is stored only when every successor
+has constant registers and an empty pc (nothing in it then depends on
+the epoch), never from the solver path.  detect_trojan shares one memo
+across stages 1 and 3, since stage 3 starts in RS: the clean RTL counter
+w=9 at fixpoint replays all 1,527 stage-3 steps.  explore makes one per
+call under BFS or PARTIAL (counter.snl to depth 40 computes 8 of its 292
+steps and replays 284), and none under BFS_PRUNE, which steps no
+valuation twice.
+
 Depth may be an explicit cycle count or FIXPOINT, which runs until a
 layer discovers no new StateId (that closing layer also guarantees every
 state contributes outgoing behaviors) and reports the discovered
@@ -445,7 +458,7 @@ class _StepPlan:
     prune_warnings: tuple[str, ...] = ()
     warned: set[str] = field(default_factory=set, compare=False)
     # The steps the kernel and the table answered, under "kernel" and
-    # "table".
+    # "table", and those replayed from a step memo, under "memo".
     steps: Counter = field(default_factory=Counter, compare=False)
 
 
@@ -740,14 +753,23 @@ def _table_step(c: Circuit, s: SymState, cfg: ExploreConfig,
     return results
 
 
-def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
-          plan: _StepPlan) -> list[_StepResult]:
+def _step(c: Circuit, s: SymState, cfg: ExploreConfig, plan: _StepPlan,
+          memo: dict | None = None) -> list[_StepResult]:
     concrete = not s.pc and all(e.op == "const" for e in s.regs.values())
+    key = None
+    if concrete and memo is not None:
+        key = tuple(s.regs[r.name].aux[0] for r in c.registers)
+        stored = memo.get(key)
+        if stored is not None:
+            plan.steps["memo"] += 1
+            return [_StepResult(SymState(r.state.regs, (), s.var_epoch + 1),
+                                r.dst, r.src_expr, r.src_vals, r.out_exprs,
+                                r.out_vals) for r in stored]
     if concrete and plan.kernel is not None:
         results = _kernel_step(c, s, cfg, plan.kernel)
         if results is not None:
             plan.steps["kernel"] += 1
-            return results
+            return _remember(memo, key, results)
     spec = cfg.state_spec
     cycle = _cycle_exprs(c, s, cfg, plan)
     if cycle is None:
@@ -756,7 +778,7 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
         results = _table_step(c, s, cfg, cycle)
         if results is not None:
             plan.steps["table"] += 1
-            return results
+            return _remember(memo, key, results)
     next_exprs, outs, base_pc = cycle
     src_expr = ex.simplify(state_concat_expr(spec, dict(s.regs)))
 
@@ -794,6 +816,16 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig,
                 v, src_expr, succs[v], oo))
         if len(results) > cfg.path_cap:
             raise PathExplosion(len(results), cfg.path_cap)
+    return results
+
+
+def _remember(memo: dict | None, key: tuple | None,
+              results: list[_StepResult]) -> list[_StepResult]:
+    """results, stored in memo under key when every successor has
+    constant registers and an empty pc ("Replayed steps")."""
+    if key is not None and not any(r.state.pc or any(
+            e.op != "const" for e in r.state.regs.values()) for r in results):
+        memo[key] = results
     return results
 
 
@@ -914,14 +946,19 @@ def _record_behaviors(res: _StepResult, dst: int, cfg: ExploreConfig,
                 rbs.add(Behavior(s1, dst, out, v))
 
 
-def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig) -> Metadata:
+def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig, *,
+            memo: dict | None = None) -> Metadata:
     """Worklist exploration per the configured mode (see the module
     docstring), recording a Reach Metadata.  Under BFS_PRUNE it warns
     about the registers outside the spec that pruning ignores, and at a
     fixed depth about new states at the final layer; each warning text is
-    given once per circuit and config object (_warn_once)."""
+    given once per circuit and config object (_warn_once).  memo is the
+    analysis's step memo ("Replayed steps"), for explorations of c under
+    cfg only; by default a fresh one under BFS and PARTIAL, else none."""
     if not init:
         raise DctForgeError("explore needs at least one initial state")
+    if memo is None and cfg.mode is not Mode.BFS_PRUNE:
+        memo = {}
     spec = cfg.state_spec
     plan = _plan(c, cfg)
     steps_before = plan.steps.copy()
@@ -949,7 +986,7 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig) -> Metadata:
     while frontier and (layer_added if cfg.depth is None
                         else layer < cfg.depth):
         layer += 1
-        step_results = [(_step(c, st, cfg, plan), paths)
+        step_results = [(_step(c, st, cfg, plan, memo), paths)
                         for st, paths in frontier]
         meta.paths_explored += sum(paths for _, paths in frontier)
         if layer == 1 and not any(r for r, _ in step_results):
@@ -1004,7 +1041,8 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig) -> Metadata:
     steps = plan.steps - steps_before
     _log_event(event="explore_done", layers=layer,
                paths=meta.paths_explored, pruned=meta.paths_pruned,
-               kernel_steps=steps["kernel"], table_steps=steps["table"])
+               kernel_steps=steps["kernel"], table_steps=steps["table"],
+               memo_steps=steps["memo"])
     return meta
 
 

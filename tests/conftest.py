@@ -83,3 +83,25 @@ def injected_counter(w: int):
     trigger = TriggerSpec(frozenset({(_workloads().counter_limit(w) + 1, 0)}),
                           make_state_spec(clean, ["cnt"]))
     return inject_trojan(clean, trigger, StuckAt("wrap", 1))
+
+
+def with_side_counter(fsm, width: int = 2):
+    """fsm, a gen_random_fsm circuit, with a free-running side counter
+    `side:width` (reset 0, next side + 1) beside its state register st:
+    while side is 1, st steps to st + 1 instead of its FSM successor, and
+    a new output `tick` is 1.  So a register outside the state spec feeds
+    both the next-state logic and an output, as a baud counter beside a
+    UART controller does, and within three cycles of reset."""
+    from dctforge import expr as ex
+    from dctforge.circuit import Circuit, Register, validate
+    (st,) = fsm.registers
+    side = ex.ref("side", width)
+    tick = ex.eq(side, ex.const(width, 1))
+    st_plus_1 = ex.add(ex.ref(st.name, st.width), ex.const(st.width, 1))
+    regs = (Register(st.name, st.width, st.reset_value,
+                     ex.mux(tick, st_plus_1, st.next)),
+            Register("side", width, 0, ex.add(side, ex.const(width, 1))))
+    c = Circuit(f"{fsm.name}_side", fsm.inputs,
+                fsm.outputs + (("tick", 1, tick),), regs, fsm.nets)
+    validate(c)
+    return c

@@ -115,9 +115,9 @@ def test_prune_warning_once_per_analysis(ima_trojan, caplog, monkeypatch):
     warns again."""
     reach = []
 
-    def counting(circuit, init, config):
+    def counting(circuit, init, config, **kw):
         reach.append(circuit)
-        return engine.explore(circuit, init, config)
+        return engine.explore(circuit, init, config, **kw)
 
     def warned():
         return [r.getMessage() for r in caplog.records

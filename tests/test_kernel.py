@@ -160,7 +160,7 @@ _CASES = _cases()
 
 def _run(c, cfg, caplog):
     """The Reach exploration's Metadata fields and its explore_done
-    kernel_steps, with a fresh SolverLimits."""
+    step counts (kernel, table, memo), with a fresh SolverLimits."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="dctforge.engine"):
         meta = explore(c, [reset_state(c)],
@@ -171,7 +171,8 @@ def _run(c, cfg, caplog):
     fields = (meta.rs, {(b.src, b.dst, b.output, b.value) for b in meta.rbs},
               meta.paths_explored, meta.paths_pruned,
               meta.discovered_diameter, meta.depth_converged)
-    return fields, done[-1]["kernel_steps"]
+    return fields, tuple(done[-1][k] for k in ("kernel_steps", "table_steps",
+                                               "memo_steps"))
 
 
 def _kernel_off(monkeypatch):
@@ -185,10 +186,10 @@ def test_explore_with_and_without_kernel(name, c, state_regs, expected, mode,
                                          monkeypatch, caplog):
     for depth in (0, 1, 3, FIXPOINT):
         cfg = config_for(c, state_regs, depth=depth, mode=mode)
-        got, kernel_steps = _run(c, cfg, caplog)
+        got, (kernel_steps, _, _) = _run(c, cfg, caplog)
         with monkeypatch.context() as m:
             _kernel_off(m)
-            ref, off_steps = _run(c, cfg, caplog)
+            ref, (off_steps, _, _) = _run(c, cfg, caplog)
         assert got == ref, (name, depth)
         assert off_steps == 0
         if expected == "fallback" or depth == 0:
@@ -246,19 +247,20 @@ def test_fallback_raises_what_the_symbolic_step_raises(text, kw, error, mode,
 
 def test_partial_keeps_the_smallest_destination(monkeypatch, caplog):
     """Under partial, more destinations than value_cap is no error: the
-    kernel keeps the smallest, as min_value does."""
+    kernel keeps the smallest, as min_value does.  The path is 0, 3, 3,
+    so the third step replays the second's from the step memo."""
     c = parse_rtl("circuit partial\n"
                   "input x:4\n"
                   "output y:1 = x == 4'd0\n"
                   "reg st:4 reset 0 next x | 4'd3\n")
     cfg = config_for(c, ["st"], depth=3, mode=Mode.PARTIAL, value_cap=2)
-    got, kernel_steps = _run(c, cfg, caplog)
+    got, steps = _run(c, cfg, caplog)
     with monkeypatch.context() as m:
         _kernel_off(m)
         ref, _ = _run(c, cfg, caplog)
     assert got == ref
     assert got[0] == {0, 3}
-    assert kernel_steps == 3
+    assert steps == (2, 0, 1)
 
 
 def test_signal_names_never_reach_the_kernel(monkeypatch, caplog):
@@ -272,7 +274,7 @@ def test_signal_names_never_reach_the_kernel(monkeypatch, caplog):
                   "output kernel:2 = t0 - t1\n"
                   "reg a1:2 reset 0 next t0\n")
     cfg = config_for(c, ["a1"], depth=FIXPOINT, mode=Mode.BFS)
-    got, kernel_steps = _run(c, cfg, caplog)
+    got, (kernel_steps, _, _) = _run(c, cfg, caplog)
     with monkeypatch.context() as m:
         _kernel_off(m)
         ref, _ = _run(c, cfg, caplog)
@@ -312,7 +314,8 @@ def test_counter_stage1_asks_no_solver_query(monkeypatch, caplog):
 
 def test_detect_trojan_builds_the_kernel_once(ima_gate, caplog):
     """detect_trojan on ima_gate runs stage 1 and its stage-3
-    exploration with one config: one kernel serves both, a second
+    exploration with one config: one kernel is built, stage 1 takes six
+    steps on it and stage 3 replays its five from the step memo, a second
     analysis with that config builds none, and a replaced config builds
     its own."""
     cfg = config_for(ima_gate, ["q2", "q1", "q0"])
@@ -328,11 +331,10 @@ def test_detect_trojan_builds_the_kernel_once(ima_gate, caplog):
         evs = events()
         (built,) = [e for e in evs if e["event"] == "kernel_built"]
         assert built["nodes"] > 0
-        done = [e["kernel_steps"] for e in evs
-                if e["event"] == "explore_done"]
+        done = [(e["kernel_steps"], e["table_steps"], e["memo_steps"])
+                for e in evs if e["event"] == "explore_done"]
         # Stage 1 and stage 3; stage 2 is no exploration.
-        assert len(done) == 2
-        assert done[0] > 0 and done[1] > 0
+        assert done == [(6, 0, 0), (0, 0, 5)]
         caplog.clear()
         detect_trojan(ima_gate, cfg)
         assert not any(e["event"] == "kernel_built" for e in events())

@@ -51,8 +51,8 @@ def _detect_recorded(monkeypatch, c, cfg):
     exploration it ran (stage 1 and each stage-3 exploration)."""
     reach = []
 
-    def recording(circuit, init, config):
-        meta = engine.explore(circuit, init, config)
+    def recording(circuit, init, config, **kw):
+        meta = engine.explore(circuit, init, config, **kw)
         reach.append(_meta_fields(meta))
         return meta
 

@@ -175,8 +175,8 @@ def _counting_step(monkeypatch):
     calls = []
     real = engine._step
 
-    def counting(c, s, cfg, plan):
-        results = real(c, s, cfg, plan)
+    def counting(c, s, cfg, plan, memo=None):
+        results = real(c, s, cfg, plan, memo)
         symbolic = s.regs == symbolic_state(c, cfg.state_spec).regs
         calls.append((symbolic, s.var_epoch + 1, len(results)))
         return results

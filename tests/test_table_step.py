@@ -88,10 +88,10 @@ def _constant_states(c, cfg, monkeypatch):
     states = []
     real = engine._step
 
-    def recording(c, s, cfg, plan):
+    def recording(c, s, cfg, plan, memo=None):
         if not s.pc and all(e.op == "const" for e in s.regs.values()):
             states.append(s)
-        return real(c, s, cfg, plan)
+        return real(c, s, cfg, plan, memo)
 
     with monkeypatch.context() as m:
         m.setattr(engine, "_step", recording)
@@ -156,7 +156,8 @@ def test_table_step_equals_solver_step(name, c, state_regs, mode,
 def test_fold_steps_the_simplified_cycle(mode, caplog):
     """The fold circuit has one successor per step from s = 0, as the
     solver step finds on the simplified cycle, so BFS to depth 3 explores
-    3 paths, all on the table."""
+    3 paths: the first step is on the table, and the other two replay it
+    from the step memo (bfs-prune stops after one)."""
     c = parse_rtl(_FOLD)
     cfg = config_for(c, ["s"], depth=3, mode=mode)
     with caplog.at_level(logging.DEBUG, logger="dctforge.engine"):
@@ -165,7 +166,8 @@ def test_fold_steps_the_simplified_cycle(mode, caplog):
     assert meta.paths_explored == (1 if mode is Mode.BFS_PRUNE else 3)
     (done,) = [json.loads(r.getMessage()) for r in caplog.records
                if '"explore_done"' in r.getMessage()]
-    assert done["table_steps"] == done["layers"] and done["kernel_steps"] == 0
+    steps = (done["kernel_steps"], done["table_steps"], done["memo_steps"])
+    assert steps == ((0, 1, 0) if mode is Mode.BFS_PRUNE else (0, 1, 2))
 
 
 def test_partial_takes_the_mux_else_arm_first(caplog):
