@@ -346,11 +346,19 @@ def cmd_inject(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp):
+def _add_circuit(sp):
+    """The options every subcommand reads: the circuit, its state
+    registers and where the output goes."""
     sp.add_argument("--circuit", required=True,
                     help="circuit file (.snl RTL format, or .blif)")
     sp.add_argument("--state", required=True,
                     help="ordered comma-separated state registers")
+    sp.add_argument("--out", default=None, help="report/output file path")
+
+
+def _add_analysis(sp, seed: bool):
+    """The options of an analysis (_explore_config), and --seed when it
+    writes a JSON report."""
     sp.add_argument("--depth", default="7",
                     help="clock cycles for forward exploration, or 'fixpoint'")
     sp.add_argument("--mode", default="bfs-prune",
@@ -361,10 +369,10 @@ def _add_common(sp):
                     help="comma-separated outputs to record (default: all)")
     sp.add_argument("--assume", action="append",
                     help="1-bit expression conjoined after every cycle")
-    sp.add_argument("--out", default=None, help="report/output file path")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="copied into the report's seed field and read "
-                         "nowhere else: every analysis is deterministic")
+    if seed:
+        sp.add_argument("--seed", type=int, default=0,
+                        help="copied into the report's seed field and read "
+                             "nowhere else: every analysis is deterministic")
     sp.add_argument("--value-cap", type=int, default=DEFAULT_VALUE_CAP,
                     help="most distinct values one enumeration may find "
                          "(StateIds, sources, output values); more is an "
@@ -395,10 +403,11 @@ def _build_parser() -> _Parser:
     for name, fn in (("analyze", cmd_analyze), ("trojan", cmd_trojan),
                      ("stg", cmd_stg), ("oracle", cmd_oracle)):
         sp = sub.add_parser(name)
-        _add_common(sp)
+        _add_circuit(sp)
+        _add_analysis(sp, seed=name != "stg")
         sp.set_defaults(fn=fn)
     sp = sub.add_parser("inject")
-    _add_common(sp)
+    _add_circuit(sp)
     sp.add_argument("--dct", required=True,
                     help="comma-separated SRC:DST trigger edges")
     sp.add_argument("--payload", required=True,

@@ -81,19 +81,22 @@ and their counts add up.  _step reads nothing else of a state and the
 answers memo is exact, so each entry is stepped and recorded once, and
 the steps this saves would only replay memoised answers.
 paths_explored still counts paths (a Python int, which can pass 2^63).
-Under BFS_PRUNE a successor with a new StateId keeps one path and the
-others count as pruned; the kept successors of one layer have distinct
-StateIds, so they never share content, and only the initial states are
-merged.
+Every mode keeps this one frontier.  Under BFS_PRUNE a successor with a
+new StateId keeps one path and the others count as pruned; the kept
+successors of one layer have distinct StateIds, so they never share
+content, and only the initial states merge.
 
 Concrete steps: a state whose registers are all constants and whose pc
 is empty (in an exploration), and symbolic_step's fully symbolic state
 (_fully_symbolic), are stepped without the solver when the config has
 no assumptions and every monitored output is at most
 solve.ALL_VALUES_WIDTH_CAP bits wide (no spec is wider: STATE_WIDTH_CAP).
-The cached plan (_plan) carries one of two concrete steps, and
-_build_plan's plan, which the tests' references step, carries neither.
-Each answers exactly what the solver's step would, and falls back to it
+One rule: the cached plan (_plan) of such a config carries the table
+step, and a split-free plan that reads at most KERNEL_INPUT_BITS input
+bits carries the kernel as well, which _step tries first on a constant
+state.  _build_plan's plan, which the tests' references step, carries
+neither.  Each answers exactly what the solver's step would.  The
+kernel falls back to the table, and the table to the solver's step,
 wherever one of that step's queries could raise: more destinations than
 value_cap on a branch, more sources than value_cap on one destination,
 more results than path_cap, or more than value_cap values of an output
@@ -117,8 +120,10 @@ neither (its successors keep their whole pc).
   more than one valuation of the registers outside the spec.  With one
   branch, the solver's successors are the distinct next StateIds, and
   the live-conjunct trim leaves their pc empty whenever their registers
-  are constants, so the kernel changes no answer.
-* Table (_table_step): any other plan, when the leaves of the simplified
+  are constants, so the kernel changes no answer.  It is kept beside
+  the table: without it the gate-level benchmark takes about 1.5 times
+  as long, mostly in substitute_simplify over the bit-blasted DAGs.
+* Table (_table_step): every plan, when the leaves of the simplified
   cycle's spec next-state expressions and monitored outputs have at most
   solve.TABLE_BITS input bits (read at step time, so TABLE_BITS = -1
   turns it off).  The split worklist (_resolve) runs as for the solver,
@@ -154,9 +159,10 @@ neither (its successors keep their whole pc).
   table, so "satisfiable" is "some row", and the pairs transitions
   enumerates are the values that the source planes and then the
   destination planes take on the branch's rows, from one
-  PlaneEncoder.split in that order.  Grouped by destination, ascending,
-  each with its sources ascending, they are the solver's successors,
-  and each successor's pc is the solver's: s.pc, the simplified guard of
+  PlaneEncoder.split in that order.  Grouped by destination, ascending
+  (only the smallest under PARTIAL, as min_value), each with its
+  sources ascending, they are the solver's successors, and each
+  successor's pc is the solver's: s.pc, the simplified guard of
   each alternative taken (each built once per step, and only when
   taken) and the pin (_pinned).  No output is sampled, since stage 2
   records no behavior; the successors keep their output expressions.
@@ -331,8 +337,8 @@ class _StepResult:
     src_expr: ex.Expr               # pre-step spec concatenation
     src_vals: list[int]             # its feasible values under state.pc
     out_exprs: dict[str, ex.Expr]   # monitored outputs, pre-edge sample
-    # Each monitored output's values on this step, when the concrete
-    # kernel computed them (out_exprs is then empty).
+    # Each monitored output's values on this step, when the kernel or
+    # the table computed them (out_exprs is then empty).
     out_vals: dict[str, list[int]] | None = None
 
 
@@ -445,12 +451,15 @@ class _StepPlan:
     nets and then the assumptions.  A net's Ref resolves through `links`
     to the result of that net's expression, so one substitute_simplify
     walk evaluates a whole cycle.  A plan kept by _plan also carries the
-    kernel or the table flag, the BFS_PRUNE warnings, the warning texts
-    given and its concrete step counts."""
+    table flag and, on a split-free plan, the kernel ("Concrete steps"),
+    the BFS_PRUNE warnings, the warning texts given and its concrete step
+    counts."""
     order: tuple[ex.Expr, ...]
     assume_order: tuple[ex.Expr, ...]
     links: dict[str, ex.Expr]
     outputs: tuple[tuple[str, ex.Expr], ...]
+    # Tried first on constant states; the table answers where it falls
+    # back.
     kernel: Kernel | None = None
     # Whether constant states and the fully symbolic state are stepped
     # on a truth table (_table_step).
@@ -497,19 +506,18 @@ def _build_plan(c: Circuit, cfg: ExploreConfig) -> _StepPlan:
 
 
 def _plan(c: Circuit, cfg: ExploreConfig) -> _StepPlan:
-    """The step plan of c under cfg with its kernel or its table flag,
-    when they qualify for a concrete step, and BFS_PRUNE warnings: built
-    on the first call, kept on cfg."""
+    """The step plan of c under cfg with its table flag and its kernel,
+    when they qualify for a concrete step ("Concrete steps"), and
+    BFS_PRUNE warnings: built on the first call, kept on cfg."""
     for cached, plan in cfg._plans:
         if cached is c:
             return plan
     plan = _build_plan(c, cfg)
     if not cfg.assumes and all(e.width <= ALL_VALUES_WIDTH_CAP
                                for _, e in plan.outputs):
+        plan = dc_replace(plan, table=True)
         live = _kernel_inputs(c, plan)
-        if live is None:
-            plan = dc_replace(plan, table=True)
-        else:
+        if live is not None:
             from .kernel import Kernel  # only now: see kernel.py's docstring
             plan = dc_replace(plan, kernel=Kernel(
                 c, cfg.state_spec, plan.outputs, plan.order, plan.links,
@@ -568,7 +576,7 @@ def _cycle_exprs(c: Circuit, s: SymState, cfg: ExploreConfig,
 def _kernel_step(c: Circuit, s: SymState, cfg: ExploreConfig,
                  kernel: Kernel) -> list[_StepResult] | None:
     """_step from a constant state with an empty pc, by the kernel; None
-    when _step has to take the symbolic step instead: a destination with
+    when _step has to take the table step instead: a destination with
     more than one valuation of the registers outside the spec, more
     destinations than the value or path cap, or an output with more than
     value_cap values on one destination."""
@@ -582,22 +590,31 @@ def _kernel_step(c: Circuit, s: SymState, cfg: ExploreConfig,
         return None
     spec = cfg.state_spec
     src_expr = ex.simplify(state_concat_expr(spec, dict(s.regs)))
+    regs = c.register_map()
     results = []
     for v in dsts:
         others, outs = by_dst[v]
         if len(others) > 1 or any(len(vals) > cfg.value_cap
                                   for vals in outs):
             return None
-        values = decode_state(c, spec, v)
-        values.update(zip(kernel.others, others.pop()))
-        regs3 = {r.name: ex.const(r.width, values[r.name])
-                 for r in c.registers}
+        nx = {name: ex.const(regs[name].width, u)
+              for name, u in zip(kernel.others, others.pop())}
         results.append(_StepResult(
-            SymState(regs3, (), s.var_epoch + 1), v,
+            SymState(_next_regs(c, spec, v, nx), (), s.var_epoch + 1), v,
             src_expr, [src_expr.aux[0]], {},
             {name: sorted(vals)
              for name, vals in zip(cfg.monitored_outputs, outs)}))
     return results
+
+
+def _next_regs(c: Circuit, spec: StateSpec, v: int,
+               others: Mapping[str, ex.Expr]) -> dict[str, ex.Expr]:
+    """A successor's registers: the spec registers at their slices of its
+    StateId v, and every other register at its expression in others."""
+    slices = decode_state(c, spec, v)
+    return {r.name: (ex.const(r.width, slices[r.name])
+                     if r.name in slices else others[r.name])
+            for r in c.registers}
 
 
 def _fully_symbolic(s: SymState) -> bool:
@@ -675,20 +692,16 @@ def _table_step(c: Circuit, s: SymState, cfg: ExploreConfig,
         for each destination that the concatenation of es takes on rows,
         ascending, and only the smallest under PARTIAL; None when more
         than cap destinations, or more than cap sources of one, exist."""
-        if cfg.mode is Mode.PARTIAL or all(e.op == "const" for e in es):
-            succs = [(v, [u for u, _ in values([src_expr], v_rows, cap + 1)])
-                     for v, v_rows in values(es, rows, 1 if cfg.mode is
-                                             Mode.PARTIAL else cap + 1)]
-        else:
-            # One split over the source planes and then the destination
-            # planes, the pairs in transitions' order, grouped by
-            # destination: each destination's sources come ascending.
-            width = sum(e.width for e in es)
-            by_dst: dict[int, list[int]] = {}
-            for pair, _ in enc.split(planes([src_expr, *es]), rows):
-                by_dst.setdefault(pair & ex.mask(width), []).append(
-                    pair >> width)
-            succs = sorted(by_dst.items())
+        # One split over the source planes and then the destination
+        # planes, the pairs in transitions' order, grouped by destination:
+        # each destination's sources come ascending.
+        width = sum(e.width for e in es)
+        by_dst: dict[int, list[int]] = {}
+        for pair, _ in enc.split(planes([src_expr, *es]), rows):
+            by_dst.setdefault(pair & ex.mask(width), []).append(pair >> width)
+        succs = sorted(by_dst.items())
+        if cfg.mode is Mode.PARTIAL:
+            succs = succs[:1]
         if len(succs) > cap or any(len(srcs) > cap for _, srcs in succs):
             return None
         return succs
@@ -732,10 +745,7 @@ def _table_step(c: Circuit, s: SymState, cfg: ExploreConfig,
                     if len(vals) > cap:
                         return None
                     out_vals[name] = vals
-            slices = decode_state(c, spec, v)
-            regs3 = {r.name: (ex.const(r.width, slices[r.name])
-                              if r.name in slices else nx[r.name])
-                     for r in c.registers}
+            regs3 = _next_regs(c, spec, v, nx)
             succ_pc: tuple[ex.Expr, ...] = ()
             # An all-constant successor of a constant state has its pc
             # trimmed to nothing, so only the symbolic state's successors
@@ -804,16 +814,9 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig, plan: _StepPlan,
                 concat, src_expr, pc, cap=cfg.value_cap,
                 limits=cfg.limits).items()}
         for v in sorted(succs):
-            slices = decode_state(c, spec, v)
-            regs3 = {}
-            for r in c.registers:
-                if r.name in slices:
-                    regs3[r.name] = ex.const(r.width, slices[r.name])
-                else:
-                    regs3[r.name] = nx[r.name]
             results.append(_StepResult(
-                SymState(regs3, _pinned(pc, concat, v), s.var_epoch + 1),
-                v, src_expr, succs[v], oo))
+                SymState(_next_regs(c, spec, v, nx), _pinned(pc, concat, v),
+                         s.var_epoch + 1), v, src_expr, succs[v], oo))
         if len(results) > cfg.path_cap:
             raise PathExplosion(len(results), cfg.path_cap)
     return results
@@ -992,10 +995,7 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig, *,
         if layer == 1 and not any(r for r, _ in step_results):
             _warn_if_assumptions_cut(plan, cfg)
 
-        # Under BFS_PRUNE every kept successor has a new StateId, so no
-        # two of them share content and nothing merges.
         merged: dict[tuple, list] = {}
-        kept_entries: list[list] = []
         layer_added = False
         for results, paths in step_results:
             for res in results:
@@ -1021,13 +1021,10 @@ def explore(c: Circuit, init: list[SymState], cfg: ExploreConfig, *,
                         *map(ex.leaf_set, succ.regs.values()))
                     succ = dc_replace(succ,
                                       pc=live_conjuncts(succ.pc, leaves))
-                if cfg.mode is Mode.BFS_PRUNE:
-                    kept_entries.append([succ, kept])
-                else:
-                    merged.setdefault(_content(succ), [succ, 0])[1] += kept
+                merged.setdefault(_content(succ), [succ, 0])[1] += kept
                 _log_event(event="path_spawned", layer=layer, paths=kept,
                            state=[dst], pc_conjuncts=len(succ.pc))
-        frontier = kept_entries or list(merged.values())
+        frontier = list(merged.values())
         if layer_added:
             last_new_layer = layer
 

@@ -450,6 +450,7 @@ def _subcommands():
 
 _VALID = {"--circuit": None, "--state": "pcmSq", "--depth": "2",
           "--dct": "6:0", "--payload": "stuck-at:outValid:1"}
+_INJECT_FLAGS = ("--circuit", "--state", "--out", "--dct", "--payload")
 _MALFORMED = ["", "x", "-1", "0", "1.5", "99999999999999999999", ",", "a:b",
               "6:0:1", "stuck-at:outValid:x", "stuck-at:nothere:1",
               "stuck-at:outValid:-1", "pcmSq,pcmSq", "pcmSq ==", "8'd300",
@@ -471,7 +472,10 @@ def test_cli_flag_fuzz_no_traceback(command, ima_path, tmp_path, capsys,
     parser = _subcommands()[command]
     flags = [a.option_strings[-1] for a in parser._actions
              if a.option_strings and a.option_strings[-1] != "--help"]
-    assert {"--circuit", "--state", "--depth"} <= set(flags)
+    if command == "inject":
+        assert set(flags) == set(_INJECT_FLAGS)
+    else:
+        assert {"--circuit", "--state", "--depth"} <= set(flags)
     valid = dict(_VALID, **{"--circuit": ima_path})
     for flag in flags:
         for value in _MALFORMED + paths:
@@ -502,12 +506,32 @@ _LIMIT_HELP = {"--value-cap": "most distinct values one enumeration",
                                      "inject"])
 def test_help_describes_each_limit(command, capsys):
     """--help explains each numeric limit; --path-cap says it bounds
-    neither the path count nor what bfs reports."""
+    neither the path count nor what bfs reports.  inject runs no
+    analysis, so it takes no limit."""
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--help"])
     assert exit_info.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
+    if command == "inject":
+        assert not any(flag in text for flag in _LIMIT_HELP)
+        return
     for flag, phrase in _LIMIT_HELP.items():
         metavar = flag.lstrip("-").replace("-", "_").upper()
         entry = text.split(f" {flag} {metavar} ", 1)[1].split(" --", 1)[0]
         assert phrase in entry, flag
+
+
+def test_subcommands_take_only_the_options_they_read(ima_path, capsys):
+    """inject runs no analysis, so an analysis option such as --depth is
+    a usage error; stg writes no JSON report, so it takes no --seed."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["inject", "--circuit", ima_path, "--state", "pcmSq",
+              "--dct", "6:0", "--payload", "stuck-at:outValid:1",
+              "--depth", "3"])
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dctforge")
+    assert "unrecognized arguments: --depth 3" in err
+    assert "Traceback" not in err
+    stg = [a.option_strings[-1] for a in _subcommands()["stg"]._actions]
+    assert "--seed" not in stg

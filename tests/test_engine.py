@@ -9,7 +9,7 @@ from dataclasses import replace as dc_replace
 
 import pytest
 
-from dctforge import corpus, detect, engine
+from dctforge import corpus, detect, engine, solve
 from dctforge import expr as ex
 from dctforge.blif import parse_blif
 from dctforge.circuit import Circuit, Register, make_state_spec
@@ -532,10 +532,12 @@ def test_stage2_trans_matches_oracle_at_gate_level(name):
         oracle_analyze(c, spec, depth=1).trans
 
 
-def test_stage2_enumerates_transitions_from_one_query():
-    """On cnt5.blif, stage 2's one symbolic step finds Trans with one
-    pair query: a solve per transition plus the final unsat one, and no
-    source query per destination."""
+def test_stage2_enumerates_transitions_from_one_query(monkeypatch):
+    """On cnt5.blif, stage 2's one symbolic step on the solver path
+    (TABLE_BITS = -1, so no table step) finds Trans with one pair query:
+    a solve per transition plus the final unsat one, and no source query
+    per destination."""
+    monkeypatch.setattr(solve, "TABLE_BITS", -1)
     labels = []
 
     class Labels:

@@ -263,6 +263,32 @@ def test_partial_keeps_the_smallest_destination(monkeypatch, caplog):
     assert steps == (2, 0, 1)
 
 
+_TWO_OTHERS = """circuit two_others
+input i:1
+output y:1 = t
+reg s:1 reset 0 next ~s
+reg t:1 reset 0 next i
+"""
+
+
+def test_kernel_fallback_takes_the_table_step(caplog):
+    """From reset, t takes two values on s's one destination, so the
+    kernel falls back; that step is a table step, and the later steps,
+    from a symbolic t, are the solver's.  RS, paths and RBS equal the
+    per-path reference's (_build_plan's plan: solver steps only) and
+    the oracle's."""
+    c = parse_rtl(_TWO_OTHERS)
+    cfg = config_for(c, ["s"], depth=3, mode=Mode.BFS)
+    got, steps = _run(c, cfg, caplog)
+    assert steps == (0, 1, 0)
+    ref = per_path_explore(c, [reset_state(c)], cfg, Kind.REACH)
+    om = oracle_analyze(c, cfg.state_spec, 3)
+    rbs = {(b.src, b.dst, b.output, b.value) for b in ref.rbs}
+    assert (got[0], got[1], got[2]) == (ref.rs, rbs, ref.paths_explored)
+    assert got[0] == om.rs
+    assert got[1] == {(b.src, b.dst, b.output, b.value) for b in om.rbs}
+
+
 def test_signal_names_never_reach_the_kernel(monkeypatch, caplog):
     """Signals named like the kernel's generated names, or like a builtin,
     evaluate as any other."""
@@ -369,28 +395,3 @@ def test_kernel_runs_only_in_explore(name, monkeypatch, caplog):
     (done,) = [json.loads(r.getMessage()) for r in caplog.records
                if '"explore_done"' in r.getMessage()]
     assert done["kernel_steps"] > 0
-
-
-@pytest.mark.parametrize("mode", [Mode.BFS, Mode.BFS_PRUNE],
-                         ids=lambda m: m.value)
-def test_bfs_prune_keys_only_initial_states(mode, monkeypatch):
-    """Under bfs-prune every kept successor has a new StateId, so explore
-    keys only the initial states on their content; bfs keys every kept
-    successor too."""
-    calls = []
-    real = engine._content
-
-    def counting(s):
-        calls.append(s)
-        return real(s)
-
-    monkeypatch.setattr(engine, "_content", counting)
-    for c, regs in [(corpus.load("ima.snl"), ["pcmSq"]),
-                    (corpus.load("ima_gate.blif"), ["q2", "q1", "q0"])]:
-        calls.clear()
-        cfg = config_for(c, regs, depth=4, mode=mode)
-        explore(c, [reset_state(c), reset_state(c)], cfg)
-        if mode is Mode.BFS_PRUNE:
-            assert len(calls) == 2
-        else:
-            assert len(calls) > 2

@@ -218,8 +218,9 @@ def test_stage2_caps_that_hold_stay_on_the_table(text, kw, successors,
 
 
 def test_stage2_solver_path_cases(monkeypatch, caplog):
-    """Assumptions, a kernel plan (gate-level, no Case or Mux) and
-    TABLE_BITS = -1 take the solver path, with the same answers."""
+    """Assumptions and TABLE_BITS = -1 take the solver path; a kernel plan
+    (gate-level, no Case or Mux) takes the table like any other plan.
+    Each gives the solver path's answers."""
     c = parse_rtl(_SIDE)
     s = ex.ref("s", 2)
     assumed = config_for(c, ["s"], assumes=(ex.ne(s, ex.const(2, 2)),))
@@ -230,12 +231,17 @@ def test_stage2_solver_path_cases(monkeypatch, caplog):
     blif = parse_blif(counter_blif(4))
     gate = config_for(blif, [f"q{i}" for i in reversed(range(4))])
     assert engine._plan(blif, gate).kernel is not None
-    assert not _stage2(blif, gate, caplog)[2]["table"]
+    gate_on = _stage2(blif, gate, caplog)
 
     cfg = config_for(c, ["s"])
     on = _stage2(c, cfg, caplog)
     monkeypatch.setattr(solve, "TABLE_BITS", -1)
     off = _stage2(c, cfg, caplog)
+    gate_off = _stage2(blif, gate, caplog)
+    assert gate_on[2]["table"] and not gate_off[2]["table"]
+    assert gate_on[0].trans == gate_off[0].trans
+    assert [engine._content(t) for t in gate_on[0].sym_states] == [
+        engine._content(t) for t in gate_off[0].sym_states]
     assert on[2]["table"] and not off[2]["table"]
     assert on[0].trans == off[0].trans
     assert [engine._content(t) for t in on[0].sym_states] == [
