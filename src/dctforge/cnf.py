@@ -205,10 +205,23 @@ class Encoder:
         """Encode roots (and anything they share) in one postorder, the
         first root's nodes first, returning each root's LSB-first bits."""
         b = self._bits
-        # postorder starts from its last root.
-        for node in ex.postorder(roots[::-1]):
-            if node not in b:
+        # ex.postorder(roots[::-1]) less the nodes already encoded: the
+        # descendants of an encoded node are all encoded, so the walk
+        # stops there and the new nodes keep their order.
+        seen: set[ex.Expr] = set()
+        stack = [(r, False) for r in roots[::-1]]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
                 b[node] = self._encode(node)
+                continue
+            if node in b or node in seen:
+                continue
+            seen.add(node)
+            stack.append((node, True))
+            for a in reversed(node.args):
+                if a not in b and a not in seen:
+                    stack.append((a, False))
         return [b[r] for r in roots]
 
     def _encode(self, node: ex.Expr) -> list[int]:
@@ -321,18 +334,22 @@ class PlaneEncoder(Encoder):
         """(value, rows where proj takes it) for each distinct value that
         the planes proj, most significant first, take on rows: rows are
         split on each plane in turn, 0 first, so the values come lazily
-        and in ascending order."""
+        and in ascending order.  A split goes on down its 0 side and
+        stacks only its 1 side, so a plane that is constant on the rows
+        costs no stack entry."""
         stack = [(rows, 0, 0)] if rows else []
         while stack:
             rows, depth, value = stack.pop()
-            if depth == len(proj):
-                yield value, rows
-                continue
-            one = rows & proj[depth]
-            if one:
-                stack.append((one, depth + 1, value << 1 | 1))
-            if one != rows:
-                stack.append((rows ^ one, depth + 1, value << 1))
+            for d in range(depth, len(proj)):
+                one = rows & proj[d]
+                if one == rows:
+                    value = value << 1 | 1
+                    continue
+                if one:
+                    stack.append((one, d + 1, value << 1 | 1))
+                    rows ^= one
+                value <<= 1
+            yield value, rows
 
 
 def bit_blast(e: ex.Expr, pc, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfFormula:

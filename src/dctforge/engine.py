@@ -106,23 +106,22 @@ neither (its successors keep their whole pc).
 
 * Kernel: when the plan holds no Case or Mux node (so a step has
   exactly one branch) and reads at most KERNEL_INPUT_BITS input bits.
-  The kernel (kernel.Kernel) is one Python function generated from the
-  plan's order and compiled with `compile`, on its first use; its
-  source holds only generated names and integer literals.  It lives as
-  long as the plan, so detect_trojan's stage-3 explorations reuse stage
-  1's.  _step runs it once per assignment of the live inputs and groups
-  the assignments by next StateId, in ascending order: each group is one
-  successor, with its spec registers decoded from the StateId, every
-  other register at its one next value, an empty pc, the source
-  StateId, and each monitored output's values, which _record_behaviors
-  takes as they are.  Under PARTIAL only the smallest StateId is kept,
-  as min_value would pick.  It also falls back when a destination has
-  more than one valuation of the registers outside the spec.  With one
-  branch, the solver's successors are the distinct next StateIds, and
-  the live-conjunct trim leaves their pc empty whenever their registers
-  are constants, so the kernel changes no answer.  It is kept beside
-  the table: without it the gate-level benchmark takes about 1.5 times
-  as long, mostly in substitute_simplify over the bit-blasted DAGs.
+  The kernel (kernel.Kernel) is built on first use: one truth table of
+  the registers and live inputs when they total at most TABLE_BITS
+  bits, else a compiled Python function.  It lives as long as the
+  plan, so detect_trojan's later stages reuse stage 1's.  A step groups
+  the live input assignments by next StateId, in ascending order: each
+  group is one successor, with its spec registers decoded from the
+  StateId, every other register at its one next value, an empty pc,
+  the source StateId, and each monitored output's values, which
+  _record_behaviors takes as they are.  Under PARTIAL only the smallest
+  StateId is kept, as min_value would pick.  It also falls back when a
+  destination has more than one valuation of the registers outside the
+  spec.  With one branch, the solver's successors are the distinct next
+  StateIds, and the live-conjunct trim leaves their pc empty whenever
+  their registers are constants, so the kernel changes no answer.  It
+  is kept beside the table: without it the gate-level benchmark takes
+  about twice as long, mostly in substitute_simplify.
 * Table (_table_step): every plan, when the leaves of the simplified
   cycle's spec next-state expressions and monitored outputs have at most
   solve.TABLE_BITS input bits (read at step time, so TABLE_BITS = -1
@@ -166,10 +165,12 @@ neither (its successors keep their whole pc).
   each alternative taken (each built once per step, and only when
   taken) and the pin (_pinned).  No output is sampled, since stage 2
   records no behavior; the successors keep their output expressions.
-  The states of stage 3 with symbolic registers stay on the solver
-  path: their pc is not empty, and the answers memo replays the queries
-  their steps repeat across layers, which a table would rebuild at
-  every step.
+  A kernel built on a table holds them already (Kernel.pairs): one
+  branch, and the projection of its planes onto (spec registers, next
+  StateId).  The states of stage 3 with symbolic registers stay on the
+  solver path: their pc is not empty, and the answers memo replays the
+  queries their steps repeat across layers, which a table would
+  rebuild at every step.
 
 Replayed steps: an analysis keeps one step memo (Yang, Pasareanu &
 Khurshid, "Memoized symbolic execution", ISSTA 2012).  Keyed on every
@@ -459,7 +460,7 @@ class _StepPlan:
     links: dict[str, ex.Expr]
     outputs: tuple[tuple[str, ex.Expr], ...]
     # Tried first on constant states; the table answers where it falls
-    # back.
+    # back.  Built on a table, it holds stage 2's pairs too.
     kernel: Kernel | None = None
     # Whether constant states and the fully symbolic state are stepped
     # on a truth table (_table_step).
@@ -580,8 +581,6 @@ def _kernel_step(c: Circuit, s: SymState, cfg: ExploreConfig,
     more than one valuation of the registers outside the spec, more
     destinations than the value or path cap, or an output with more than
     value_cap values on one destination."""
-    if kernel.fn is None:
-        _log_event(event="kernel_built", nodes=kernel.build())
     by_dst = kernel.step({name: e.aux[0] for name, e in s.regs.items()})
     dsts = sorted(by_dst)
     if cfg.mode is Mode.PARTIAL:
@@ -625,7 +624,8 @@ def _fully_symbolic(s: SymState) -> bool:
 
 
 def _table_step(c: Circuit, s: SymState, cfg: ExploreConfig,
-                cycle: _Cycle) -> list[_StepResult] | None:
+                cycle: _Cycle, kernel: Kernel | None = None
+                ) -> list[_StepResult] | None:
     """_step from a constant state with an empty pc, or from the fully
     symbolic state, with no assumptions, on one truth table of what the
     cycle reads (see "Concrete steps" in the module docstring); None when
@@ -640,19 +640,20 @@ def _table_step(c: Circuit, s: SymState, cfg: ExploreConfig,
     # The symbolic state's step pairs each destination with its sources
     # and samples no output; a constant state's has one source.
     symbolic = src_expr.op != "const"
+    pairs = kernel.pairs() if symbolic and kernel is not None else None
     # A constant state's table over every input of c is as exact as one
     # over the leaves alone, and needs no walk to find them.  The
     # symbolic state's holds the leaves of its spec logic and of
     # src_expr: the registers they read and the cycle's inputs.
-    n = sum(w for _, w in c.inputs)
-    if symbolic or n > solve.TABLE_BITS:
+    n = sum(w for _, w in c.inputs) if pairs is None else kernel.bits
+    if pairs is None and (symbolic or n > solve.TABLE_BITS):
         roots = [next_exprs[r] for r in spec.registers]
         roots += [src_expr] if symbolic else list(outs.values())
         n = sum(leaf.width
                 for leaf in frozenset().union(*map(ex.leaf_set, roots)))
     if n > solve.TABLE_BITS or cfg.value_cap < 1:
         return None
-    enc = PlaneEncoder(n)
+    enc = PlaneEncoder(n) if pairs is None else None
     # No plane takes more values than the table has rows.
     cap = min(cfg.value_cap, 1 << n)
 
@@ -697,7 +698,8 @@ def _table_step(c: Circuit, s: SymState, cfg: ExploreConfig,
         # each destination's sources come ascending.
         width = sum(e.width for e in es)
         by_dst: dict[int, list[int]] = {}
-        for pair, _ in enc.split(planes([src_expr, *es]), rows):
+        for pair, _ in (enc.split(planes([src_expr, *es]), rows)
+                        if pairs is None else pairs):
             by_dst.setdefault(pair & ex.mask(width), []).append(pair >> width)
         succs = sorted(by_dst.items())
         if cfg.mode is Mode.PARTIAL:
@@ -720,8 +722,9 @@ def _table_step(c: Circuit, s: SymState, cfg: ExploreConfig,
         return pc
 
     results: list[_StepResult] = []
+    # A kernel's plan splits nowhere, so with its pairs no row is read.
     for nx, oo, (rows, taken) in _resolve(spec, cfg.mode, next_exprs, outs,
-                                          (enc.ones, ()), arms):
+                                          (enc and enc.ones, ()), arms):
         es = [nx[r] for r in spec.registers]
         if symbolic:
             succs = sourced(es, rows)
@@ -785,7 +788,7 @@ def _step(c: Circuit, s: SymState, cfg: ExploreConfig, plan: _StepPlan,
     if cycle is None:
         return []
     if plan.table and (concrete or _fully_symbolic(s)):
-        results = _table_step(c, s, cfg, cycle)
+        results = _table_step(c, s, cfg, cycle, plan.kernel)
         if results is not None:
             plan.steps["table"] += 1
             return _remember(memo, key, results)
